@@ -103,7 +103,7 @@ mod tests {
     }
 
     #[test]
-    fn star_of_sum_matches_eval_direct() {
+    fn star_of_sum_matches_the_direct_star() {
         let ctx = ctx_updown();
         let (db, init) = workload::up_down(5, 9);
         let e = OpExpr::star_of_sum([0, 1]);

@@ -35,11 +35,6 @@
 //! assert_eq!(decomposed.relation.sorted(), direct.relation.sorted());
 //! assert!(decomposed.stats.duplicates <= direct.stats.duplicates);
 //! ```
-//!
-//! The six legacy entry points (`eval_direct`, `eval_naive`,
-//! `eval_decomposed`, `eval_select_after`, `eval_separable`,
-//! `eval_redundancy_bounded`) are deprecated wrappers over this pipeline;
-//! see [`strategies`] for the migration table.
 
 #![warn(missing_docs)]
 
@@ -59,7 +54,6 @@ pub mod rules;
 pub mod selection;
 pub mod seminaive;
 pub mod stats;
-pub mod strategies;
 pub mod workload;
 
 pub use decision::{CandidateEstimate, DenseVerdict, ParallelVerdict, PlanDecision};
@@ -81,8 +75,3 @@ pub use seminaive::{
     seminaive_round_par, seminaive_star, seminaive_star_par_in,
 };
 pub use stats::EvalStats;
-#[allow(deprecated)]
-pub use strategies::{
-    eval_decomposed, eval_direct, eval_naive, eval_redundancy_bounded, eval_select_after,
-    eval_separable,
-};

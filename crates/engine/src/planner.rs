@@ -1,8 +1,7 @@
 //! The certificate-carrying planner: `Analysis → Plan → Execution`.
 //!
-//! This module is the single entry point for evaluating a linear recursion.
-//! It replaces the six free `eval_*` functions (now deprecated wrappers in
-//! [`crate::strategies`]) with a three-stage pipeline:
+//! This module is the single entry point for evaluating a linear recursion,
+//! a three-stage pipeline:
 //!
 //! 1. **[`Analysis`]** runs the paper's tests over a rule set (and optional
 //!    [`Selection`]) and collects *typed certificates* from `linrec-core`:

@@ -44,26 +44,6 @@
 //! assert_eq!(decomposed.relation.sorted(), direct.relation.sorted());
 //! assert!(decomposed.stats.duplicates <= direct.stats.duplicates);
 //! ```
-//!
-//! ## Migrating from the `eval_*` functions
-//!
-//! The six free evaluation functions are deprecated; each maps onto one
-//! plan construction (certificates come from [`core::cert`], via
-//! [`engine::Analysis`] or directly):
-//!
-//! | Legacy | Certificate-carrying form |
-//! |---|---|
-//! | `eval_direct(rules, db, q)` | `Plan::direct(rules.to_vec()).execute(db, q)` |
-//! | `eval_naive(rules, db, q)` | `Plan::naive(rules.to_vec()).execute(db, q)` |
-//! | `eval_decomposed(groups, db, q)` | `Plan::decomposed(CommutativityCert::establish(&rules, 0)?.unwrap()).execute(db, q)` |
-//! | `eval_select_after(rules, db, q, σ)` | `Plan::select_after(Plan::direct(rules.to_vec()), σ).execute(db, q)` |
-//! | `eval_separable(a1, a2, db, q, σ)` | `Plan::separable(SeparabilityCert::establish(a1, a2)?.unwrap(), σ)?.execute(db, q)` |
-//! | `eval_redundancy_bounded(rule, dec, db, q)` | `Plan::redundancy_bounded(RedundancyCert::establish(rule, pred, 8)?.unwrap()).execute(db, q)` |
-//!
-//! Where the legacy call trusted the caller's premise by comment, the
-//! certificate constructors *check* it — an unlicensed `Decomposed`,
-//! `Separable` or `RedundancyBounded` plan is unrepresentable. To let the
-//! analysis choose: `Analysis::of(&rules, sel).plan().execute(db, q)`.
 
 pub use linrec_alpha as alpha;
 pub use linrec_core as core;
@@ -87,10 +67,6 @@ pub mod prelude {
     pub use linrec_datalog::{
         parse_linear_rule, parse_program, parse_rule, Atom, Database, LinearRule, Relation, Rule,
         Symbol, Term, Tuple, Value, Var,
-    };
-    #[allow(deprecated)]
-    pub use linrec_engine::{
-        eval_decomposed, eval_direct, eval_redundancy_bounded, eval_select_after, eval_separable,
     };
     pub use linrec_engine::{
         Analysis, CostModel, EvalStats, ExecOutcome, Parallelism, Plan, PlanShape, Program,

@@ -89,9 +89,8 @@ fn cover_db(rules: &[LinearRule], seed: u64, sparse: bool) -> (Database, Relatio
     (db, init)
 }
 
-#[allow(deprecated)]
 fn fixpoint(rules: &[LinearRule], db: &Database, init: &Relation) -> Vec<Tuple> {
-    linrec::engine::eval_direct(rules, db, init).0.sorted()
+    Plan::direct(rules).execute(db, init).unwrap().relation.sorted()
 }
 
 proptest! {

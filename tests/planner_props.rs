@@ -3,7 +3,7 @@
 //! 1. **Agreement**: for random workloads from `engine::workload` and a
 //!    spectrum of rule sets — the paper's examples plus randomly generated
 //!    rules — whatever [`Plan`] the planner picks computes *exactly* the
-//!    relation of the deprecated `eval_direct` baseline (with the selection
+//!    relation of the `Plan::direct` baseline (with the selection
 //!    applied afterwards, when one is present).
 //! 2. **No unlicensed strategies**: when the analysis finds no
 //!    certificates, the chosen plan never contains a `Decomposed` or
@@ -124,9 +124,8 @@ fn cover_db(rules: &[LinearRule], seed: u64) -> (Database, Relation) {
     (db, init)
 }
 
-#[allow(deprecated)]
 fn direct_oracle(rules: &[LinearRule], db: &Database, init: &Relation) -> Relation {
-    linrec::engine::eval_direct(rules, db, init).0
+    Plan::direct(rules).execute(db, init).unwrap().relation
 }
 
 /// Check both properties for one (rule set, selection, workload) case.
@@ -168,7 +167,7 @@ fn check_case(
     assert_eq!(
         planned.relation.sorted(),
         expected.sorted(),
-        "{case}: plan {:?} diverges from eval_direct",
+        "{case}: plan {:?} diverges from the direct baseline",
         plan.shape()
     );
     assert_eq!(planned.stats.tuples, planned.relation.len(), "{case}");
@@ -189,7 +188,7 @@ fn check_case(
     assert_eq!(
         costed_out.relation.sorted(),
         expected.sorted(),
-        "{case}: cost-chosen plan {:?} diverges from eval_direct",
+        "{case}: cost-chosen plan {:?} diverges from the direct baseline",
         costed.shape()
     );
 }

@@ -308,25 +308,21 @@ fn selection_after_decomposition_for_multiple_selections() {
 }
 
 #[test]
-fn legacy_wrappers_delegate_to_the_planner() {
-    // The deprecated entry points must stay behaviorally identical to the
-    // plans they wrap.
-    #![allow(deprecated)]
-    use linrec::engine::{eval_direct, eval_naive, eval_select_after};
+fn baseline_plans_agree_with_each_other() {
     let all = vec![rules::down_rule(), rules::up_rule()];
     let (db, init) = workload::up_down(5, 13);
-    let (legacy, legacy_stats) = eval_direct(&all, &db, &init);
-    let new = Plan::direct(all.clone()).execute(&db, &init).unwrap();
-    assert_eq!(legacy.sorted(), new.relation.sorted());
-    assert_eq!(legacy_stats, new.stats);
+    let direct = Plan::direct(all.clone()).execute(&db, &init).unwrap();
+    assert_eq!(direct.stats.tuples, direct.relation.len());
 
-    let (legacy_naive, _) = eval_naive(&all, &db, &init);
-    assert_eq!(legacy_naive.sorted(), new.relation.sorted());
+    let naive = Plan::naive(all.clone()).execute(&db, &init).unwrap();
+    assert_eq!(naive.relation.sorted(), direct.relation.sorted());
 
     let sel = Selection::eq(1, (1i64 << 6) + 1);
-    let (legacy_sel, _) = eval_select_after(&all, &db, &init, &sel);
-    let new_sel = Plan::select_after(Plan::direct(all), sel)
+    let selected = Plan::select_after(Plan::direct(all), sel.clone())
         .execute(&db, &init)
         .unwrap();
-    assert_eq!(legacy_sel.sorted(), new_sel.relation.sorted());
+    assert_eq!(
+        selected.relation.sorted(),
+        sel.apply(&direct.relation).sorted()
+    );
 }

@@ -1,4 +1,4 @@
-//! Regenerate every experiment table of `EXPERIMENTS.md`.
+//! Regenerate the paper-claim experiment tables E1–E6.
 //!
 //! ```sh
 //! cargo run --release -p linrec-bench --bin experiments          # all

@@ -1,5 +1,6 @@
-//! Shared harness utilities for the `linrec` benchmarks and the experiment
-//! regeneration binaries (see `EXPERIMENTS.md` at the workspace root).
+//! Rule-pair generators shared by the paper-claim benches and the
+//! `experiments` binary (experiments E1–E6; see the README's "Benchmarks"
+//! section).
 
 use linrec_datalog::{parse_linear_rule, Atom, LinearRule, Term, Var};
 

@@ -482,9 +482,9 @@ impl Analysis {
 /// derivations but many phases (e.g. `RedundancyBounded` on a small, dense
 /// workload) can lose wall-clock to one semi-naive star.
 ///
-/// The constants are unit-free ratios calibrated on the repository's bench
-/// workloads (shopping / up-down / chain / grid; see `BENCH_pr2.json`):
-/// only the *ordering* of candidate estimates matters to the planner.
+/// The constants are unit-free ratios calibrated on the shopping / up-down
+/// / chain / grid workloads of [`crate::workload`]: only the *ordering* of
+/// candidate estimates matters to the planner.
 #[derive(Debug, Clone)]
 pub struct CostModel {
     /// Charge per estimated tuple derivation (join + dedup work).

@@ -28,9 +28,8 @@
 //! (default **on**). Instrumentation sites in the engine/storage/service
 //! crates check [`enabled`] before taking clocks or minting spans, so
 //! turning it off reduces the residual cost to one relaxed atomic load
-//! per site — this is how the benchmark suite pins the instrumentation
-//! overhead (< 2% on the 1k-chain maintenance batch, see
-//! `BENCH_pr8.json`).
+//! per site — this is how the benchmark estimates the instrumentation
+//! overhead (`obs.overhead_pct` in `BENCHMARK.json`, target < 2%).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -40,7 +40,6 @@
 
 pub mod decision;
 pub mod dense;
-pub mod derivation;
 pub mod expr_eval;
 pub mod join;
 pub mod magic;
@@ -58,7 +57,6 @@ pub mod workload;
 
 pub use decision::{CandidateEstimate, DenseVerdict, ParallelVerdict, PlanDecision};
 pub use dense::{closure_by_squaring, composition_shape, CompositionShape, CompositionSide};
-pub use derivation::{trace_decomposed, trace_star, DerivationGraph};
 pub use expr_eval::eval_expr;
 pub use join::{apply_flat, apply_linear, apply_linear_rows, prepare_rules, Indexes};
 pub use magic::{eval_selected_star, magic_applicable};

@@ -145,4 +145,31 @@ mod tests {
         // The single worker must still be alive to serve the next job.
         assert_eq!(pool.submit(|| 41 + 1).recv().unwrap(), 42);
     }
+
+    #[test]
+    fn panicking_jobs_cost_exactly_their_own_results() {
+        // Protocol sessions and per-view maintenance jobs share a pool
+        // with whatever else is queued: a panicking job must never take a
+        // queued good job (or a worker) down with it.
+        let pool = WorkerPool::new(2);
+        let rxs: Vec<_> = (0..64u32)
+            .map(|i| {
+                pool.submit(move || {
+                    if i % 3 == 0 {
+                        panic!("deliberate panic in job {i}");
+                    }
+                    i
+                })
+            })
+            .collect();
+        for (i, rx) in rxs.into_iter().enumerate() {
+            match rx.recv() {
+                Ok(v) => assert!(v == i as u32 && i % 3 != 0),
+                Err(_) => assert_eq!(i % 3, 0),
+            }
+        }
+        // Both workers are still alive.
+        let (a, b) = (pool.submit(|| 1), pool.submit(|| 2));
+        assert_eq!(a.recv().unwrap() + b.recv().unwrap(), 3);
+    }
 }

@@ -60,16 +60,15 @@
 #![warn(missing_docs)]
 
 pub mod persist;
-pub mod pool;
 pub mod profile;
 pub mod protocol;
 pub mod sentinel;
 pub mod service;
 pub mod view;
 
+pub use linrec_engine::WorkerPool;
 pub use linrec_storage::CheckpointPolicy;
 pub use persist::{open_durable, open_durable_with_vfs, RecoveryReport};
-pub use pool::WorkerPool;
 pub use protocol::{explain_json, serve_lines, serve_tcp, Reply, Session};
 pub use sentinel::{DriftTrip, SentinelConfig};
 pub use service::{

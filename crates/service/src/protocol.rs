@@ -682,7 +682,7 @@ pub fn serve_lines(
 pub fn serve_tcp(
     service: Arc<ViewService>,
     listener: std::net::TcpListener,
-    pool: &crate::pool::WorkerPool,
+    pool: &crate::WorkerPool,
 ) -> std::io::Result<()> {
     loop {
         let (stream, _addr) = listener.accept()?;

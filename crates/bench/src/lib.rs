@@ -66,11 +66,6 @@ pub fn repeated_pred_pair(k: usize) -> (LinearRule, LinearRule) {
     (r1, r2)
 }
 
-/// Format a stats row for the experiment tables.
-pub fn row(cols: &[String]) -> String {
-    format!("| {} |", cols.join(" | "))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

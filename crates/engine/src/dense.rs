@@ -55,6 +55,18 @@ pub struct CompositionShape {
     pub side: CompositionSide,
 }
 
+impl CompositionShape {
+    /// Why the shape licenses the dense plan (the certificate text a
+    /// decision record quotes).
+    pub fn rationale(&self) -> String {
+        format!(
+            "the rule is relational composition with '{}', so operator powers are \
+             boolean matrix powers and the closure runs by repeated squaring",
+            self.edge
+        )
+    }
+}
+
 /// Recognize a composition-shaped rule: binary head `p(x,y)` with two
 /// distinct variables, a recursive atom sharing exactly the persistent
 /// head variable, and exactly one binary nonrecursive atom threading the

@@ -11,7 +11,9 @@
 //! 2. [`Analysis::plan`] picks a licensed [`Plan`]: `Direct`, `Naive`,
 //!    `BoundedPrefix`, `Decomposed`, `Separable`, `RedundancyBounded` or a
 //!    `SelectAfter` wrapper. The specialized nodes are *unconstructible*
-//!    without their certificate.
+//!    without their certificate, and every plan owns the one
+//!    [`PlanDecision`] record of why it was chosen ([`Plan::decision`];
+//!    its `Display` form is the rendered rationale).
 //! 3. [`Plan::execute`] evaluates the tree, instrumented with the
 //!    duplicate/derivation counters of Section 3.1 ([`EvalStats`]), and
 //!    returns an [`ExecOutcome`] with a per-phase [`TraceStep`] record.
@@ -19,14 +21,14 @@
 //! # Example: decomposing a commuting recursion
 //!
 //! ```
-//! use linrec_engine::{planner::Analysis, rules, workload, Plan};
+//! use linrec_engine::{planner::Analysis, rules, workload, CertKind, Plan};
 //!
 //! let (db, init) = workload::up_down(5, 42);
 //! let rules = vec![rules::up_rule(), rules::down_rule()];
 //!
 //! // Analysis finds the Theorem 5.2 commutativity certificate…
 //! let plan = Analysis::of(&rules, None).plan();
-//! assert!(plan.rationale().contains("Theorem 3.1"));
+//! assert_eq!(plan.decision().certificates[0].0, CertKind::Commutativity);
 //!
 //! // …and the decomposed plan `up* down*` produces the same relation as
 //! // the direct baseline with no more duplicates (Theorem 3.1):
@@ -55,7 +57,10 @@ pub mod seminaive;
 pub mod stats;
 pub mod workload;
 
-pub use decision::{CandidateEstimate, DenseVerdict, ParallelVerdict, PlanDecision};
+pub use decision::{
+    CandidateEstimate, CertKind, DenseVerdict, MaintenanceMode, ParallelVerdict, PickedBy,
+    PlanDecision,
+};
 pub use dense::{closure_by_squaring, composition_shape, CompositionShape, CompositionSide};
 pub use expr_eval::eval_expr;
 pub use join::{apply_flat, apply_linear, apply_linear_rows, prepare_rules, Indexes};

@@ -30,21 +30,30 @@
 //! while `Decomposed`, `RedundancyBounded`, and `Direct` compete on
 //! estimated cost — so a certificate is exploited only where the data says
 //! it pays (a redundancy certificate that *loses* wall-clock on a small
-//! dense database no longer gets picked). The decision and both estimates
-//! are recorded in the chosen plan's [`Plan::rationale`].
+//! dense database no longer gets picked).
+//!
+//! # Why this plan
+//!
+//! Every [`Plan`] owns one [`PlanDecision`] ([`Plan::decision`]): the
+//! winner and how it was picked, every candidate's estimate, the
+//! certificates leaned on, the dense and parallel verdicts and, after
+//! [`Plan::execute_feedback`], the actual statistics. Its `Display` form
+//! is the one rendered rationale (`describe()`'s `rationale:` line).
 //!
 //! ```
-//! use linrec_engine::{planner::Analysis, workload, rules};
+//! use linrec_engine::{planner::Analysis, workload, rules, CertKind};
 //!
 //! let (db, init) = workload::up_down(5, 42);
 //! let analysis = Analysis::of(&[rules::up_rule(), rules::down_rule()], None);
 //! let plan = analysis.plan();          // picks Decomposed, certificate-backed
 //! let outcome = plan.execute(&db, &init).unwrap();
-//! assert!(plan.rationale().contains("Theorem 3.1"));
+//! assert_eq!(plan.decision().certificates[0].0, CertKind::Commutativity);
 //! assert_eq!(outcome.relation.len(), outcome.stats.tuples);
 //! ```
 
-use crate::decision::{CandidateEstimate, DenseVerdict, ParallelVerdict, PlanDecision};
+use crate::decision::{
+    CandidateEstimate, CertKind, DenseVerdict, ParallelVerdict, PickedBy, PlanDecision,
+};
 use crate::dense;
 use crate::join::Indexes;
 use crate::magic::{eval_selected_star, magic_applicable};
@@ -57,6 +66,7 @@ use crate::stats::EvalStats;
 use linrec_core::{BoundednessCert, CommutativityCert, RedundancyCert, SeparabilityCert};
 use linrec_datalog::hash::{FastMap, FastSet};
 use linrec_datalog::{Database, LinearRule, Relation, RuleError, Symbol, Term, Var};
+use std::sync::Arc;
 
 /// Errors from plan construction and execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -240,33 +250,36 @@ impl Analysis {
             && self.separability.is_empty()
     }
 
+    /// The certificates that win without a competition, in the paper's
+    /// order: a bounded recursion is exhausted in a provably minimal number
+    /// of applications, and a separable pair absorbs the selection by
+    /// construction.
+    fn fixed_priority(&self) -> Option<Plan> {
+        if let Some(cert) = &self.boundedness {
+            return Some(self.wrap_selection(Plan::bounded_prefix(cert.clone())));
+        }
+        // Candidates were collected only for outers the selection commutes
+        // with, so the constructor's premise check holds.
+        let sel = self.selection.as_ref()?;
+        let (_, _, cert) = self.separability.first()?;
+        Plan::separable(cert.clone(), sel.clone()).ok()
+    }
+
     /// Pick the best licensed strategy, mirroring the paper's preference
     /// order: exhaust a bounded recursion, run the separable algorithm for
     /// selections, decompose commuting clusters, bound a redundant factor,
     /// and fall back to semi-naive over the rule sum.
     pub fn plan(&self) -> Plan {
-        if let Some(cert) = &self.boundedness {
-            return self.wrap_selection(Plan::bounded_prefix(cert.clone()));
-        }
-        if let Some(sel) = &self.selection {
-            // Candidates were collected only for outers the selection
-            // commutes with, so the constructor's premise check holds.
-            if let Some((_, _, cert)) = self.separability.first() {
-                if let Ok(plan) = Plan::separable(cert.clone(), sel.clone()) {
-                    return plan;
-                }
-            }
-        }
-        if let Some(cert) = &self.commutativity {
-            return self.wrap_selection(Plan::decomposed(cert.clone()));
-        }
-        if let Some(cert) = &self.redundancy {
-            return self.wrap_selection(Plan::redundancy_bounded(cert.clone()));
-        }
-        let mut plan = Plan::direct(self.rules.clone());
-        plan.rationale =
-            "no decomposition certificate found: semi-naive on the rule sum".to_owned();
-        self.wrap_selection(plan)
+        let plan = self.fixed_priority().unwrap_or_else(|| {
+            self.wrap_selection(if let Some(cert) = &self.commutativity {
+                Plan::decomposed(cert.clone())
+            } else if let Some(cert) = &self.redundancy {
+                Plan::redundancy_bounded(cert.clone())
+            } else {
+                Plan::direct(self.rules.clone())
+            })
+        });
+        plan.picked_by(PickedBy::FixedPriority)
     }
 
     /// Pick the cheapest licensed plan for a *concrete* database and seed,
@@ -289,132 +302,76 @@ impl Analysis {
     /// `Direct` — the cheapest estimate is chosen, with `Direct` breaking
     /// ties (fewest phases, no certificate machinery).
     pub fn plan_with(&self, db: &Database, init: &Relation, model: &CostModel) -> Plan {
-        if let Some(cert) = &self.boundedness {
-            let mut plan = Plan::bounded_prefix(cert.clone());
-            let mut dec = PlanDecision::fixed_priority("BoundedPrefix");
-            dec.certificates
-                .push(format!("boundedness: {}", cert.rationale()));
-            plan.decision = Some(Box::new(dec));
-            return self
-                .wrap_selection(plan)
-                .with_dense_budget(model.dense_budget_bytes);
-        }
-        if let Some(sel) = &self.selection {
-            if let Some((_, _, cert)) = self.separability.first() {
-                if let Ok(mut plan) = Plan::separable(cert.clone(), sel.clone()) {
-                    let mut dec = PlanDecision::fixed_priority("Separable");
-                    dec.certificates
-                        .push(format!("separability: {}", cert.rationale()));
-                    plan.decision = Some(Box::new(dec));
-                    return plan.with_dense_budget(model.dense_budget_bytes);
-                }
-            }
-        }
+        let plan = match self.fixed_priority() {
+            Some(plan) => plan.picked_by(PickedBy::FixedPriority),
+            None => self.wrap_selection(self.cheapest(db, init, model)),
+        };
+        plan.with_dense_budget(model.dense_budget_bytes)
+    }
+
+    /// The cost-model competition behind [`Analysis::plan_with`].
+    fn cheapest(&self, db: &Database, init: &Relation, model: &CostModel) -> Plan {
         // One shared estimator: the statistics map (row counts, per-column
         // distinct values) is computed once and reused by every candidate.
         let mut est = Estimator::new(model, db, init);
         let seed = init.len() as f64;
         let seed_doms = est.init_doms.clone();
-        let direct = Plan::direct(self.rules.clone());
-        let direct_cost = est.node(&direct, seed, &seed_doms);
-        let mut best: Option<(Plan, f64)> = None;
-        let mut considered: Vec<(&'static str, f64)> = vec![("Direct", direct_cost)];
-        if let Some(cert) = &self.commutativity {
-            let plan = Plan::decomposed(cert.clone());
-            let cost = est.node(&plan, seed, &seed_doms);
-            considered.push(("Decomposed", cost));
-            if best.as_ref().is_none_or(|(_, c)| cost < *c) {
-                best = Some((plan, cost));
-            }
-        }
-        if let Some(cert) = &self.redundancy {
-            let plan = Plan::redundancy_bounded(cert.clone());
-            let cost = est.node(&plan, seed, &seed_doms);
-            considered.push(("RedundancyBounded", cost));
-            if best.as_ref().is_none_or(|(_, c)| cost < *c) {
-                best = Some((plan, cost));
-            }
-        }
-        let verdict: Vec<String> = considered
+        // `Direct` first: the strict `<` below lets the earliest candidate
+        // keep a tie.
+        let mut plans = vec![Plan::direct(self.rules.clone())];
+        plans.extend(self.commutativity.iter().cloned().map(Plan::decomposed));
+        plans.extend(
+            self.redundancy
+                .iter()
+                .cloned()
+                .map(Plan::redundancy_bounded),
+        );
+        let mut candidates: Vec<CandidateEstimate> = plans
             .iter()
-            .map(|(name, c)| format!("{name} ≈ {c:.3e}"))
+            .map(|plan| CandidateEstimate {
+                shape: plan.shape(),
+                cost: est.node(&plan.node, seed, &seed_doms),
+            })
             .collect();
+        let mut winner = 0;
+        for (i, c) in candidates.iter().enumerate() {
+            if c.cost < candidates[winner].cost {
+                winner = i;
+            }
+        }
         // Dense gate: a single composition-shaped rule whose closure fits
         // the bitset budget at useful density evaluates in ⌈log₂ diameter⌉
         // squarings instead of one delta round per path length — that
         // beats every sparse candidate above, so the gate pre-empts the
-        // competition (whose verdict stays in the rationale for the
-        // record). A decline is recorded the same way, so `linrec lint`
-        // can quote why the plan stayed sparse.
-        let mut dense_note = String::new();
-        let mut dense_verdict: Option<DenseVerdict> = None;
+        // competition (whose estimates stay in the record). A decline is
+        // recorded the same way, so `linrec check` can say why the plan
+        // stayed sparse.
+        let mut dense = None;
         if let [rule] = self.rules.as_slice() {
             if let Some(shape) = dense::composition_shape(rule) {
-                match est.dense_decision(rule, &shape, seed, &seed_doms) {
-                    Ok((cost, detail)) => {
-                        let mut plan = Plan::dense_closure(rule.clone(), model.dense_budget_bytes)
-                            .expect("composition shape checked above");
-                        let mut dec = PlanDecision::cost_model("DenseClosure");
-                        dec.candidates = considered
-                            .iter()
-                            .map(|&(name, cost)| CandidateEstimate { name, cost })
-                            .collect();
-                        dec.candidates.push(CandidateEstimate {
-                            name: "DenseClosure",
-                            cost,
-                        });
-                        dec.certificates.push(plan.rationale.clone());
-                        dec.dense = Some(DenseVerdict {
-                            chosen: true,
-                            detail: detail.clone(),
-                        });
-                        dec.estimate = Some(cost);
-                        plan.rationale = format!(
-                            "{} [cost model: {detail}; over {}]",
-                            plan.rationale,
-                            verdict.join(", ")
-                        );
-                        plan.estimate = Some(cost);
-                        plan.decision = Some(Box::new(dec));
-                        return self
-                            .wrap_selection(plan)
-                            .with_dense_budget(model.dense_budget_bytes);
-                    }
-                    Err(reason) => {
-                        dense_note = format!("; dense declined: {reason}");
-                        dense_verdict = Some(DenseVerdict {
-                            chosen: false,
-                            detail: reason,
-                        });
-                    }
+                let verdict = est.dense_verdict(rule, &shape, seed, &seed_doms);
+                if let DenseVerdict::Chosen { cost, .. } = verdict {
+                    winner = plans.len();
+                    plans.push(Plan::dense_closure_of(
+                        rule.clone(),
+                        shape,
+                        model.dense_budget_bytes,
+                    ));
+                    candidates.push(CandidateEstimate {
+                        shape: PlanShape::DenseClosure,
+                        cost,
+                    });
                 }
+                dense = Some(verdict);
             }
         }
-        let (mut chosen, chosen_cost) = match best {
-            Some((plan, cost)) if cost < direct_cost => (plan, cost),
-            _ => (direct, direct_cost),
-        };
-        let mut dec = PlanDecision::cost_model(chosen.shape().label());
-        dec.candidates = considered
-            .iter()
-            .map(|&(name, cost)| CandidateEstimate { name, cost })
-            .collect();
-        if !matches!(chosen.node, PlanNode::Direct { .. }) {
-            // For certificate-backed winners the pre-competition rationale
-            // *is* the certificate's rationale.
-            dec.certificates.push(chosen.rationale.clone());
-        }
-        dec.dense = dense_verdict;
-        dec.estimate = Some(chosen_cost);
-        chosen.rationale = format!(
-            "{} [cost model: {}{dense_note}]",
-            chosen.rationale,
-            verdict.join(", ")
-        );
-        chosen.estimate = Some(chosen_cost);
-        chosen.decision = Some(Box::new(dec));
-        self.wrap_selection(chosen)
-            .with_dense_budget(model.dense_budget_bytes)
+        let mut plan = plans.swap_remove(winner);
+        let dec = plan.decision_mut();
+        dec.picked_by = PickedBy::CostModel;
+        dec.estimate = Some(candidates[winner].cost);
+        dec.candidates = candidates;
+        dec.dense = dense;
+        plan
     }
 
     fn wrap_selection(&self, plan: Plan) -> Plan {
@@ -426,34 +383,33 @@ impl Analysis {
 
     /// A human-readable certificate listing (used by `linrec analyze`).
     pub fn summary(&self) -> String {
-        let mut out = String::new();
-        let mut any = false;
+        let mut lines: Vec<String> = Vec::new();
+        let mut cert = |kind: CertKind, rationale: &str| {
+            lines.push(format!("• {}: {rationale}\n", kind.label()));
+        };
         if let Some(c) = &self.boundedness {
-            out.push_str(&format!("• boundedness: {}\n", c.rationale()));
-            any = true;
+            cert(CertKind::Boundedness, c.rationale());
         }
         if let Some(c) = &self.commutativity {
-            out.push_str(&format!("• commutativity: {}\n", c.rationale()));
-            any = true;
+            cert(CertKind::Commutativity, c.rationale());
         }
         if let Some(c) = &self.redundancy {
-            out.push_str(&format!("• redundancy: {}\n", c.rationale()));
-            any = true;
+            cert(CertKind::Redundancy, c.rationale());
         }
         for (outer, inner, c) in &self.separability {
-            out.push_str(&format!(
-                "• separability (outer rule {outer}, inner rule {inner}): {}\n",
+            lines.push(format!(
+                "• {} (outer rule {outer}, inner rule {inner}): {}\n",
+                CertKind::Separability.label(),
                 c.rationale()
             ));
-            any = true;
         }
-        if !any {
-            out.push_str("• no certificates: only the baseline strategies are licensed\n");
+        if lines.is_empty() {
+            lines.push("• no certificates: only the baseline strategies are licensed\n".into());
         }
         for note in &self.notes {
-            out.push_str(&format!("• note: {note}\n"));
+            lines.push(format!("• note: {note}\n"));
         }
-        out
+        lines.concat()
     }
 }
 
@@ -539,7 +495,7 @@ impl Default for CostModel {
 
 impl CostModel {
     /// Fold estimate/actual feedback into the model: each pair is a plan's
-    /// cost estimate ([`Plan::estimate`]) next to the derivation count the
+    /// cost estimate ([`PlanDecision::estimate`]) next to the derivation count the
     /// run actually performed (`EvalStats::derivations`, the unit the
     /// estimate is denominated in). The geometric mean of the
     /// `actual/estimate` ratios rescales [`CostModel::fanout_scale`], so a
@@ -833,10 +789,9 @@ impl<'a> Estimator<'a> {
         (self.per_deriv() * derivs, cur)
     }
 
-    /// The dense-budget decision for a composition-shaped `rule`: `Ok`
-    /// with a cost estimate and a human-readable note when the bitset
-    /// kernels are predicted to pay, `Err` with the decline reason
-    /// otherwise. Two checks, in order:
+    /// The dense gate for a composition-shaped `rule`: `Chosen` with the
+    /// cost estimate when the bitset kernels are predicted to pay, one of
+    /// the two declines otherwise. Two checks, in order:
     ///
     /// 1. **Budget** — three `domain × ⌈domain/64⌉`-word matrices must fit
     ///    [`CostModel::dense_budget_bytes`], with the domain estimated as
@@ -852,13 +807,13 @@ impl<'a> Estimator<'a> {
     ///    runs to completion) must fill at least
     ///    [`CostModel::dense_density_cutover`] of `domain²` — below that,
     ///    the word kernels mostly scan zeros and hash joins win.
-    fn dense_decision(
+    fn dense_verdict(
         &mut self,
         rule: &LinearRule,
         shape: &dense::CompositionShape,
         seed: f64,
         seed_doms: &[f64],
-    ) -> Result<(f64, String), String> {
+    ) -> DenseVerdict {
         let q = self.pred(shape.edge, 2);
         let q_dom: f64 = q.ndv.iter().sum();
         let seed_dom: f64 = seed_doms.iter().sum();
@@ -866,11 +821,10 @@ impl<'a> Estimator<'a> {
         let words = (d / 64.0).ceil();
         let bytes = 3.0 * d * words * 8.0;
         if bytes > self.model.dense_budget_bytes as f64 {
-            return Err(format!(
-                "working set ≈ {:.1} MiB over the {} MiB budget",
-                bytes / (1024.0 * 1024.0),
-                self.model.dense_budget_bytes >> 20
-            ));
+            return DenseVerdict::OverBudget {
+                working_set_bytes: bytes,
+                budget_bytes: self.model.dense_budget_bytes,
+            };
         }
         let f = self.fanout(rule);
         let cap = (d * d).min(1e15);
@@ -889,24 +843,22 @@ impl<'a> Estimator<'a> {
         }
         let density = total / cap;
         if density < self.model.dense_density_cutover {
-            return Err(format!(
-                "est. density {density:.1e} below the {:.1e} cutover (domain ≈ {d:.0})",
-                self.model.dense_density_cutover
-            ));
+            return DenseVerdict::TooSparse {
+                density,
+                cutover: self.model.dense_density_cutover,
+                domain: d,
+            };
         }
-        let cost = self.per_deriv() * derivs + self.phase_charge(std::slice::from_ref(rule), seed);
-        Ok((
-            cost,
-            format!(
-                "dense: closure by squaring over '{}' \
-                 (domain ≈ {d:.0}, est. density {density:.2}) ≈ {cost:.3e}",
-                shape.edge
-            ),
-        ))
+        DenseVerdict::Chosen {
+            edge: shape.edge,
+            domain: d,
+            density,
+            cost: self.per_deriv() * derivs + self.phase_charge(std::slice::from_ref(rule), seed),
+        }
     }
 
-    fn node(&mut self, plan: &Plan, seed: f64, seed_doms: &[f64]) -> f64 {
-        match &plan.node {
+    fn node(&mut self, node: &PlanNode, seed: f64, seed_doms: &[f64]) -> f64 {
+        match node {
             PlanNode::Direct { rules } => {
                 let (derivs, _, _) = self.star(rules, seed, seed_doms);
                 derivs + self.phase_charge(rules, seed)
@@ -1004,9 +956,9 @@ impl<'a> Estimator<'a> {
                 cost + c_tail
             }
             PlanNode::DenseClosure { rule, shape, .. } => {
-                match self.dense_decision(rule, shape, seed, seed_doms) {
-                    Ok((cost, _)) => cost,
-                    Err(_) => {
+                match self.dense_verdict(rule, shape, seed, seed_doms) {
+                    DenseVerdict::Chosen { cost, .. } => cost,
+                    _ => {
                         // Would fall back to a sparse star at runtime.
                         let rules = std::slice::from_ref(rule);
                         let (derivs, _, _) = self.star(rules, seed, seed_doms);
@@ -1014,10 +966,7 @@ impl<'a> Estimator<'a> {
                     }
                 }
             }
-            PlanNode::SelectAfter { inner, sel } => {
-                let _ = sel;
-                self.node(inner, seed, seed_doms)
-            }
+            PlanNode::SelectAfter { inner, .. } => self.node(inner, seed, seed_doms),
         }
     }
 }
@@ -1029,7 +978,7 @@ impl CostModel {
     pub fn estimate(&self, plan: &Plan, db: &Database, init: &Relation) -> f64 {
         let mut est = Estimator::new(self, db, init);
         let doms = est.init_doms.clone();
-        est.node(plan, init.len() as f64, &doms)
+        est.node(&plan.node, init.len() as f64, &doms)
     }
 }
 
@@ -1040,13 +989,6 @@ impl CostModel {
 #[derive(Debug, Clone)]
 pub struct Plan {
     node: PlanNode,
-    rationale: String,
-    /// Cost-model estimate for this plan (unit-free; comparable to actual
-    /// derivation counts), recorded by [`Analysis::plan_with`].
-    estimate: Option<f64>,
-    /// Actual statistics of the latest [`Plan::execute_feedback`] run,
-    /// shown next to the estimate in [`Plan::annotated_rationale`].
-    actual: Option<EvalStats>,
     /// Parallelism knob for the plan's semi-naive phases (sequential by
     /// default; see [`Plan::parallelize`]).
     par: Parallelism,
@@ -1057,26 +999,27 @@ pub struct Plan {
     /// [`dense::DEFAULT_DENSE_BUDGET_BYTES`]; [`Analysis::plan_with`]
     /// overwrites it with [`CostModel::dense_budget_bytes`].
     dense_budget_bytes: usize,
-    /// Structured record of how this plan was chosen (candidates,
-    /// estimates, certificates, dense/parallel verdicts), captured by
-    /// [`Analysis::plan_with`] and completed by
-    /// [`Plan::execute_feedback`]. `None` for hand-built plans and the
-    /// fixed-order [`Analysis::plan`]. Boxed: most plans in tests are
-    /// hand-built and should not pay for the record.
-    decision: Option<Box<PlanDecision>>,
+    /// How this plan was chosen and what it cost ([`Plan::decision`]).
+    /// Shared so a published snapshot can hold the record without a copy;
+    /// the rare writers go through [`Arc::make_mut`].
+    decision: Arc<PlanDecision>,
 }
 
 impl Plan {
-    fn make(node: PlanNode, rationale: String) -> Plan {
+    /// A hand-constructed plan over `node`, leaning on `certificates`.
+    fn make(node: PlanNode, certificates: Vec<(CertKind, String)>) -> Plan {
+        let decision = PlanDecision::constructed(node.shape(), certificates);
         Plan {
             node,
-            rationale,
-            estimate: None,
-            actual: None,
             par: Parallelism::sequential(),
             dense_budget_bytes: dense::DEFAULT_DENSE_BUDGET_BYTES,
-            decision: None,
+            decision: Arc::new(decision),
         }
+    }
+
+    fn picked_by(mut self, by: PickedBy) -> Plan {
+        self.decision_mut().picked_by = by;
+        self
     }
 }
 
@@ -1107,7 +1050,7 @@ enum PlanNode {
         budget_bytes: usize,
     },
     SelectAfter {
-        inner: Box<Plan>,
+        inner: Box<PlanNode>,
         sel: Selection,
     },
 }
@@ -1227,7 +1170,7 @@ impl Plan {
             PlanNode::Direct {
                 rules: rules.into(),
             },
-            "semi-naive evaluation of the rule sum (the paper's baseline)".to_owned(),
+            Vec::new(),
         )
     }
 
@@ -1237,22 +1180,22 @@ impl Plan {
             PlanNode::Naive {
                 rules: rules.into(),
             },
-            "naive fixpoint (re-applies every operator to the whole relation)".to_owned(),
+            Vec::new(),
         )
     }
 
     /// Exhaust a uniformly bounded recursion in `N − 1` applications.
     /// Licensed by a [`BoundednessCert`].
     pub fn bounded_prefix(cert: BoundednessCert) -> Plan {
-        let rationale = cert.rationale().to_owned();
-        Plan::make(PlanNode::BoundedPrefix { cert }, rationale)
+        let certificates = vec![(CertKind::Boundedness, cert.rationale().to_owned())];
+        Plan::make(PlanNode::BoundedPrefix { cert }, certificates)
     }
 
     /// One star per commuting cluster, right-to-left. Licensed by a
     /// [`CommutativityCert`].
     pub fn decomposed(cert: CommutativityCert) -> Plan {
-        let rationale = cert.rationale().to_owned();
-        Plan::make(PlanNode::Decomposed { cert }, rationale)
+        let certificates = vec![(CertKind::Commutativity, cert.rationale().to_owned())];
+        Plan::make(PlanNode::Decomposed { cert }, certificates)
     }
 
     /// The separable algorithm `outer* (σ inner*)` (Algorithm 4.1).
@@ -1263,21 +1206,18 @@ impl Plan {
         if !sel.commutes_with(cert.outer()) {
             return Err(StrategyError::SelectionDoesNotCommute);
         }
-        let rationale = format!(
-            "σ commutes with the outer operator and {}",
-            cert.rationale()
-        );
-        Ok(Plan::make(PlanNode::Separable { cert, sel }, rationale))
+        let certificates = vec![(CertKind::Separability, cert.rationale().to_owned())];
+        Ok(Plan::make(PlanNode::Separable { cert, sel }, certificates))
     }
 
     /// Theorem 4.2 bounded evaluation. Licensed by a [`RedundancyCert`].
     pub fn redundancy_bounded(cert: RedundancyCert) -> Plan {
-        let rationale = cert.rationale().to_owned();
+        let certificates = vec![(CertKind::Redundancy, cert.rationale().to_owned())];
         Plan::make(
             PlanNode::RedundancyBounded {
                 cert: Box::new(cert),
             },
-            rationale,
+            certificates,
         )
     }
 
@@ -1297,62 +1237,40 @@ impl Plan {
                     .to_owned(),
             )
         })?;
-        let rationale = format!(
-            "the rule is relational composition with '{}', so operator powers are \
-             boolean matrix powers and the closure runs by repeated squaring",
-            shape.edge
-        );
-        Ok(Plan::make(
+        Ok(Plan::dense_closure_of(rule, shape, budget_bytes))
+    }
+
+    /// [`Plan::dense_closure`] for a caller that already holds `rule`'s
+    /// composition shape.
+    fn dense_closure_of(
+        rule: LinearRule,
+        shape: dense::CompositionShape,
+        budget_bytes: usize,
+    ) -> Plan {
+        Plan::make(
             PlanNode::DenseClosure {
                 rule,
                 shape,
                 budget_bytes,
             },
-            rationale,
-        ))
+            vec![(CertKind::CompositionShape, shape.rationale())],
+        )
     }
 
     /// Apply `sel` to `inner`'s result — always licensed (`σ` after star).
+    /// The wrapper keeps `inner`'s knobs and decision record.
     pub fn select_after(mut inner: Plan, sel: Selection) -> Plan {
-        let rationale = format!("apply σ to the result of: {}", inner.rationale);
-        let estimate = inner.estimate;
-        // The wrapper owns the decision record: feedback and journaling
-        // happen on the outermost plan.
-        let decision = inner.decision.take();
-        let mut plan = Plan::make(
-            PlanNode::SelectAfter {
-                inner: Box::new(inner),
-                sel,
-            },
-            rationale,
-        );
-        plan.estimate = estimate;
-        plan.decision = decision;
-        plan
-    }
-
-    /// Why this plan is licensed (certificate-backed where applicable).
-    pub fn rationale(&self) -> &str {
-        &self.rationale
+        inner.node = PlanNode::SelectAfter {
+            inner: Box::new(inner.node),
+            sel,
+        };
+        inner.decision_mut().winner = inner.node.shape();
+        inner
     }
 
     /// The parallelism knob the plan's semi-naive phases execute with.
     pub fn parallelism(&self) -> &Parallelism {
         &self.par
-    }
-
-    fn set_parallelism(&mut self, par: &Parallelism) {
-        self.par = par.clone();
-        if let PlanNode::SelectAfter { inner, .. } = &mut self.node {
-            inner.set_parallelism(par);
-        }
-    }
-
-    fn set_dense_budget(&mut self, bytes: usize) {
-        self.dense_budget_bytes = bytes;
-        if let PlanNode::SelectAfter { inner, .. } = &mut self.node {
-            inner.set_dense_budget(bytes);
-        }
     }
 
     /// Cap the dense bitset working set of the plan's exact-power fast
@@ -1361,7 +1279,7 @@ impl Plan {
     /// the active model's budget automatically; call this only when
     /// executing a hand-built plan under a non-default budget.
     pub fn with_dense_budget(mut self, bytes: usize) -> Plan {
-        self.set_dense_budget(bytes);
+        self.dense_budget_bytes = bytes;
         self
     }
 
@@ -1370,7 +1288,7 @@ impl Plan {
     /// [`Plan::parallelize`], which lets the cost model set the cutover
     /// and records the decision.
     pub fn with_parallelism(mut self, par: Parallelism) -> Plan {
-        self.set_parallelism(&par);
+        self.par = par;
         self
     }
 
@@ -1383,7 +1301,8 @@ impl Plan {
     /// with `min_delta = cutover`, so each individual round still gates
     /// itself at runtime (early/late rounds with tiny deltas stay
     /// sequential); otherwise the plan stays fully sequential. Either
-    /// way, [`Plan::rationale`] records the decision and both figures.
+    /// way, the decision record gets the [`ParallelVerdict`] with both
+    /// figures.
     ///
     /// Only semi-naive star/resume phases parallelize (`Direct`,
     /// `Decomposed` clusters, `Separable`'s stars); the exact-power chains
@@ -1399,180 +1318,74 @@ impl Plan {
         if !par.is_parallel() {
             return self;
         }
-        if !self.has_parallel_phase() {
-            self.rationale = format!(
-                "{}; parallel declined: plan shape has no shardable semi-naive rounds",
-                self.rationale
-            );
-            self.record_parallel_verdict(ParallelVerdict {
-                engaged: false,
-                threads: par.threads(),
-                est_peak_delta: 0.0,
-                detail: "plan shape has no shardable semi-naive rounds".to_owned(),
-            });
-            return self;
+        let mut verdict = ParallelVerdict {
+            engaged: false,
+            threads: par.threads(),
+            est_peak_delta: 0.0,
+            cutover: None,
+        };
+        if self.node.has_parallel_phase() {
+            let cutover = model.parallel_cutover(par.threads());
+            verdict.est_peak_delta = model.estimated_peak_delta(&self.node.star_rules(), db, init);
+            verdict.cutover = Some(cutover);
+            verdict.engaged = verdict.est_peak_delta >= cutover as f64;
+            if verdict.engaged {
+                self.par = par.clone().with_min_delta(cutover);
+            }
         }
-        let cutover = model.parallel_cutover(par.threads());
-        let peak = model.estimated_peak_delta(&self.star_rules(), db, init);
-        if peak >= cutover as f64 {
-            let detail = format!(
-                "up to {}-way sharded rounds when |Δ| ≥ {cutover} \
-                 (est. peak |Δ| ≈ {peak:.0})",
-                par.threads()
-            );
-            self.rationale = format!("{}; parallel: {detail}", self.rationale);
-            let tuned = par.clone().with_min_delta(cutover);
-            self.set_parallelism(&tuned);
-            self.record_parallel_verdict(ParallelVerdict {
-                engaged: true,
-                threads: par.threads(),
-                est_peak_delta: peak,
-                detail,
-            });
-        } else {
-            let detail = format!(
-                "est. peak |Δ| ≈ {peak:.0} below the {}-thread cutover {cutover}",
-                par.threads()
-            );
-            self.rationale = format!("{}; parallel declined: {detail}", self.rationale);
-            self.record_parallel_verdict(ParallelVerdict {
-                engaged: false,
-                threads: par.threads(),
-                est_peak_delta: peak,
-                detail,
-            });
-        }
+        self.decision_mut().parallel = Some(verdict);
         self
     }
 
-    /// Stamp a [`ParallelVerdict`] into the decision record, creating a
-    /// minimal record first when the plan was built without the cost
-    /// model (so `parallelize` choices are journaled either way).
-    fn record_parallel_verdict(&mut self, verdict: ParallelVerdict) {
-        let winner = self.shape().label();
-        let dec = self
-            .decision
-            .get_or_insert_with(|| Box::new(PlanDecision::fixed_priority(winner)));
-        dec.parallel = Some(verdict);
-    }
-
-    /// Does executing this plan ever consult the parallelism knob? Only
-    /// the semi-naive star/resume phases shard; the exact-power chains of
-    /// `BoundedPrefix`/`RedundancyBounded` and the naive baseline do not,
-    /// so claiming parallel rounds for them would misreport the run.
-    fn has_parallel_phase(&self) -> bool {
-        match &self.node {
-            PlanNode::Direct { .. } | PlanNode::Decomposed { .. } | PlanNode::Separable { .. } => {
-                true
-            }
-            PlanNode::Naive { .. }
-            | PlanNode::BoundedPrefix { .. }
-            | PlanNode::RedundancyBounded { .. }
-            | PlanNode::DenseClosure { .. } => false,
-            PlanNode::SelectAfter { inner, .. } => inner.has_parallel_phase(),
-        }
-    }
-
-    /// The rules whose star(s) the plan evaluates (delta-recurrence input
-    /// for the parallel decision).
-    fn star_rules(&self) -> Vec<LinearRule> {
-        match &self.node {
-            PlanNode::Direct { rules } | PlanNode::Naive { rules } => rules.clone(),
-            PlanNode::BoundedPrefix { cert } => vec![cert.rule().clone()],
-            PlanNode::Decomposed { cert } => cert.rules().to_vec(),
-            PlanNode::Separable { cert, .. } => {
-                vec![cert.outer().clone(), cert.inner().clone()]
-            }
-            PlanNode::RedundancyBounded { cert } => vec![cert.rule().clone()],
-            PlanNode::DenseClosure { rule, .. } => vec![rule.clone()],
-            PlanNode::SelectAfter { inner, .. } => inner.star_rules(),
-        }
-    }
-
-    /// The cost-model estimate recorded by [`Analysis::plan_with`]
-    /// (`None` for plans chosen without the cost model). Unit-free, but
-    /// dominated by the per-derivation charge, so it is directly
-    /// comparable to the actual derivation count of a run.
-    pub fn estimate(&self) -> Option<f64> {
-        self.estimate
-    }
-
-    /// Actual statistics of the latest [`Plan::execute_feedback`] run.
-    pub fn actual(&self) -> Option<&EvalStats> {
-        self.actual.as_ref()
-    }
-
-    /// The structured decision record captured by [`Analysis::plan_with`]
-    /// (`None` for hand-built plans and the fixed-order
-    /// [`Analysis::plan`]).
-    pub fn decision(&self) -> Option<&PlanDecision> {
-        self.decision.as_deref()
+    /// Why this plan: the one record of how it was chosen, which
+    /// certificates it leans on and — after [`Plan::execute_feedback`] —
+    /// what it actually cost. Its `Display` form is the rendered
+    /// rationale.
+    pub fn decision(&self) -> &PlanDecision {
+        &self.decision
     }
 
     /// Mutable access to the decision record, for callers that amend it —
     /// the service stamps the owning view's name and maintenance mode.
-    pub fn decision_mut(&mut self) -> Option<&mut PlanDecision> {
-        self.decision.as_deref_mut()
+    pub fn decision_mut(&mut self) -> &mut PlanDecision {
+        Arc::make_mut(&mut self.decision)
     }
 
-    /// The rationale with the latest run's actual statistics attached next
-    /// to the cost-model estimate — the estimate-vs-actual ratio this
-    /// exposes per run is the groundwork for feedback-calibrated cost
-    /// models (recalibrating [`CostModel`] constants per deployment).
-    pub fn annotated_rationale(&self) -> String {
-        match &self.actual {
-            Some(stats) => {
-                let ratio = match self.estimate {
-                    Some(est) => format!(
-                        "; estimate/actual derivations = {:.3} ({:.3e} vs {})",
-                        est / (stats.derivations.max(1) as f64),
-                        est,
-                        stats.derivations
-                    ),
-                    None => String::new(),
-                };
-                format!("{} [actual: {}{}]", self.rationale, stats, ratio)
-            }
-            None => self.rationale.clone(),
-        }
+    /// The decision record as a shared handle (what a published view
+    /// snapshot keeps).
+    pub fn shared_decision(&self) -> Arc<PlanDecision> {
+        Arc::clone(&self.decision)
     }
 
     /// [`Plan::execute`], additionally recording the run's actual
-    /// [`EvalStats`] on the plan (see [`Plan::annotated_rationale`]).
-    /// A repeated run replaces the previous record.
+    /// [`EvalStats`] in the decision record next to the estimate, and
+    /// journaling the pair. A repeated run replaces the previous actuals.
     pub fn execute_feedback(
         &mut self,
         db: &Database,
         init: &Relation,
     ) -> Result<ExecOutcome, StrategyError> {
         let outcome = self.execute(db, init)?;
-        self.actual = Some(outcome.stats);
-        if let Some(dec) = self.decision.as_deref_mut() {
-            dec.actual = Some(outcome.stats);
-        }
+        self.decision_mut().actual = Some(outcome.stats);
         // Calibration drift: estimated over actual derivations, ×1000
         // (1000 = perfect). Observed whenever feedback execution closes
         // the loop, so the histogram tracks drift across the fleet of
         // plans, not one.
         if linrec_obs::enabled() {
-            if let Some(est) = self.estimate {
-                let actual = outcome.stats.derivations.max(1) as f64;
-                let permille = (est / actual * 1000.0).clamp(0.0, u64::MAX as f64) as u64;
+            let dec = self.decision();
+            if let Some(ratio) = dec.ratio() {
+                let permille = (ratio * 1000.0).clamp(0.0, u64::MAX as f64) as u64;
                 crate::profile::plan().estimate_actual.observe(permille);
             }
             let total_nanos: u64 = outcome.trace.iter().map(|t| t.nanos).sum();
-            let (view, json) = match self.decision.as_deref() {
-                Some(dec) => (dec.view.clone(), dec.to_json()),
-                None => (String::new(), String::new()),
-            };
             linrec_obs::journal::journal().record(
                 "plan",
-                &view,
-                self.shape().label(),
-                self.estimate.unwrap_or(0.0),
+                &dec.view,
+                dec.winner.label(),
+                dec.estimate.unwrap_or(0.0),
                 outcome.stats.derivations,
                 total_nanos,
-                json,
+                dec.to_json(),
             );
         }
         Ok(outcome)
@@ -1580,97 +1393,16 @@ impl Plan {
 
     /// The certificate-free structure of the plan.
     pub fn shape(&self) -> PlanShape {
-        match &self.node {
-            PlanNode::Direct { .. } => PlanShape::Direct,
-            PlanNode::Naive { .. } => PlanShape::Naive,
-            PlanNode::BoundedPrefix { cert } => PlanShape::BoundedPrefix {
-                applications: cert.applications(),
-            },
-            PlanNode::Decomposed { cert } => PlanShape::Decomposed {
-                clusters: cert.clusters().to_vec(),
-            },
-            PlanNode::Separable { .. } => PlanShape::Separable,
-            PlanNode::RedundancyBounded { .. } => PlanShape::RedundancyBounded,
-            PlanNode::DenseClosure { .. } => PlanShape::DenseClosure,
-            PlanNode::SelectAfter { inner, .. } => PlanShape::SelectAfter(Box::new(inner.shape())),
-        }
+        self.node.shape()
     }
 
-    /// A multi-line, indented rendering of the plan tree with rationales.
+    /// A multi-line, indented rendering of the plan tree, closed by the
+    /// rendered decision record on a `rationale:` line.
     pub fn describe(&self) -> String {
         let mut out = String::new();
-        self.describe_into(&mut out, 0);
+        self.node.describe_into(&mut out, 0);
+        out.push_str(&format!("  rationale: {}\n", self.decision));
         out
-    }
-
-    fn describe_into(&self, out: &mut String, depth: usize) {
-        let pad = "  ".repeat(depth);
-        match &self.node {
-            PlanNode::Direct { rules } => {
-                out.push_str(&format!("{pad}Direct ({} rules)\n", rules.len()));
-            }
-            PlanNode::Naive { rules } => {
-                out.push_str(&format!("{pad}Naive ({} rules)\n", rules.len()));
-            }
-            PlanNode::BoundedPrefix { cert } => {
-                out.push_str(&format!(
-                    "{pad}BoundedPrefix (≤ {} applications)\n",
-                    cert.applications()
-                ));
-            }
-            PlanNode::Decomposed { cert } => {
-                out.push_str(&format!(
-                    "{pad}Decomposed ({} clusters, applied right-to-left)\n",
-                    cert.clusters().len()
-                ));
-                for cluster in cert.clusters().iter().rev() {
-                    let rules: Vec<String> = cluster
-                        .iter()
-                        .map(|&i| cert.rules()[i].to_string())
-                        .collect();
-                    out.push_str(&format!("{pad}  star of {{ {} }}\n", rules.join("  +  ")));
-                }
-            }
-            PlanNode::Separable { cert, sel } => {
-                out.push_str(&format!("{pad}Separable outer*(σ inner*)\n"));
-                out.push_str(&format!("{pad}  outer: {}\n", cert.outer()));
-                out.push_str(&format!(
-                    "{pad}  inner: {} (absorbs σ {:?})\n",
-                    cert.inner(),
-                    sel.bindings()
-                ));
-            }
-            PlanNode::RedundancyBounded { cert } => {
-                let dec = cert.decomposition();
-                out.push_str(&format!(
-                    "{pad}RedundancyBounded ({} elided after {} C-applications)\n",
-                    cert.pred(),
-                    (dec.torsion.n - 1) * dec.l
-                ));
-                out.push_str(&format!("{pad}  B: {}\n", dec.b));
-                out.push_str(&format!("{pad}  C: {}\n", dec.c));
-            }
-            PlanNode::DenseClosure {
-                rule,
-                shape,
-                budget_bytes,
-            } => {
-                out.push_str(&format!(
-                    "{pad}DenseClosure over '{}' (≤ {} MiB working set)\n",
-                    shape.edge,
-                    budget_bytes >> 20
-                ));
-                out.push_str(&format!("{pad}  rule: {rule}\n"));
-            }
-            PlanNode::SelectAfter { inner, sel } => {
-                out.push_str(&format!("{pad}SelectAfter σ {:?}\n", sel.bindings()));
-                inner.describe_into(out, depth + 1);
-            }
-        }
-        out.push_str(&format!(
-            "{pad}  rationale: {}\n",
-            self.annotated_rationale()
-        ));
     }
 
     /// Run the plan over `db` starting from `init`.
@@ -1682,7 +1414,7 @@ impl Plan {
     pub fn execute(&self, db: &Database, init: &Relation) -> Result<ExecOutcome, StrategyError> {
         let mut trace = Vec::new();
         let mut indexes = Indexes::new();
-        let (relation, mut stats) = self.run(db, init, &mut trace, &mut indexes)?;
+        let (relation, mut stats) = self.run(&self.node, db, init, &mut trace, &mut indexes)?;
         stats.tuples = relation.len();
         Ok(ExecOutcome {
             relation,
@@ -1693,12 +1425,13 @@ impl Plan {
 
     fn run(
         &self,
+        node: &PlanNode,
         db: &Database,
         init: &Relation,
         trace: &mut Vec<TraceStep>,
         indexes: &mut Indexes,
     ) -> Result<(Relation, EvalStats), StrategyError> {
-        match &self.node {
+        match node {
             PlanNode::Direct { rules } => {
                 let phase = Phase::begin("direct");
                 let (rel, stats) = seminaive_star_par_in(rules, db, init, indexes, &self.par);
@@ -1792,7 +1525,7 @@ impl Plan {
                 }
             }
             PlanNode::SelectAfter { inner, sel } => {
-                let (rel, mut stats) = inner.run(db, init, trace, indexes)?;
+                let (rel, mut stats) = self.run(inner, db, init, trace, indexes)?;
                 let phase = Phase::begin("select-after");
                 let out = sel.apply(&rel);
                 stats.tuples = out.len();
@@ -1804,6 +1537,124 @@ impl Plan {
                     },
                 ));
                 Ok((out, stats))
+            }
+        }
+    }
+}
+
+impl PlanNode {
+    fn shape(&self) -> PlanShape {
+        match self {
+            PlanNode::Direct { .. } => PlanShape::Direct,
+            PlanNode::Naive { .. } => PlanShape::Naive,
+            PlanNode::BoundedPrefix { cert } => PlanShape::BoundedPrefix {
+                applications: cert.applications(),
+            },
+            PlanNode::Decomposed { cert } => PlanShape::Decomposed {
+                clusters: cert.clusters().to_vec(),
+            },
+            PlanNode::Separable { .. } => PlanShape::Separable,
+            PlanNode::RedundancyBounded { .. } => PlanShape::RedundancyBounded,
+            PlanNode::DenseClosure { .. } => PlanShape::DenseClosure,
+            PlanNode::SelectAfter { inner, .. } => PlanShape::SelectAfter(Box::new(inner.shape())),
+        }
+    }
+
+    /// Does executing this node ever consult the parallelism knob? Only
+    /// the semi-naive star/resume phases shard; the exact-power chains of
+    /// `BoundedPrefix`/`RedundancyBounded` and the naive baseline do not,
+    /// so claiming parallel rounds for them would misreport the run.
+    fn has_parallel_phase(&self) -> bool {
+        match self {
+            PlanNode::Direct { .. } | PlanNode::Decomposed { .. } | PlanNode::Separable { .. } => {
+                true
+            }
+            PlanNode::Naive { .. }
+            | PlanNode::BoundedPrefix { .. }
+            | PlanNode::RedundancyBounded { .. }
+            | PlanNode::DenseClosure { .. } => false,
+            PlanNode::SelectAfter { inner, .. } => inner.has_parallel_phase(),
+        }
+    }
+
+    /// The rules whose star(s) the node evaluates (delta-recurrence input
+    /// for the parallel decision).
+    fn star_rules(&self) -> Vec<LinearRule> {
+        match self {
+            PlanNode::Direct { rules } | PlanNode::Naive { rules } => rules.clone(),
+            PlanNode::BoundedPrefix { cert } => vec![cert.rule().clone()],
+            PlanNode::Decomposed { cert } => cert.rules().to_vec(),
+            PlanNode::Separable { cert, .. } => {
+                vec![cert.outer().clone(), cert.inner().clone()]
+            }
+            PlanNode::RedundancyBounded { cert } => vec![cert.rule().clone()],
+            PlanNode::DenseClosure { rule, .. } => vec![rule.clone()],
+            PlanNode::SelectAfter { inner, .. } => inner.star_rules(),
+        }
+    }
+
+    fn describe_into(&self, out: &mut String, depth: usize) {
+        let pad = "  ".repeat(depth);
+        match self {
+            PlanNode::Direct { rules } => {
+                out.push_str(&format!("{pad}Direct ({} rules)\n", rules.len()));
+            }
+            PlanNode::Naive { rules } => {
+                out.push_str(&format!("{pad}Naive ({} rules)\n", rules.len()));
+            }
+            PlanNode::BoundedPrefix { cert } => {
+                out.push_str(&format!(
+                    "{pad}BoundedPrefix (≤ {} applications)\n",
+                    cert.applications()
+                ));
+            }
+            PlanNode::Decomposed { cert } => {
+                out.push_str(&format!(
+                    "{pad}Decomposed ({} clusters, applied right-to-left)\n",
+                    cert.clusters().len()
+                ));
+                for cluster in cert.clusters().iter().rev() {
+                    let rules: Vec<String> = cluster
+                        .iter()
+                        .map(|&i| cert.rules()[i].to_string())
+                        .collect();
+                    out.push_str(&format!("{pad}  star of {{ {} }}\n", rules.join("  +  ")));
+                }
+            }
+            PlanNode::Separable { cert, sel } => {
+                out.push_str(&format!("{pad}Separable outer*(σ inner*)\n"));
+                out.push_str(&format!("{pad}  outer: {}\n", cert.outer()));
+                out.push_str(&format!(
+                    "{pad}  inner: {} (absorbs σ {:?})\n",
+                    cert.inner(),
+                    sel.bindings()
+                ));
+            }
+            PlanNode::RedundancyBounded { cert } => {
+                let dec = cert.decomposition();
+                out.push_str(&format!(
+                    "{pad}RedundancyBounded ({} elided after {} C-applications)\n",
+                    cert.pred(),
+                    (dec.torsion.n - 1) * dec.l
+                ));
+                out.push_str(&format!("{pad}  B: {}\n", dec.b));
+                out.push_str(&format!("{pad}  C: {}\n", dec.c));
+            }
+            PlanNode::DenseClosure {
+                rule,
+                shape,
+                budget_bytes,
+            } => {
+                out.push_str(&format!(
+                    "{pad}DenseClosure over '{}' (≤ {} MiB working set)\n",
+                    shape.edge,
+                    budget_bytes >> 20
+                ));
+                out.push_str(&format!("{pad}  rule: {rule}\n"));
+            }
+            PlanNode::SelectAfter { inner, sel } => {
+                out.push_str(&format!("{pad}SelectAfter σ {:?}\n", sel.bindings()));
+                inner.describe_into(out, depth + 1);
             }
         }
     }
@@ -1955,7 +1806,14 @@ mod tests {
         let analysis = Analysis::of(&rules, None);
         let plan = analysis.plan();
         assert!(matches!(plan.shape(), PlanShape::Decomposed { .. }));
-        assert!(plan.rationale().contains("Theorem 3.1"));
+        let dec = plan.decision();
+        assert_eq!(dec.winner, plan.shape());
+        assert_eq!(dec.picked_by, PickedBy::FixedPriority);
+        let cert = analysis.commutativity().unwrap();
+        assert_eq!(
+            dec.certificates,
+            [(CertKind::Commutativity, cert.rationale().to_owned())]
+        );
 
         let (db, init) = workload::up_down(5, 3);
         let planned = plan.execute(&db, &init).unwrap();
@@ -2081,7 +1939,12 @@ mod tests {
         let (db, init) = workload::shopping(100, 30, 4, 99);
         let plan = analysis.plan_for(&db, &init);
         assert_eq!(plan.shape(), PlanShape::Direct);
-        assert!(plan.rationale().contains("cost model"));
+        let dec = plan.decision();
+        assert_eq!(dec.picked_by, PickedBy::CostModel);
+        let weighed: Vec<&str> = dec.candidates.iter().map(|c| c.shape.label()).collect();
+        assert_eq!(weighed, ["Direct", "RedundancyBounded"]);
+        assert_eq!(dec.estimate, Some(dec.candidates[0].cost));
+        assert!(dec.certificates.is_empty(), "Direct leans on none");
         // Both evaluate to the same relation regardless of the choice.
         let a = plan.execute(&db, &init).unwrap();
         let b = analysis.plan().execute(&db, &init).unwrap();
@@ -2094,27 +1957,26 @@ mod tests {
         let analysis = Analysis::of(&rules, None);
         let (db, init) = workload::shopping(100, 30, 4, 99);
         let mut plan = analysis.plan_for(&db, &init);
-        let est = plan.estimate().expect("plan_for records an estimate");
+        let est = plan
+            .decision()
+            .estimate
+            .expect("plan_for records an estimate");
         assert!(est.is_finite() && est > 0.0);
-        assert!(plan.actual().is_none());
-        assert_eq!(plan.annotated_rationale(), plan.rationale());
+        assert_eq!(plan.decision().actual, None);
+        assert_eq!(plan.decision().ratio(), None);
 
         let outcome = plan.execute_feedback(&db, &init).unwrap();
-        assert_eq!(plan.actual().unwrap(), &outcome.stats);
-        let annotated = plan.annotated_rationale();
-        assert!(annotated.contains("cost model"), "{annotated}");
-        assert!(
-            annotated.contains("estimate/actual derivations"),
-            "{annotated}"
-        );
-        assert!(plan.describe().contains("estimate/actual"));
-        // The per-run record is replaced, not accumulated.
-        plan.execute_feedback(&db, &init).unwrap();
+        let dec = plan.decision();
+        assert_eq!(dec.actual, Some(outcome.stats));
+        assert_eq!(dec.estimate, Some(est), "feedback keeps the estimate");
         assert_eq!(
-            plan.annotated_rationale().matches("actual:").count(),
-            1,
-            "feedback must not accumulate across runs"
+            dec.ratio(),
+            Some(est / outcome.stats.derivations.max(1) as f64)
         );
+        assert!(plan.describe().contains(&dec.to_string()));
+        // The per-run record is replaced, not accumulated.
+        let again = plan.execute_feedback(&db, &init).unwrap();
+        assert_eq!(plan.decision().actual, Some(again.stats));
     }
 
     #[test]
@@ -2285,11 +2147,12 @@ mod tests {
         // cutover, so the plan goes parallel with the cutover as its
         // per-round gate.
         let plan = Plan::direct(rules.clone()).parallelize(&par, &model, &db, &edges);
-        assert!(
-            plan.rationale().contains("parallel:"),
-            "{}",
-            plan.rationale()
-        );
+        let verdict = plan.decision().parallel.expect("parallelize records");
+        assert!(verdict.engaged, "{verdict}");
+        assert_eq!(verdict.threads, 4);
+        assert_eq!(verdict.cutover, Some(model.parallel_cutover(4)));
+        assert!(verdict.est_peak_delta >= model.parallel_cutover(4) as f64);
+        assert_eq!(plan.decision().picked_by, PickedBy::Constructed);
         assert!(plan.parallelism().is_parallel());
         assert_eq!(plan.parallelism().min_delta(), model.parallel_cutover(4));
         let a = plan.execute(&db, &edges).unwrap();
@@ -2301,11 +2164,9 @@ mod tests {
         let tiny = workload::chain(6);
         let tiny_db = workload::graph_db("q", tiny.clone());
         let plan = Plan::direct(rules).parallelize(&par, &model, &tiny_db, &tiny);
-        assert!(
-            plan.rationale().contains("parallel declined"),
-            "{}",
-            plan.rationale()
-        );
+        let verdict = plan.decision().parallel.expect("parallelize records");
+        assert!(!verdict.engaged, "{verdict}");
+        assert!(verdict.est_peak_delta < verdict.cutover.unwrap() as f64);
         assert!(!plan.parallelism().is_parallel());
 
         // A sequential knob is a no-op.
@@ -2315,14 +2176,14 @@ mod tests {
             &tiny_db,
             &tiny,
         );
-        assert!(!plan.rationale().contains("parallel"));
+        assert_eq!(plan.decision().parallel, None);
     }
 
     #[test]
     fn parallelize_declines_shapes_without_shardable_rounds() {
         // BoundedPrefix and RedundancyBounded execute through exact-power
-        // chains that never consult the knob — the rationale must not
-        // claim parallel rounds for them.
+        // chains that never consult the knob — the record must not claim
+        // parallel rounds for them.
         let rule = rules::shopping_rule();
         let analysis = Analysis::of(std::slice::from_ref(&rule), None);
         let (db, init) = workload::shopping(200, 30, 4, 99);
@@ -2332,15 +2193,19 @@ mod tests {
         };
         let plan = Plan::redundancy_bounded(analysis.redundancy().expect("licensed").clone())
             .parallelize(&Parallelism::new(4), &model, &db, &init);
-        assert!(
-            plan.rationale().contains("no shardable semi-naive rounds"),
-            "{}",
-            plan.rationale()
+        assert_eq!(
+            plan.decision().parallel,
+            Some(ParallelVerdict {
+                engaged: false,
+                threads: 4,
+                est_peak_delta: 0.0,
+                cutover: None,
+            })
         );
         assert!(!plan.parallelism().is_parallel());
         // But a SelectAfter over a Direct core still qualifies.
         let plan = Plan::select_after(Plan::direct(vec![rules::tc_right()]), Selection::eq(0, 1));
-        assert!(plan.has_parallel_phase());
+        assert!(plan.node.has_parallel_phase());
     }
 
     #[test]
@@ -2401,18 +2266,20 @@ mod tests {
         let db = workload::graph_db("q", edges.clone());
         let analysis = Analysis::of(&[rules::tc_right()], None);
         let plan = analysis.plan_for(&db, &edges);
+        let dec = plan.decision();
+        assert_eq!(plan.shape(), PlanShape::DenseClosure, "{dec}");
+        assert_eq!(dec.winner, PlanShape::DenseClosure);
+        assert_eq!(dec.picked_by, PickedBy::CostModel);
+        let Some(DenseVerdict::Chosen { edge, cost, .. }) = dec.dense else {
+            panic!("dense gate must record Chosen: {dec}");
+        };
+        assert_eq!(edge, Symbol::new("q"));
+        assert_eq!(dec.estimate, Some(cost));
         assert_eq!(
-            plan.shape(),
-            PlanShape::DenseClosure,
-            "{}",
-            plan.rationale()
+            dec.candidates.last().unwrap().shape,
+            PlanShape::DenseClosure
         );
-        assert!(
-            plan.rationale().contains("dense: closure by squaring"),
-            "{}",
-            plan.rationale()
-        );
-        assert!(plan.estimate().is_some());
+        assert_eq!(dec.certificates[0].0, CertKind::CompositionShape);
 
         // Same relation and honest (non-zero) derivation counters.
         let outcome = plan.execute(&db, &edges).unwrap();
@@ -2435,12 +2302,16 @@ mod tests {
         let init = Relation::from_pairs([(0, 1)]);
         let analysis = Analysis::of(&[rules::tc_right()], None);
         let plan = analysis.plan_for(&db, &init);
-        assert_eq!(plan.shape(), PlanShape::Direct, "{}", plan.rationale());
-        assert!(
-            plan.rationale().contains("dense declined: est. density"),
-            "{}",
-            plan.rationale()
-        );
+        let dec = plan.decision();
+        assert_eq!(plan.shape(), PlanShape::Direct, "{dec}");
+        let Some(DenseVerdict::TooSparse {
+            density, cutover, ..
+        }) = dec.dense
+        else {
+            panic!("dense gate must record TooSparse: {dec}");
+        };
+        assert!(density < cutover);
+        assert_eq!(cutover, CostModel::default().dense_density_cutover);
     }
 
     #[test]
@@ -2453,12 +2324,17 @@ mod tests {
         };
         let analysis = Analysis::of(&[rules::tc_right()], None);
         let plan = analysis.plan_with(&db, &edges, &model);
-        assert_eq!(plan.shape(), PlanShape::Direct, "{}", plan.rationale());
-        assert!(
-            plan.rationale().contains("dense declined: working set"),
-            "{}",
-            plan.rationale()
-        );
+        let dec = plan.decision();
+        assert_eq!(plan.shape(), PlanShape::Direct, "{dec}");
+        let Some(DenseVerdict::OverBudget {
+            working_set_bytes,
+            budget_bytes,
+        }) = dec.dense
+        else {
+            panic!("dense gate must record OverBudget: {dec}");
+        };
+        assert_eq!(budget_bytes, 1 << 10);
+        assert!(working_set_bytes > budget_bytes as f64);
     }
 
     #[test]
@@ -2516,14 +2392,13 @@ mod tests {
         let mut plan = analysis.plan_for(&db, &edges);
         assert_eq!(plan.shape(), PlanShape::DenseClosure);
         let outcome = plan.execute_feedback(&db, &edges).unwrap();
-        let est = plan.estimate().unwrap();
-        let ratio = est / outcome.stats.derivations.max(1) as f64;
+        let ratio = plan.decision().ratio().expect("estimate and actual");
         assert!(
             (0.05..20.0).contains(&ratio),
-            "estimate {est:.3e} vs actual {} (ratio {ratio:.3})",
-            outcome.stats.derivations
+            "actual {} (ratio {ratio:.3}): {}",
+            outcome.stats.derivations,
+            plan.decision()
         );
-        assert!(plan.annotated_rationale().contains("estimate/actual"));
     }
 
     #[test]
@@ -2532,12 +2407,7 @@ mod tests {
         let db = workload::graph_db("q", edges.clone());
         let analysis = Analysis::of(&[rules::tc_right()], None);
         let plan = analysis.plan_for(&db, &edges);
-        assert_eq!(
-            plan.shape(),
-            PlanShape::DenseClosure,
-            "{}",
-            plan.rationale()
-        );
+        assert_eq!(plan.shape(), PlanShape::DenseClosure, "{}", plan.decision());
         let dense = plan.execute(&db, &edges).unwrap();
         let direct = Plan::direct(vec![rules::tc_right()])
             .execute(&db, &edges)

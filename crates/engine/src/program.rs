@@ -155,16 +155,15 @@ impl Program {
 
     /// Plan (cost-model ranked against this program's data) and execute.
     /// Returns the execution outcome (with the selection applied, if any)
-    /// and the plan that was used — annotated with the run's actual
-    /// statistics next to the cost-model estimate
-    /// ([`Plan::annotated_rationale`]).
+    /// and the plan that was used — its [`Plan::decision`] carries the
+    /// run's actual statistics next to the cost-model estimate.
     pub fn run(&self, sel: Option<&Selection>) -> Result<(ExecOutcome, Plan), StrategyError> {
         self.run_with_parallelism(sel, &crate::parallel::Parallelism::sequential())
     }
 
     /// [`Program::run`] under a [`crate::parallel::Parallelism`] knob: the
     /// chosen plan is offered parallel fixpoint rounds, cost-model gated
-    /// ([`Plan::parallelize`] — the decision lands in the plan rationale).
+    /// ([`Plan::parallelize`] records the verdict in [`Plan::decision`]).
     pub fn run_with_parallelism(
         &self,
         sel: Option<&Selection>,
@@ -184,6 +183,7 @@ impl Program {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decision::{CertKind, PickedBy};
     use crate::planner::PlanShape;
     use linrec_datalog::Value;
 
@@ -209,7 +209,7 @@ mod tests {
         let prog = Program::parse(UPDOWN).unwrap();
         let plan = prog.plan(None);
         assert!(matches!(plan.shape(), PlanShape::Decomposed { .. }));
-        assert!(plan.rationale().contains("commuting clusters"));
+        assert_eq!(plan.decision().certificates[0].0, CertKind::Commutativity);
         let (outcome, _) = prog.run(None).unwrap();
         // p(1,10) closed under up/down: {1,2,3} × {10,11,12}... only
         // reachable combinations: up extends x backwards? up(x,w): x
@@ -272,7 +272,7 @@ mod tests {
     fn cost_choice_agrees_with_preference_choice_on_results() {
         let prog = Program::parse(UPDOWN).unwrap();
         let costed = prog.plan_for(None);
-        assert!(costed.rationale().contains("cost model"));
+        assert_eq!(costed.decision().picked_by, PickedBy::CostModel);
         let a = costed.execute(prog.database(), prog.init()).unwrap();
         let b = prog
             .plan(None)
@@ -286,7 +286,8 @@ mod tests {
         let prog = Program::parse(UPDOWN).unwrap();
         let analysis = prog.analyze(None);
         assert!(analysis.commutativity().is_some());
-        assert!(analysis.summary().contains("commutativity"));
+        let listed = analysis.summary();
+        assert!(listed.starts_with("• commutativity: "), "{listed}");
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!   redundancy certificate — or the dense composition shape — licenses a
 //!   stronger strategy; advisory only (the model may well be right on this
 //!   data: a dense decline means the budget/density rule said so, and the
-//!   reason is quoted from the plan rationale).
+//!   note quotes the plan's rendered decision record).
 
 use crate::diagnostic::{Code, Diagnostic, Span};
 use linrec_engine::{composition_shape, Analysis, Plan, PlanShape};
@@ -61,14 +61,6 @@ pub fn plan_lints(analysis: &Analysis, plan: &Plan) -> Vec<Diagnostic> {
             }
         }
         if !licensed.is_empty() {
-            // Prefer the structured decision record — candidate estimates
-            // and the dense decline come out typed, not scraped from the
-            // rationale prose. Hand-built plans carry no record: quote
-            // the rationale as before.
-            let verdict = plan
-                .decision()
-                .map(|dec| dec.summary())
-                .unwrap_or_else(|| plan.rationale().to_owned());
             out.push(
                 Diagnostic::new(
                     Code::CostSkippedCertificate,
@@ -78,7 +70,7 @@ pub fn plan_lints(analysis: &Analysis, plan: &Plan) -> Vec<Diagnostic> {
                         licensed.join(" and "),
                     ),
                 )
-                .with_help(format!("cost model's verdict: {verdict}")),
+                .with_help(format!("the plan's decision: {}", plan.decision())),
             );
         }
     }
@@ -119,10 +111,10 @@ mod tests {
     #[test]
     fn direct_over_a_composition_shape_quotes_the_dense_decline() {
         use linrec_datalog::Relation;
-        use linrec_engine::workload;
+        use linrec_engine::{workload, DenseVerdict};
         // Point seed over a wide chain: the planner declines dense on
         // density grounds and stays Direct — P202 flags the licensed
-        // DenseClosure, and its help quotes the decline reason verbatim.
+        // DenseClosure, and its help quotes the rendered decision.
         let rules = vec![parse_linear_rule("p(x,y) :- p(x,z), q(z,y).").unwrap()];
         let analysis = Analysis::of(&rules, None);
         let edges = workload::chain(3000);
@@ -130,12 +122,16 @@ mod tests {
         let init = Relation::from_pairs([(0, 1)]);
         let plan = analysis.plan_for(&db, &init);
         assert_eq!(plan.shape(), PlanShape::Direct);
+        assert!(matches!(
+            plan.decision().dense,
+            Some(DenseVerdict::TooSparse { .. })
+        ));
         let d = plan_lints(&analysis, &plan);
         assert_eq!(d.len(), 1, "{d:?}");
         assert_eq!(d[0].code, Code::CostSkippedCertificate);
         assert!(d[0].message.contains("DenseClosure"), "{}", d[0].message);
         let help = d[0].help.as_deref().unwrap_or_default();
-        assert!(help.contains("dense declined: est. density"), "{help}");
+        assert!(help.ends_with(&plan.decision().to_string()), "{help}");
     }
 
     #[test]

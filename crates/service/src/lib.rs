@@ -22,8 +22,8 @@
 //!   resumes) and a safe fall-back to full recompute for plan shapes with
 //!   no incremental form. The scan/index cache persists across batches
 //!   and revalidates by relation content version.
-//! * **Concurrent front end** ([`pool`], [`protocol`]) — a `std::thread`
-//!   worker pool serves the line-oriented protocol over stdin or TCP
+//! * **Concurrent front end** ([`protocol`]) — the engine's
+//!   [`WorkerPool`] serves the line-oriented protocol over stdin or TCP
 //!   (`linrec serve`).
 //! * **Durability** ([`persist`], `linrec-storage`) — an optional store:
 //!   batches are write-ahead logged (append + fsync) before they are

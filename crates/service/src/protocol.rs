@@ -24,11 +24,12 @@
 //! ask <view> <v> …         membership test
 //! rows <view> [limit]      list tuples (default limit 20)
 //! select <view> <pos>=<v> … [limit <n>]   filtered listing
-//! stats <view>             maintenance mode, stats, plan rationale
-//! explain <view> [json]    the view's plan tree with per-node estimates
-//!                          plus the structured plan-decision record
-//!                          (`plan`/`decision` lines, or one `explain
-//!                          <json>` line)
+//! stats <view>             maintenance mode, stats, the rendered plan
+//!                          decision
+//! explain <view> [json]    the view's plan tree plus its plan-decision
+//!                          record (`plan` lines and the rendered
+//!                          `decision` line, or one `explain <json>`
+//!                          line carrying the record as JSON)
 //! explain analyze <view> [json]   `explain`, plus actually run the plan
 //!                          against the current snapshot and report
 //!                          per-node wall time and statistics (`node`
@@ -506,14 +507,14 @@ impl Session {
                 info.mode,
                 info.maintenance_nanos as f64 / 1e6,
                 info.stats,
-                info.rationale,
+                info.decision,
             )),
             None => Reply::service_err(&ServiceError::UnknownView((*view).to_owned())),
         }
     }
 
-    /// `explain [analyze] <view> [json]`: the plan tree with per-node
-    /// estimates plus the structured decision record; with `analyze` the
+    /// `explain [analyze] <view> [json]`: the plan tree plus the
+    /// structured decision record; with `analyze` the
     /// plan also runs against the current snapshot and the reply carries
     /// per-node wall time. Human form is `plan`/`decision`/`node` lines
     /// closed by `ok explain <view> …`; `json` collapses the report into
@@ -542,9 +543,7 @@ impl Session {
         for line in report.tree.lines() {
             let _ = writeln!(text, "plan {line}");
         }
-        if let Some(summary) = &report.decision_summary {
-            let _ = writeln!(text, "decision {summary}");
-        }
+        let _ = writeln!(text, "decision {}", report.decision);
         for (i, node) in report.nodes.iter().enumerate() {
             let _ = writeln!(
                 text,
@@ -610,7 +609,7 @@ pub fn explain_json(report: &crate::service::ExplainReport) -> String {
         json_escape(report.mode),
         report.analyzed,
         json_escape(&report.tree),
-        report.decision_json.as_deref().unwrap_or("null"),
+        report.decision.to_json(),
     );
     let _ = write!(out, ",\"total_nanos\":{},\"nodes\":[", report.total_nanos);
     for (i, node) in report.nodes.iter().enumerate() {

@@ -49,7 +49,8 @@ use crate::view::{MaintainedView, MaintenanceOutcome, ViewDef, DELTA_MARKER};
 use linrec_datalog::hash::FastMap;
 use linrec_datalog::{Database, Relation, Symbol, Value};
 use linrec_engine::{
-    CostModel, EvalStats, Parallelism, Selection, StrategyError, TraceStep, WorkerPool,
+    CostModel, EvalStats, Parallelism, PlanDecision, Selection, StrategyError, TraceStep,
+    WorkerPool,
 };
 use linrec_storage::{
     view_fingerprint, CheckpointPolicy, DecisionLog, SnapshotData, StorageError, Store, Vfs,
@@ -345,9 +346,10 @@ pub struct ViewInfo {
     pub maintenance_nanos: u64,
     /// Epoch at which the relation last changed.
     pub updated_epoch: u64,
-    /// The plan's rationale, annotated with estimate-vs-actual feedback
-    /// from the latest plan execution.
-    pub rationale: String,
+    /// The view's plan-decision record (shared with the plan, so a
+    /// publish copies a pointer); its `Display` form is the rationale the
+    /// `stats` command prints.
+    pub decision: Arc<PlanDecision>,
 }
 
 /// An immutable, epoch-stamped state of the database and every view.
@@ -439,13 +441,10 @@ pub struct ExplainReport {
     pub view: String,
     /// Maintenance mode label (`"incremental"`, `"recompute"`, ...).
     pub mode: &'static str,
-    /// Indented plan tree with per-node rationales and estimates.
+    /// Indented plan tree, closed by the rendered decision record.
     pub tree: String,
-    /// The structured [`PlanDecision`](linrec_engine::PlanDecision) as
-    /// JSON, when the planner produced one.
-    pub decision_json: Option<String>,
-    /// One-line human summary of the decision record.
-    pub decision_summary: Option<String>,
+    /// The structured decision record (with actuals, when analyzed).
+    pub decision: Arc<PlanDecision>,
     /// Per-node execution record (empty unless analyzed).
     pub nodes: Vec<TraceStep>,
     /// Total wall time across all nodes (ns; 0 unless analyzed).
@@ -992,8 +991,8 @@ impl ViewService {
         Arc::clone(&self.current.read().expect("snapshot lock poisoned"))
     }
 
-    /// Explain a registered view's plan: the tree with per-node
-    /// estimates/rationales plus the structured decision record. With
+    /// Explain a registered view's plan: the tree plus the structured
+    /// decision record. With
     /// `analyze`, the plan additionally *runs* against the current
     /// snapshot (on a clone — the registered view's state is untouched)
     /// and the report carries per-node actual wall times and statistics.
@@ -1028,8 +1027,7 @@ impl ViewService {
             view: name.to_owned(),
             mode,
             tree: plan.describe(),
-            decision_json: plan.decision().map(|d| d.to_json()),
-            decision_summary: plan.decision().map(|d| d.summary()),
+            decision: plan.shared_decision(),
             nodes,
             total_nanos,
             analyzed: analyze,
@@ -1080,9 +1078,7 @@ impl ViewService {
         }
         // Persist the registration's decision record (the journal got it
         // from `execute_feedback` inside materialize).
-        if let Some(dec) = view.plan().decision() {
-            self.log_decision(&dec.to_json());
-        }
+        self.log_decision(&view.plan().decision().to_json());
         writer.epoch += 1;
         let epoch = writer.epoch;
         let info = ViewInfo {
@@ -1091,7 +1087,7 @@ impl ViewService {
             stats,
             maintenance_nanos: nanos,
             updated_epoch: epoch,
-            rationale: view.plan().annotated_rationale(),
+            decision: view.plan().shared_decision(),
         };
         writer.views.push(view);
         self.publish(&writer, [(name.clone(), info)]);
@@ -1154,7 +1150,7 @@ impl ViewService {
             stats,
             maintenance_nanos: 0,
             updated_epoch: writer.epoch,
-            rationale: view.plan().annotated_rationale(),
+            decision: view.plan().shared_decision(),
         };
         writer.views.push(view);
         self.publish(&writer, [(name, info)]);
@@ -1249,7 +1245,7 @@ impl ViewService {
                             stats: outcome.stats,
                             maintenance_nanos: nanos,
                             updated_epoch: epoch,
-                            rationale: view.plan().annotated_rationale(),
+                            decision: view.plan().shared_decision(),
                         },
                     ));
                     reports.push(ViewReport {

@@ -42,9 +42,9 @@
 use linrec_datalog::hash::FastMap;
 use linrec_datalog::{Atom, Database, LinearRule, Relation, Rule, Symbol};
 use linrec_engine::seminaive::{seminaive_resume_par_in, seminaive_round_par};
+pub use linrec_engine::MaintenanceMode;
 use linrec_engine::{
-    apply_flat, Analysis, CostModel, EvalStats, Indexes, Parallelism, Plan, PlanShape,
-    StrategyError,
+    apply_flat, Analysis, CostModel, EvalStats, Indexes, Parallelism, Plan, StrategyError,
 };
 use std::sync::Arc;
 
@@ -73,54 +73,6 @@ pub struct ViewDef {
     /// EDB predicate whose relation is the recursion's seed. Inserts into
     /// it flow into the view like any other delta.
     pub seed: Symbol,
-}
-
-/// How a view is maintained under a delta batch, derived from the shape of
-/// its certificate-backed plan (see the module docs).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MaintenanceMode {
-    /// Semi-naive resume over the rule sum.
-    Incremental,
-    /// Resume cut off after the certified application count
-    /// (boundedness certificate).
-    IncrementalBounded(usize),
-    /// One resume per commuting cluster, right-to-left
-    /// (commutativity certificate; rule indices into [`ViewDef::rules`]).
-    IncrementalDecomposed(Vec<Vec<usize>>),
-    /// No incremental form: re-execute the plan from scratch.
-    Recompute,
-}
-
-impl MaintenanceMode {
-    fn of(shape: &PlanShape) -> MaintenanceMode {
-        match shape {
-            // DenseClosure: a delta batch resumes soundly through the
-            // sparse semi-naive delta rules (same fixpoint); full
-            // recomputes still go through the plan and stay dense.
-            PlanShape::Direct | PlanShape::Naive | PlanShape::DenseClosure => {
-                MaintenanceMode::Incremental
-            }
-            PlanShape::BoundedPrefix { applications } => {
-                MaintenanceMode::IncrementalBounded(*applications)
-            }
-            PlanShape::Decomposed { clusters } => {
-                MaintenanceMode::IncrementalDecomposed(clusters.clone())
-            }
-            PlanShape::Separable | PlanShape::RedundancyBounded | PlanShape::SelectAfter(_) => {
-                MaintenanceMode::Recompute
-            }
-        }
-    }
-
-    /// Short label for reports and the protocol's `stats` command.
-    pub fn label(&self) -> &'static str {
-        match self {
-            MaintenanceMode::Incremental => "incremental",
-            MaintenanceMode::IncrementalBounded(_) => "incremental-bounded",
-            MaintenanceMode::IncrementalDecomposed(_) => "incremental-decomposed",
-            MaintenanceMode::Recompute => "recompute",
-        }
-    }
 }
 
 /// One precomputed delta rewrite: the original rule's body with exactly
@@ -177,7 +129,7 @@ impl MaintainedView {
 
     /// [`MaintainedView::register`] with a [`Parallelism`] knob: the
     /// materialization/recompute plan is offered parallel rounds (cost
-    /// model gated, decision recorded in the plan rationale), and every
+    /// model gated, verdict recorded in the plan's decision), and every
     /// incremental resume runs through the same knob.
     pub fn register_with_parallelism(
         def: ViewDef,
@@ -219,10 +171,9 @@ impl MaintainedView {
             .plan_with(db, &seed, model)
             .parallelize(&par, model, db, &seed);
         let mode = MaintenanceMode::of(&plan.shape());
-        if let Some(dec) = plan.decision_mut() {
-            dec.view = def.name.clone();
-            dec.maintenance_mode = Some(mode.label());
-        }
+        let dec = plan.decision_mut();
+        dec.view = def.name.clone();
+        dec.maintenance_mode = Some(mode.clone());
         let vsym = view_sym(&def.name);
         let mut delta_rules = Vec::new();
         for rule in &def.rules {
@@ -420,7 +371,7 @@ fn resume_collecting(
 mod tests {
     use super::*;
     use linrec_datalog::{parse_linear_rule, Value};
-    use linrec_engine::seminaive_star;
+    use linrec_engine::{seminaive_star, PlanShape};
 
     fn scratch_view(rules: &[LinearRule], db: &Database, seed: Symbol) -> Relation {
         let arity = rules[0].arity();
@@ -440,35 +391,6 @@ mod tests {
             }
         }
         deltas.into_iter().map(|(p, r)| (p, Arc::new(r))).collect()
-    }
-
-    #[test]
-    fn mode_follows_the_plan_shape() {
-        assert_eq!(
-            MaintenanceMode::of(&PlanShape::Direct),
-            MaintenanceMode::Incremental
-        );
-        assert_eq!(
-            MaintenanceMode::of(&PlanShape::DenseClosure),
-            MaintenanceMode::Incremental
-        );
-        assert_eq!(
-            MaintenanceMode::of(&PlanShape::BoundedPrefix { applications: 3 }),
-            MaintenanceMode::IncrementalBounded(3)
-        );
-        assert_eq!(
-            MaintenanceMode::of(&PlanShape::Decomposed {
-                clusters: vec![vec![0], vec![1]]
-            }),
-            MaintenanceMode::IncrementalDecomposed(vec![vec![0], vec![1]])
-        );
-        for shape in [
-            PlanShape::Separable,
-            PlanShape::RedundancyBounded,
-            PlanShape::SelectAfter(Box::new(PlanShape::Direct)),
-        ] {
-            assert_eq!(MaintenanceMode::of(&shape), MaintenanceMode::Recompute);
-        }
     }
 
     #[test]
@@ -519,12 +441,10 @@ mod tests {
             seed: Symbol::new("e"),
         };
         let mut view = MaintainedView::register(def, &db).unwrap();
-        assert_eq!(
-            view.plan().shape(),
-            PlanShape::DenseClosure,
-            "{}",
-            view.plan().rationale()
-        );
+        let dec = view.plan().decision();
+        assert_eq!(dec.winner, PlanShape::DenseClosure, "{dec}");
+        assert_eq!(dec.view, "tc-dense");
+        assert_eq!(dec.maintenance_mode, Some(MaintenanceMode::Incremental));
         assert_eq!(view.mode(), &MaintenanceMode::Incremental);
         let (materialized, stats) = view.materialize(&db).unwrap();
         assert_eq!(
@@ -728,11 +648,10 @@ mod tests {
             seed: Symbol::new("e"),
         };
         let mut view = MaintainedView::register(def, &db).unwrap();
-        assert!(view.plan().estimate().is_some());
-        view.materialize(&db).unwrap();
-        assert!(view
-            .plan()
-            .annotated_rationale()
-            .contains("estimate/actual"));
+        assert!(view.plan().decision().estimate.is_some());
+        assert_eq!(view.plan().decision().ratio(), None);
+        let (_, stats) = view.materialize(&db).unwrap();
+        assert_eq!(view.plan().decision().actual, Some(stats));
+        assert!(view.plan().decision().ratio().is_some());
     }
 }

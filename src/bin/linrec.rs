@@ -19,9 +19,9 @@
 //!                                       sequential)
 //! linrec explain <file> <v1,v2,...>     derivation of one answer tuple
 //! linrec explain <file> [analyze] [--format json|human] [--no-check]
-//!                                       the plan the program gets: tree with
-//!                                       per-node estimates, certificates, and
-//!                                       the structured plan-decision record;
+//!                                       the plan the program gets: its tree
+//!                                       and its plan-decision record (picked
+//!                                       how, candidates, certificates);
 //!                                       `analyze` additionally runs the plan
 //!                                       and reports per-node wall time
 //! linrec top <addr> [--once] [--interval-ms N] [-n N]
@@ -287,9 +287,9 @@ fn run(path: &str, args: &[String]) -> Result<(), String> {
     let sel = parse_selection(&sel_args)?;
     // Cost-model ranked choice: the program's own data decides among the
     // licensed strategies; the parallelism knob lets large fixpoint rounds
-    // shard across the engine pool (decision recorded in the rationale).
-    // The plan comes back annotated with the run's actual statistics next
-    // to the estimate (estimate-vs-actual ratio).
+    // shard across the engine pool. The plan's decision record comes back
+    // with the parallel verdict and the run's actual statistics next to
+    // the estimate.
     let t = std::time::Instant::now();
     let (outcome, plan) = prog
         .run_with_parallelism(sel.as_ref(), &par)
@@ -348,8 +348,8 @@ fn explain(path: &str, tuple: &str) -> Result<(), String> {
 }
 
 /// `linrec explain <file> [analyze] [--format json|human]`: the plan the
-/// program's recursion gets — tree with per-node estimates, the
-/// certificates it leans on, and the structured plan-decision record.
+/// program's recursion gets — its tree and its plan-decision record
+/// (candidates with estimates, the certificates it leans on, verdicts).
 /// With `analyze` the plan also runs (registration materializes the view,
 /// then the analyzed run re-executes it) and per-node wall time is
 /// reported. Registration goes through the same machinery `serve` uses,
@@ -399,9 +399,7 @@ fn explain_plan(path: &str, args: &[String]) -> Result<(), String> {
     for line in report.tree.lines() {
         println!("  {line}");
     }
-    if let Some(summary) = &report.decision_summary {
-        println!("decision: {summary}");
-    }
+    println!("decision: {}", report.decision);
     for (i, node) in report.nodes.iter().enumerate() {
         println!(
             "node {i}: {:.3} ms [{}] {}",
@@ -751,7 +749,7 @@ fn serve(path: &str, args: &[String]) -> Result<(), String> {
         info.relation.len(),
         snapshot.epoch,
         info.mode,
-        info.rationale
+        info.decision
     );
     let served = match tcp {
         Some(addr) => {

@@ -10,8 +10,12 @@
 //! * the on-disk `decisions.log` rides the service's `Vfs` and survives
 //!   fault-injection chaos without ever losing an acknowledged batch.
 
+use linrec::engine::{CertKind, DenseVerdict, MaintenanceMode, PickedBy};
 use linrec::prelude::*;
-use linrec::service::{explain_json, open_durable_with_vfs, SentinelConfig, ViewDef, ViewService};
+use linrec::service::{
+    explain_json, open_durable_with_vfs, MaintainedView, SentinelConfig, Session, ViewDef,
+    ViewService,
+};
 use linrec::storage::{
     read_decision_log, CheckpointPolicy, FaultOp, FaultPlan, FaultVfs, StdVfs, Vfs,
 };
@@ -54,19 +58,16 @@ fn explain_analyze_on_a_dense_planned_tc_query_shows_the_decision_record() {
 
     // The structured record carries the dense-vs-sparse competition:
     // candidates with estimates, the winner, and the certificate.
-    let dec = report.decision_json.as_deref().expect("decision record");
-    assert!(dec.contains("\"winner\":\"DenseClosure\""), "{dec}");
-    assert!(dec.contains("\"candidates\":["), "{dec}");
-    assert!(dec.contains("\"name\":\"Direct\""), "{dec}");
-    assert!(dec.contains("\"name\":\"DenseClosure\""), "{dec}");
-    assert!(dec.contains("\"dense\":{\"chosen\":true"), "{dec}");
-    assert!(dec.contains("\"certificates\":[\""), "{dec}");
-    assert!(
-        dec.contains("\"maintenance_mode\":\"incremental\""),
-        "{dec}"
-    );
-    let summary = report.decision_summary.as_deref().unwrap();
-    assert!(summary.contains("picked DenseClosure"), "{summary}");
+    let dec = &report.decision;
+    assert_eq!(dec.view, "tc");
+    assert_eq!(dec.winner, PlanShape::DenseClosure);
+    assert_eq!(dec.picked_by, PickedBy::CostModel);
+    let weighed: Vec<&str> = dec.candidates.iter().map(|c| c.shape.label()).collect();
+    assert_eq!(weighed, ["Direct", "DenseClosure"]);
+    assert!(matches!(dec.dense, Some(DenseVerdict::Chosen { .. })));
+    assert_eq!(dec.certificates[0].0, CertKind::CompositionShape);
+    assert_eq!(dec.maintenance_mode, Some(MaintenanceMode::Incremental));
+    assert!(dec.ratio().is_some(), "analyze attaches the actuals");
 
     // Analyze ran the plan: per-node wall time is present and sums to
     // the reported total.
@@ -86,6 +87,58 @@ fn explain_analyze_on_a_dense_planned_tc_query_shows_the_decision_record() {
     assert!(json.contains("\"analyzed\":true"), "{json}");
     assert!(json.contains("\"winner\":\"DenseClosure\""), "{json}");
     assert!(json.contains("\"nodes\":[{\"label\":"), "{json}");
+}
+
+#[test]
+fn every_surface_prints_the_same_rendered_decision() {
+    // A point seed over a wide chain: the cost model declines dense and
+    // keeps Direct, so the lint has a CostSkippedCertificate note to
+    // print next to `stats`, `explain` and `describe()`.
+    let rules = vec![parse_linear_rule("p(x,y) :- p(x,z), e(z,y).").unwrap()];
+    let mut db = chain_db(3000);
+    db.set_relation("s", Relation::from_pairs([(0, 1)]));
+    let def = ViewDef {
+        name: "reach".into(),
+        rules: rules.clone(),
+        seed: Symbol::new("s"),
+    };
+
+    let mut view = MaintainedView::register(def.clone(), &db).unwrap();
+    view.materialize(&db).unwrap();
+    let plan = view.plan();
+    assert_eq!(plan.shape(), PlanShape::Direct);
+    let rendered = plan.decision().to_string();
+    assert!(plan
+        .describe()
+        .ends_with(&format!("  rationale: {rendered}\n")));
+    let notes = linrec::lint::plan_lints(&Analysis::of(&rules, None), plan);
+    assert_eq!(notes[0].code, Code::CostSkippedCertificate);
+    assert_eq!(
+        notes[0].help.as_deref(),
+        Some(format!("the plan's decision: {rendered}").as_str())
+    );
+
+    // The service plans the same view the same way; `stats` and `explain`
+    // print that very text after their line prefixes.
+    let service = Arc::new(ViewService::new(db));
+    service.register_view(def).unwrap();
+    let mut session = Session::new(Arc::clone(&service));
+    let stats = session.handle("stats reach").text;
+    assert!(
+        stats.lines().any(|l| l == format!("stat plan {rendered}")),
+        "{stats}"
+    );
+    let explain = session.handle("explain reach").text;
+    assert!(
+        explain.lines().any(|l| l == format!("decision {rendered}")),
+        "{explain}"
+    );
+    assert!(
+        explain
+            .lines()
+            .any(|l| l == format!("plan   rationale: {rendered}")),
+        "{explain}"
+    );
 }
 
 #[test]

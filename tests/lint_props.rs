@@ -90,7 +90,11 @@ fn cover_db(rules: &[LinearRule], seed: u64, sparse: bool) -> (Database, Relatio
 }
 
 fn fixpoint(rules: &[LinearRule], db: &Database, init: &Relation) -> Vec<Tuple> {
-    Plan::direct(rules).execute(db, init).unwrap().relation.sorted()
+    Plan::direct(rules)
+        .execute(db, init)
+        .unwrap()
+        .relation
+        .sorted()
 }
 
 proptest! {

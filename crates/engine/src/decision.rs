@@ -278,7 +278,10 @@ pub struct PlanDecision {
 impl PlanDecision {
     /// The record of a hand-constructed plan of shape `winner` leaning on
     /// `certificates`.
-    pub fn constructed(winner: PlanShape, certificates: Vec<(CertKind, String)>) -> PlanDecision {
+    pub(crate) fn constructed(
+        winner: PlanShape,
+        certificates: Vec<(CertKind, String)>,
+    ) -> PlanDecision {
         PlanDecision {
             view: String::new(),
             winner,

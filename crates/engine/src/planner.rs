@@ -383,33 +383,34 @@ impl Analysis {
 
     /// A human-readable certificate listing (used by `linrec analyze`).
     pub fn summary(&self) -> String {
-        let mut lines: Vec<String> = Vec::new();
-        let mut cert = |kind: CertKind, rationale: &str| {
-            lines.push(format!("• {}: {rationale}\n", kind.label()));
-        };
+        let mut out = String::new();
+        let mut any = false;
         if let Some(c) = &self.boundedness {
-            cert(CertKind::Boundedness, c.rationale());
+            out.push_str(&format!("• boundedness: {}\n", c.rationale()));
+            any = true;
         }
         if let Some(c) = &self.commutativity {
-            cert(CertKind::Commutativity, c.rationale());
+            out.push_str(&format!("• commutativity: {}\n", c.rationale()));
+            any = true;
         }
         if let Some(c) = &self.redundancy {
-            cert(CertKind::Redundancy, c.rationale());
+            out.push_str(&format!("• redundancy: {}\n", c.rationale()));
+            any = true;
         }
         for (outer, inner, c) in &self.separability {
-            lines.push(format!(
-                "• {} (outer rule {outer}, inner rule {inner}): {}\n",
-                CertKind::Separability.label(),
+            out.push_str(&format!(
+                "• separability (outer rule {outer}, inner rule {inner}): {}\n",
                 c.rationale()
             ));
+            any = true;
         }
-        if lines.is_empty() {
-            lines.push("• no certificates: only the baseline strategies are licensed\n".into());
+        if !any {
+            out.push_str("• no certificates: only the baseline strategies are licensed\n");
         }
         for note in &self.notes {
-            lines.push(format!("• note: {note}\n"));
+            out.push_str(&format!("• note: {note}\n"));
         }
-        lines.concat()
+        out
     }
 }
 

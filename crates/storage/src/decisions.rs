@@ -1,8 +1,9 @@
 //! `decisions.log` — a CRC-framed, append-only journal of plan-decision
 //! records, stored next to the WAL.
 //!
-//! Each frame is `[len: u32 LE][crc32(payload): u32 LE][payload]`, where
-//! the payload is one decision record as UTF-8 JSON. The log is strictly
+//! Each frame is `[len: u32 LE][crc32(payload): u32 LE][payload]` (the
+//! crate's one frame codec, shared with the WAL), where the payload is
+//! one decision record as UTF-8 JSON. The log is strictly
 //! observability data: appends are best-effort and a failed append must
 //! never fail an acknowledged batch (the service counts the error and
 //! moves on), but the *format* is held to the same standard as the WAL —
@@ -16,8 +17,8 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use crate::crc::crc32;
 use crate::error::StorageError;
+use crate::frame;
 use crate::vfs::{Vfs, VfsFile};
 
 /// File name of the decision log inside a data directory.
@@ -64,6 +65,7 @@ impl DecisionLog {
             .map_err(|e| StorageError::io(&path, e))?;
         if on_disk > valid {
             file.set_len(valid)
+                .and_then(|()| file.sync_data())
                 .map_err(|e| StorageError::io(&path, e))?;
         }
         Ok(DecisionLog {
@@ -86,11 +88,7 @@ impl DecisionLog {
                     .to_owned(),
             });
         }
-        let payload = json.as_bytes();
-        let mut frame = Vec::with_capacity(8 + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(payload).to_le_bytes());
-        frame.extend_from_slice(payload);
+        let frame = frame::encode(json.as_bytes());
         let wrote = self
             .file
             .write_all(&frame)
@@ -134,7 +132,7 @@ pub fn read_decision_log(vfs: &dyn Vfs, dir: &Path) -> Result<Vec<String>, Stora
     };
     let mut out = Vec::new();
     let mut off = 0usize;
-    while let Some((payload, next)) = next_frame(&bytes, off) {
+    while let Some((payload, next)) = frame::next(&bytes, off, MAX_FRAME_BYTES) {
         // Frames are written from &str, so lossy never actually lossies;
         // it just keeps a disk-corrupted record from killing the read.
         out.push(String::from_utf8_lossy(payload).into_owned());
@@ -146,26 +144,10 @@ pub fn read_decision_log(vfs: &dyn Vfs, dir: &Path) -> Result<Vec<String>, Stora
 /// Length in bytes of the longest prefix of `bytes` made of valid frames.
 fn valid_prefix_len(bytes: &[u8]) -> u64 {
     let mut off = 0usize;
-    while let Some((_, next)) = next_frame(bytes, off) {
+    while let Some((_, next)) = frame::next(bytes, off, MAX_FRAME_BYTES) {
         off = next;
     }
     off as u64
-}
-
-/// Decode the frame at `off`; `None` on a torn, truncated, oversized or
-/// checksum-failing frame.
-fn next_frame(bytes: &[u8], off: usize) -> Option<(&[u8], usize)> {
-    let header = bytes.get(off..off + 8)?;
-    let len = u32::from_le_bytes(header[0..4].try_into().unwrap());
-    if len > MAX_FRAME_BYTES {
-        return None;
-    }
-    let crc = u32::from_le_bytes(header[4..8].try_into().unwrap());
-    let payload = bytes.get(off + 8..off + 8 + len as usize)?;
-    if crc32(payload) != crc {
-        return None;
-    }
-    Some((payload, off + 8 + len as usize))
 }
 
 #[cfg(test)]
@@ -242,6 +224,28 @@ mod tests {
             read_decision_log(vfs.as_ref(), &dir).unwrap(),
             vec!["{\"seq\":1}".to_string(), "{\"seq\":2}".to_string()]
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn open_syncs_the_truncation_of_a_torn_tail() {
+        let dir = temp_dir("torn-sync");
+        let std_vfs: Arc<dyn Vfs> = Arc::new(StdVfs);
+        let mut log = DecisionLog::open(&std_vfs, &dir).unwrap();
+        log.append("{\"seq\":1}").unwrap();
+        drop(log);
+        // The one sync `open` can issue is the one that makes a cut tail
+        // durable: with the first sync failing, a clean log still opens and a
+        // torn one does not.
+        let no_sync = || -> Arc<dyn Vfs> {
+            FaultVfs::new(FaultPlan::none().fail_nth(FaultOp::Sync, 1, FaultKind::Eio))
+        };
+        assert!(DecisionLog::open(&no_sync(), &dir).is_ok());
+        let path = dir.join(DECISIONS_FILE);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes.extend_from_slice(b"torn");
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(DecisionLog::open(&no_sync(), &dir).is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

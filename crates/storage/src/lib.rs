@@ -68,6 +68,7 @@
 mod crc;
 pub mod decisions;
 pub mod error;
+mod frame;
 pub mod profile;
 pub mod snapshot;
 pub mod store;

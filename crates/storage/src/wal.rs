@@ -12,7 +12,8 @@
 //! ```text
 //! file header (16 bytes): magic "LINRWAL1", version u32, reserved u32
 //! frame:                  len u32 (payload bytes), crc u32 (CRC-32 of
-//!                         payload), payload
+//!                         payload), payload   (the crate's one frame
+//!                         codec, `frame.rs`, shared with decisions.log)
 //! payload:                seq u64, insert_count u64, then per insert:
 //!                         pred len u64 + UTF-8 bytes, arity u64,
 //!                         arity 16-byte value cells (snapshot encoding)
@@ -37,8 +38,8 @@
 //! a durable frame at the end of the good prefix, or it leaves no
 //! acknowledged trace at all.
 
-use crate::crc::crc32;
 use crate::error::StorageError;
+use crate::frame;
 use crate::snapshot::{ByteReader, ByteWriter};
 use crate::vfs::{Vfs, VfsFile};
 use linrec_datalog::{Symbol, Value};
@@ -105,12 +106,7 @@ fn encode_frame(seq: u64, inserts: &[(Symbol, Vec<Value>)]) -> Vec<u8> {
             }
         }
     }
-    let payload = w.buf;
-    let mut frame = Vec::with_capacity(8 + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-    frame.extend_from_slice(&payload);
-    frame
+    frame::encode(&w.buf)
 }
 
 fn decode_frame(payload: &[u8], path: &Path) -> Result<Batch, StorageError> {
@@ -205,26 +201,15 @@ impl Wal {
             });
         }
         let mut batches = Vec::new();
-        let mut pos = WAL_HEADER_LEN;
-        let mut good_end = pos;
+        let mut good_end = WAL_HEADER_LEN;
         let mut last_seq = 0u64;
-        while pos + 8 <= bytes.len() {
-            let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap());
-            let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().unwrap());
-            if len == 0 || len > MAX_FRAME {
-                break; // garbage length: torn tail
-            }
-            let start = pos + 8;
-            let Some(end) = start
-                .checked_add(len as usize)
-                .filter(|&e| e <= bytes.len())
-            else {
-                break; // frame runs past EOF: torn tail
-            };
-            let payload = &bytes[start..end];
-            if crc32(payload) != crc {
-                break; // torn or rotted frame: end of the trusted prefix
-            }
+        // A frame that is partial, over-long or fails its CRC is a torn
+        // tail — the end of the trusted prefix; so is an empty one (no
+        // batch encodes to nothing, but a zeroed tail reads as length 0
+        // with a matching CRC of 0).
+        while let Some((payload, end)) =
+            frame::next(&bytes, good_end, MAX_FRAME).filter(|(payload, _)| !payload.is_empty())
+        {
             // The CRC passed, so this frame was fully written and synced:
             // decode failures past this point are corruption, not tearing.
             let batch = decode_frame(payload, &self.path)?;
@@ -236,7 +221,6 @@ impl Wal {
             }
             last_seq = batch.seq;
             batches.push(batch);
-            pos = end;
             good_end = end;
         }
         if (good_end as u64) < bytes.len() as u64 {

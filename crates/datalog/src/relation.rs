@@ -452,15 +452,28 @@ impl Relation {
         added
     }
 
+    /// Insert every tuple of `derived` that `seen` does not hold; returns
+    /// how many were new to both — one fixpoint round's fold of a rule's
+    /// output into the next delta, against the accumulated total.
+    pub fn insert_unseen<'a>(
+        &mut self,
+        derived: impl IntoIterator<Item = &'a [Value]>,
+        seen: &Relation,
+    ) -> u64 {
+        let mut new = 0;
+        for t in derived {
+            if !seen.contains(t) && self.insert(t) {
+                new += 1;
+            }
+        }
+        new
+    }
+
     /// Set-difference: tuples of `self` not in `other`.
     pub fn difference(&self, other: &Relation) -> Relation {
         assert_eq!(self.arity, other.arity, "arity mismatch in difference");
         let mut out = Relation::new(self.arity);
-        for t in self.iter() {
-            if !other.contains(t) {
-                out.insert(t);
-            }
-        }
+        out.insert_unseen(self.iter(), other);
         out
     }
 

@@ -194,26 +194,28 @@ impl fmt::Display for ParallelVerdict {
     }
 }
 
-/// How a materialized view is maintained under a delta batch — a function
-/// of the shape of its certificate-backed plan (the certificates are
-/// properties of the rules, not of the data, so they license the same
-/// decomposition of every later delta).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// How a materialized view is maintained under a delta batch — the label,
+/// in reports and on the wire, of what [`crate::planner::Plan::resume`]
+/// does for the plan's shape (the certificates are properties of the
+/// rules, not of the data, so they license the same decomposition of
+/// every later delta).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MaintenanceMode {
     /// Semi-naive resume over the rule sum.
     Incremental,
     /// Resume cut off after the certified application count
     /// (boundedness certificate).
-    IncrementalBounded(usize),
+    IncrementalBounded,
     /// One resume per commuting cluster, right-to-left
-    /// (commutativity certificate; rule indices).
-    IncrementalDecomposed(Vec<Vec<usize>>),
+    /// (commutativity certificate).
+    IncrementalDecomposed,
     /// No incremental form: re-execute the plan from scratch.
     Recompute,
 }
 
 impl MaintenanceMode {
-    /// The maintenance form `shape` licenses.
+    /// The label of the incremental form of a plan of this `shape`;
+    /// `Recompute` exactly where `Plan::resume` has none.
     pub fn of(shape: &PlanShape) -> MaintenanceMode {
         match shape {
             // DenseClosure: a delta batch resumes soundly through the
@@ -222,12 +224,8 @@ impl MaintenanceMode {
             PlanShape::Direct | PlanShape::Naive | PlanShape::DenseClosure => {
                 MaintenanceMode::Incremental
             }
-            PlanShape::BoundedPrefix { applications } => {
-                MaintenanceMode::IncrementalBounded(*applications)
-            }
-            PlanShape::Decomposed { clusters } => {
-                MaintenanceMode::IncrementalDecomposed(clusters.clone())
-            }
+            PlanShape::BoundedPrefix { .. } => MaintenanceMode::IncrementalBounded,
+            PlanShape::Decomposed { .. } => MaintenanceMode::IncrementalDecomposed,
             PlanShape::Separable | PlanShape::RedundancyBounded | PlanShape::SelectAfter(_) => {
                 MaintenanceMode::Recompute
             }
@@ -238,8 +236,8 @@ impl MaintenanceMode {
     pub fn label(&self) -> &'static str {
         match self {
             MaintenanceMode::Incremental => "incremental",
-            MaintenanceMode::IncrementalBounded(_) => "incremental-bounded",
-            MaintenanceMode::IncrementalDecomposed(_) => "incremental-decomposed",
+            MaintenanceMode::IncrementalBounded => "incremental-bounded",
+            MaintenanceMode::IncrementalDecomposed => "incremental-decomposed",
             MaintenanceMode::Recompute => "recompute",
         }
     }
@@ -658,13 +656,13 @@ mod tests {
         );
         assert_eq!(
             MaintenanceMode::of(&PlanShape::BoundedPrefix { applications: 3 }),
-            MaintenanceMode::IncrementalBounded(3)
+            MaintenanceMode::IncrementalBounded
         );
         assert_eq!(
             MaintenanceMode::of(&PlanShape::Decomposed {
                 clusters: vec![vec![0], vec![1]]
             }),
-            MaintenanceMode::IncrementalDecomposed(vec![vec![0], vec![1]])
+            MaintenanceMode::IncrementalDecomposed
         );
         for shape in [
             PlanShape::Separable,

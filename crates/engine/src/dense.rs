@@ -19,10 +19,12 @@
 //! semi-naive round per path length — Frühwirth's repeated recursion
 //! unfolding, specialised to graphs.
 //!
-//! Everything here is semantics-preserving with respect to
-//! [`crate::seminaive::seminaive_star_in`] on the same rule (the
+//! Everything here is semantics-preserving with respect to the sparse
+//! driver ([`crate::seminaive::seminaive_resume`]) on the same rule (the
 //! `dense_props` suite holds the two against each other); the planner
 //! decides *when* it pays through the cost model's dense-budget rule.
+//! Dense evaluation is from-scratch only: a `DenseClosure` plan resumes
+//! ([`crate::planner::Plan::resume`]) through the sparse driver.
 
 use crate::stats::EvalStats;
 use linrec_datalog::{BitsetRelation, Database, DenseDomain, LinearRule, Relation, Symbol, Term};
@@ -30,10 +32,9 @@ use std::sync::Arc;
 
 /// Default byte budget for the dense working set (three `domain × words`
 /// matrices: operand, accumulator, scratch) when no cost model supplies
-/// one — used by entry points with no planner context (e.g. the
-/// [`crate::seminaive::exact_power`] convenience wrapper). Planner-driven
-/// execution threads [`crate::planner::CostModel::dense_budget_bytes`]
-/// instead.
+/// one — what a hand-built [`crate::planner::Plan`] carries.
+/// Planner-driven execution threads
+/// [`crate::planner::CostModel::dense_budget_bytes`] instead.
 pub const DEFAULT_DENSE_BUDGET_BYTES: usize = 64 << 20;
 
 /// Which side of the recursive atom the EDB relation composes on.
@@ -286,7 +287,8 @@ pub fn exact_power(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::seminaive::{exact_power as sparse_exact_power, seminaive_star};
+    use crate::join::Indexes;
+    use crate::seminaive::{exact_power_in, seminaive_star};
     use crate::{rules, workload};
     use linrec_datalog::parse_linear_rule;
 
@@ -361,7 +363,16 @@ mod tests {
             )
             .unwrap();
             let mut sparse_stats = EvalStats::default();
-            let sparse = sparse_exact_power(&rule, &db, &edges, count, &mut sparse_stats);
+            // A zero budget pins the reference to the sparse join chain.
+            let sparse = exact_power_in(
+                &rule,
+                &db,
+                &edges,
+                count,
+                &mut sparse_stats,
+                &mut Indexes::new(),
+                0,
+            );
             assert_eq!(dense.sorted(), sparse.sorted(), "count {count}");
         }
     }

@@ -548,7 +548,7 @@ fn body_atoms(rule: &LinearRule) -> Vec<Atom> {
 /// Returns one flag per rule; `false` marks a rule that can derive nothing
 /// this round (its recursive atom's arity disagrees with `delta_arity`, or
 /// a trailing atom's arity disagrees with the stored relation).
-pub fn prepare_rules(
+pub(crate) fn prepare_rules(
     rules: &[LinearRule],
     delta_arity: usize,
     db: &Database,
@@ -583,7 +583,7 @@ pub fn prepare_rules(
 ///
 /// # Panics
 /// If the body's join plan is missing from the cache (no `prepare_rules`).
-pub fn apply_linear_rows<'r>(
+pub(crate) fn apply_linear_rows<'r>(
     rule: &LinearRule,
     rows: impl Iterator<Item = &'r [Value]>,
     indexes: &Indexes,

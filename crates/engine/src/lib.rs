@@ -63,7 +63,7 @@ pub use decision::{
 };
 pub use dense::{closure_by_squaring, composition_shape, CompositionShape, CompositionSide};
 pub use expr_eval::eval_expr;
-pub use join::{apply_flat, apply_linear, apply_linear_rows, prepare_rules, Indexes};
+pub use join::{apply_flat, apply_linear, Indexes};
 pub use magic::{eval_selected_star, magic_applicable};
 pub use parallel::Parallelism;
 pub use planner::{
@@ -73,8 +73,5 @@ pub use pool::WorkerPool;
 pub use program::Program;
 pub use provenance::{eval_with_provenance, Provenance, Step};
 pub use selection::Selection;
-pub use seminaive::{
-    bounded_prefix, exact_power, naive_star, seminaive_resume_in, seminaive_resume_par_in,
-    seminaive_round_par, seminaive_star, seminaive_star_par_in,
-};
+pub use seminaive::seminaive_star;
 pub use stats::EvalStats;

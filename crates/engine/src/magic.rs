@@ -151,18 +151,16 @@ pub fn eval_selected_star(
         // the cached EDB indexes stay valid across rounds.
         let (derived, count) = apply_flat(&magic_rule, &magic_db, &mut magic_indexes);
         let mut next = Relation::new(positions.len());
-        let mut new = 0u64;
-        for t in derived.iter() {
-            if !mag.contains(t) && next.insert(t) {
-                new += 1;
-            }
-        }
+        let new = next.insert_unseen(derived.iter(), &mag);
         stats.record(count, new);
         mag.union_in_place(&next);
         mag_delta = next;
     }
 
     // --- Phase 2: filtered semi-naive ascent. ---
+    // Not `seminaive_resume`: each round keeps only the tuples whose
+    // selected columns stay in `mag`, and that filter has no place in the
+    // shared driver's loop.
     let project =
         |t: &[linrec_datalog::Value]| -> Tuple { positions.iter().map(|&p| t[p]).collect() };
     let mut total = Relation::new(rule.arity());
@@ -177,12 +175,8 @@ pub fn eval_selected_star(
         stats.iterations += 1;
         let (derived, count) = apply_linear(rule, db, &delta, &mut indexes);
         let mut next = Relation::new(rule.arity());
-        let mut new = 0u64;
-        for t in derived.iter() {
-            if mag.contains(&project(t)) && !total.contains(t) && next.insert(t) {
-                new += 1;
-            }
-        }
+        let relevant = derived.iter().filter(|t| mag.contains(&project(t)));
+        let new = next.insert_unseen(relevant, &total);
         stats.record(count, new);
         total.union_in_place(&next);
         delta = next;

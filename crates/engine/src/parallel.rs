@@ -2,10 +2,9 @@
 //! the shared worker pool they run on.
 //!
 //! [`Parallelism`] is a small, cheaply clonable handle threaded through the
-//! planner ([`crate::planner::Plan::parallelize`]), the parallel semi-naive
-//! variants ([`crate::seminaive::seminaive_star_par_in`] /
-//! [`crate::seminaive::seminaive_resume_par_in`]), and the service's delta
-//! maintenance. It carries:
+//! planner ([`crate::planner::Plan::parallelize`]), the semi-naive driver
+//! ([`crate::seminaive::seminaive_resume`]), and the service's delta
+//! maintenance ([`crate::planner::Plan::resume`]). It carries:
 //!
 //! * the **thread count** (= shard count per parallel round), and
 //! * the **minimum delta size** below which a round stays sequential — the
@@ -18,8 +17,8 @@
 //! a registry of weak references), so the planner's fixpoints and the
 //! service's maintenance never stack two competing pools of threads.
 //! `Parallelism::sequential()` carries no pool at all and makes every
-//! `*_par_in` entry point degrade to the plain sequential implementation —
-//! the default everywhere, so existing callers are bit-for-bit unchanged.
+//! round of the driver run its plain sequential body — the default
+//! everywhere; results and statistics are the same under any knob.
 
 use crate::pool::WorkerPool;
 use linrec_datalog::hash::FastMap;

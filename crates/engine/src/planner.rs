@@ -59,9 +59,7 @@ use crate::join::Indexes;
 use crate::magic::{eval_selected_star, magic_applicable};
 use crate::parallel::Parallelism;
 use crate::selection::Selection;
-use crate::seminaive::{
-    bounded_prefix_in, exact_power_in, naive_star, seminaive_star_in, seminaive_star_par_in,
-};
+use crate::seminaive::{exact_power_in, naive_star, seminaive_resume, star_from};
 use crate::stats::EvalStats;
 use linrec_core::{BoundednessCert, CommutativityCert, RedundancyCert, SeparabilityCert};
 use linrec_datalog::hash::{FastMap, FastSet};
@@ -1424,6 +1422,35 @@ impl Plan {
         })
     }
 
+    /// The incremental form of the plan: extend `total` in place to the
+    /// plan's fixpoint, applying its rules only to the frontier `delta`
+    /// and to what that derives, under the caller's `indexes` cache and
+    /// `par` knob. Preconditions are [`seminaive_resume`]'s: `delta ⊆
+    /// total`, and `total` closed under the rules except through `delta`.
+    /// [`Plan::execute`] is the `total = delta = init` case of the same
+    /// per-shape code.
+    ///
+    /// * `Direct`, `Naive`, `DenseClosure` resume over the rule sum
+    ///   (always sound; a dense-planned view is maintained sparsely);
+    /// * `BoundedPrefix` resumes under the certified round cap;
+    /// * `Decomposed` resumes cluster by cluster, right-to-left — the
+    ///   certificate is a property of the rules, not of the data, so it
+    ///   licenses `B'* C'* (V ∪ Δ₀)` for every later delta and produces no
+    ///   more duplicates than the rule-sum resume (Theorem 3.1);
+    /// * `Separable`, `RedundancyBounded` and `SelectAfter` have no
+    ///   incremental form: `None`, with `total` untouched — the caller
+    ///   re-executes the plan.
+    pub fn resume(
+        &self,
+        db: &Database,
+        total: &mut Relation,
+        delta: Relation,
+        indexes: &mut Indexes,
+        par: &Parallelism,
+    ) -> Option<EvalStats> {
+        resume_node(&self.node, db, total, delta, indexes, par, &mut None)
+    }
+
     fn run(
         &self,
         node: &PlanNode,
@@ -1433,15 +1460,6 @@ impl Plan {
         indexes: &mut Indexes,
     ) -> Result<(Relation, EvalStats), StrategyError> {
         match node {
-            PlanNode::Direct { rules } => {
-                let phase = Phase::begin("direct");
-                let (rel, stats) = seminaive_star_par_in(rules, db, init, indexes, &self.par);
-                trace.push(phase.finish(
-                    format!("semi-naive star over {} rule(s)", rules.len()),
-                    stats,
-                ));
-                Ok((rel, stats))
-            }
             PlanNode::Naive { rules } => {
                 let phase = Phase::begin("naive");
                 let (rel, stats) = naive_star(rules, db, init);
@@ -1450,31 +1468,6 @@ impl Plan {
                     stats,
                 ));
                 Ok((rel, stats))
-            }
-            PlanNode::BoundedPrefix { cert } => {
-                let phase = Phase::begin("bounded-prefix");
-                let (rel, stats) =
-                    bounded_prefix_in(cert.rule(), db, init, cert.applications(), indexes);
-                trace.push(phase.finish(
-                    format!("bounded prefix (≤ {} applications)", cert.applications()),
-                    stats,
-                ));
-                Ok((rel, stats))
-            }
-            PlanNode::Decomposed { cert } => {
-                let mut stats = EvalStats::default();
-                let mut current = init.clone();
-                for cluster in cert.clusters().iter().rev() {
-                    let phase = Phase::begin("decomposed-cluster");
-                    let group: Vec<LinearRule> =
-                        cluster.iter().map(|&i| cert.rules()[i].clone()).collect();
-                    let (next, s) = seminaive_star_par_in(&group, db, &current, indexes, &self.par);
-                    trace.push(phase.finish(format!("star of cluster {cluster:?}"), s));
-                    stats += s;
-                    current = next;
-                }
-                stats.tuples = current.len();
-                Ok((current, stats))
             }
             PlanNode::Separable { cert, sel } => exec_separable(
                 cert.outer(),
@@ -1495,35 +1488,26 @@ impl Plan {
                 budget_bytes,
             } => {
                 let phase = Phase::begin("dense-closure");
-                match dense::eval_composition(shape, db, init, *budget_bytes) {
-                    Some((rel, stats)) => {
-                        trace.push(phase.finish(
-                            format!("dense closure by squaring over '{}'", shape.edge),
+                let (rel, stats, label) =
+                    match dense::eval_composition(shape, db, init, *budget_bytes) {
+                        Some((rel, stats)) => (
+                            rel,
                             stats,
-                        ));
-                        Ok((rel, stats))
-                    }
-                    None => {
-                        // The actual domain outgrew the planner's estimate
-                        // (or the seed is not binary): evaluate sparse,
-                        // identical semantics.
-                        let (rel, stats) = seminaive_star_par_in(
-                            std::slice::from_ref(rule),
-                            db,
-                            init,
-                            indexes,
-                            &self.par,
-                        );
-                        trace.push(
-                            phase.finish(
-                                "dense budget exceeded at runtime; sparse semi-naive fallback"
-                                    .to_owned(),
-                                stats,
-                            ),
-                        );
-                        Ok((rel, stats))
-                    }
-                }
+                            format!("dense closure by squaring over '{}'", shape.edge),
+                        ),
+                        // The actual domain outgrew the planner's estimate (or
+                        // the seed is not binary): evaluate sparse, identical
+                        // semantics.
+                        None => {
+                            let rules = std::slice::from_ref(rule);
+                            let (rel, stats) = star_from(rules, db, init, None, indexes, &self.par);
+                            let label =
+                                "dense budget exceeded at runtime; sparse semi-naive fallback";
+                            (rel, stats, label.to_owned())
+                        }
+                    };
+                trace.push(phase.finish(label, stats));
+                Ok((rel, stats))
             }
             PlanNode::SelectAfter { inner, sel } => {
                 let (rel, mut stats) = self.run(inner, db, init, trace, indexes)?;
@@ -1539,8 +1523,113 @@ impl Plan {
                 ));
                 Ok((out, stats))
             }
+            // The remaining shapes run their incremental form from
+            // `total = delta = init`. A bounded prefix is few rounds over
+            // small images: it stays sequential whatever the knob.
+            PlanNode::Direct { .. }
+            | PlanNode::BoundedPrefix { .. }
+            | PlanNode::Decomposed { .. } => {
+                let par = match node {
+                    PlanNode::BoundedPrefix { .. } => &Parallelism::sequential(),
+                    _ => &self.par,
+                };
+                let mut total = init.clone();
+                let delta = init.clone();
+                let Some(stats) =
+                    resume_node(node, db, &mut total, delta, indexes, par, &mut Some(trace))
+                else {
+                    unreachable!("Direct, BoundedPrefix and Decomposed have an incremental form")
+                };
+                Ok((total, stats))
+            }
         }
     }
+}
+
+/// Run one phase of an incremental form. From scratch (`trace` present) it
+/// is a `plan.node` span and a [`TraceStep`]; in maintenance it is only the
+/// work — the batch's trace stays `view.maintain → engine.fixpoint`.
+fn phase(
+    trace: &mut Option<&mut Vec<TraceStep>>,
+    node: &'static str,
+    label: impl FnOnce() -> String,
+    work: impl FnOnce() -> EvalStats,
+) -> EvalStats {
+    let Some(trace) = trace else {
+        return work();
+    };
+    let phase = Phase::begin(node);
+    let stats = work();
+    trace.push(phase.finish(label(), stats));
+    stats
+}
+
+/// [`Plan::resume`] for one node; also the from-scratch execution of the
+/// resumable shapes, which [`Plan::run`] enters with `total = delta = init`
+/// and a `trace` to record the phases in.
+fn resume_node(
+    node: &PlanNode,
+    db: &Database,
+    total: &mut Relation,
+    delta: Relation,
+    indexes: &mut Indexes,
+    par: &Parallelism,
+    trace: &mut Option<&mut Vec<TraceStep>>,
+) -> Option<EvalStats> {
+    let (name, rules, round_cap) = match node {
+        PlanNode::Direct { rules } | PlanNode::Naive { rules } => ("direct", &rules[..], None),
+        PlanNode::DenseClosure { rule, .. } => ("direct", std::slice::from_ref(rule), None),
+        PlanNode::BoundedPrefix { cert } => (
+            "bounded-prefix",
+            std::slice::from_ref(cert.rule()),
+            Some(cert.applications()),
+        ),
+        PlanNode::Decomposed { cert } => {
+            // Each cluster starts from everything derived since `total`
+            // was last closed, so a later cluster sees the earlier
+            // clusters' consequences. When that frontier is all of `total`
+            // (from scratch: total = delta = init) `total` itself is the
+            // record of it; otherwise the driver collects it.
+            let mut frontier = (delta.len() < total.len()).then_some(delta);
+            let mut stats = EvalStats::default();
+            for cluster in cert.clusters().iter().rev() {
+                let group: Vec<LinearRule> =
+                    cluster.iter().map(|&i| cert.rules()[i].clone()).collect();
+                let start = frontier.as_ref().unwrap_or(total).clone();
+                stats += phase(
+                    trace,
+                    "decomposed-cluster",
+                    || format!("star of cluster {cluster:?}"),
+                    || {
+                        seminaive_resume(
+                            &group,
+                            db,
+                            total,
+                            start,
+                            None,
+                            indexes,
+                            par,
+                            frontier.as_mut(),
+                        )
+                    },
+                );
+            }
+            stats.tuples = total.len();
+            return Some(stats);
+        }
+        PlanNode::Separable { .. }
+        | PlanNode::RedundancyBounded { .. }
+        | PlanNode::SelectAfter { .. } => return None,
+    };
+    Some(phase(
+        trace,
+        name,
+        || match round_cap {
+            Some(cap) => format!("bounded prefix (≤ {cap} applications)"),
+            None => format!("semi-naive star over {} rule(s)", rules.len()),
+        },
+        || seminaive_resume(rules, db, total, delta, round_cap, indexes, par, None),
+    ))
 }
 
 impl PlanNode {
@@ -1690,8 +1779,7 @@ fn exec_separable(
         (rel, s)
     } else {
         let phase = Phase::begin("separable-inner");
-        let (full, mut s) =
-            seminaive_star_par_in(std::slice::from_ref(inner), db, init, indexes, par);
+        let (full, mut s) = star_from(std::slice::from_ref(inner), db, init, None, indexes, par);
         let rel = sel.apply(&full);
         s.tuples = rel.len();
         trace.push(phase.finish(
@@ -1701,8 +1789,14 @@ fn exec_separable(
         (rel, s)
     };
     let phase = Phase::begin("separable-outer");
-    let (result, s2) =
-        seminaive_star_par_in(std::slice::from_ref(outer), db, &selected, indexes, par);
+    let (result, s2) = star_from(
+        std::slice::from_ref(outer),
+        db,
+        &selected,
+        None,
+        indexes,
+        par,
+    );
     trace.push(phase.finish("outer star over the selected relation".to_owned(), s2));
     stats += s2;
     // σ commutes with `outer`, so the result is already σ-selected; apply
@@ -1740,7 +1834,9 @@ fn exec_redundancy_bounded(
 
     // Part 1: Σ_{m=0}^{KL-1} Aᵐ q.
     let phase = Phase::begin("redundancy-prefix");
-    let (mut result, s1) = bounded_prefix_in(rule, db, init, k * l - 1, indexes);
+    let seq = Parallelism::sequential();
+    let rules = std::slice::from_ref(rule);
+    let (mut result, s1) = star_from(rules, db, init, Some(k * l - 1), indexes, &seq);
     trace.push(phase.finish(format!("prefix Σ_{{m<{}}} Aᵐ q", k * l), s1));
     stats += s1;
 
@@ -1758,7 +1854,14 @@ fn exec_redundancy_bounded(
             img = exact_power_in(&dec.b, db, &img, 1, &mut stats, indexes, budget);
             // B^{K-1+r} q
         }
-        let (bstar, s) = seminaive_star_in(std::slice::from_ref(&b_period), db, &img, indexes);
+        let (bstar, s) = star_from(
+            std::slice::from_ref(&b_period),
+            db,
+            &img,
+            None,
+            indexes,
+            &seq,
+        );
         stats += s;
         let after_c = exact_power_in(&dec.c, db, &bstar, (k + r) * l, &mut stats, indexes, budget);
         let with_b = exact_power_in(&dec.b, db, &after_c, 1, &mut stats, indexes, budget);
@@ -1794,7 +1897,7 @@ fn exec_redundancy_bounded(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{rules, workload};
+    use crate::{rules, workload, MaintenanceMode};
     use linrec_datalog::{parse_linear_rule, Symbol, Value};
 
     fn updown() -> Vec<LinearRule> {
@@ -1867,6 +1970,40 @@ mod tests {
         let bounded = plan.execute(&db, &init).unwrap();
         let direct = Plan::direct(vec![rule]).execute(&db, &init).unwrap();
         assert_eq!(bounded.relation.sorted(), direct.relation.sorted());
+    }
+
+    #[test]
+    fn resume_has_a_form_exactly_where_the_maintenance_label_says_so() {
+        // `MaintenanceMode::of` labels what `Plan::resume` does; the two
+        // must agree on which shapes have no incremental form.
+        let sel = Selection::eq(1, (1i64 << 6) + 1);
+        let bounded = parse_linear_rule("p(x,y) :- p(x,y), mark(x).").unwrap();
+        let plans = vec![
+            Plan::direct(updown()),
+            Plan::naive(updown()),
+            Analysis::of(&updown(), None).plan(),
+            Analysis::of(&[bounded], None).plan(),
+            Plan::dense_closure(rules::tc_right(), dense::DEFAULT_DENSE_BUDGET_BYTES).unwrap(),
+            Analysis::of(&[rules::shopping_rule()], None).plan(),
+            Analysis::of(&updown(), Some(&sel)).plan(),
+            Plan::select_after(Plan::direct(updown()), sel),
+        ];
+        for plan in plans {
+            let mut total = Relation::new(2);
+            let resumed = plan.resume(
+                &Database::new(),
+                &mut total,
+                Relation::new(2),
+                &mut Indexes::new(),
+                &Parallelism::sequential(),
+            );
+            assert_eq!(
+                resumed.is_none(),
+                MaintenanceMode::of(&plan.shape()) == MaintenanceMode::Recompute,
+                "{:?}",
+                plan.shape()
+            );
+        }
     }
 
     #[test]

@@ -1,19 +1,35 @@
-//! Naive and semi-naive fixpoint evaluation (Bancilhon \[5\]), with an
-//! optional shard-parallel round executor.
+//! Naive and semi-naive fixpoint evaluation (Bancilhon \[5\]): one
+//! resumable semi-naive driver with an optional shard-parallel round
+//! executor, and the naive reference.
 //!
-//! `star(rules, db, init)` computes `(Σᵢ Aᵢ)* init` — the minimal solution
-//! of `P = Σᵢ Aᵢ(P) ∪ init` (paper, eq. 2.3). Semi-naive applies each
-//! operator only to the tuples new in the previous round, which realizes
-//! the derivation-graph model of Theorem 3.1 ("the same tuple is not
-//! derived through the same arc more than once"); naive evaluation re-joins
-//! the whole accumulated relation each round and serves as the substrate
-//! baseline (experiment E6).
+//! The paper has one evaluation primitive — `(Σᵢ Aᵢ)* init`, the minimal
+//! solution of `P = Σᵢ Aᵢ(P) ∪ init` (eq. 2.3) — and the certificates only
+//! decide which operator sets it runs over and in what order. The code has
+//! one loop for it, [`seminaive_resume`]: it applies each operator only to
+//! the tuples new in the previous round, which realizes the
+//! derivation-graph model of Theorem 3.1 ("the same tuple is not derived
+//! through the same arc more than once"). Started from `total = delta =
+//! init` it is the from-scratch star ([`seminaive_star`]); started from a
+//! materialized `V` and a frontier `Δ₀` it is the maintenance rule
+//! `V' = A'*(V ∪ Δ₀)`; with a round cap it is the bounded prefix
+//! `Σ_{m≤N} Aᵐ init` a boundedness certificate licenses. Every plan shape
+//! reaches it through [`crate::planner::Plan`] (`execute` from scratch,
+//! `resume` incrementally). [`naive_star`] re-joins the whole accumulated
+//! relation each round and serves as the substrate baseline (experiment
+//! E6) and as the tests' reference.
+//!
+//! Three loops elsewhere in the crate stay separate on purpose, because
+//! they iterate a different operator form and folding them in would put a
+//! caller-specific branch into this hot loop: the filtered ascent of
+//! [`crate::magic`] (a per-round membership filter), [`crate::provenance`]
+//! (an extended head carrying the derivation) and [`crate::expr_eval`]
+//! (an operator expression, not a rule sum).
 //!
 //! # Parallel rounds and the shard-by-join-key invariant
 //!
-//! The `*_par_in` variants run each round's rule applications over `K`
-//! hash-partitioned shards of the delta on the shared engine pool
-//! ([`crate::parallel::Parallelism`]). This is sound for exactly the
+//! Under a parallel [`crate::parallel::Parallelism`] knob the driver runs
+//! each round's rule applications over `K` hash-partitioned shards of the
+//! delta on the shared engine pool. This is sound for exactly the
 //! reason the paper cares about commutativity: within one semi-naive
 //! round, every delta tuple is an **independent** premise. A linear
 //! operator distributes over union — `A(Δ₁ ∪ … ∪ Δ_K) = A(Δ₁) ∪ … ∪
@@ -55,47 +71,36 @@ use linrec_datalog::{Database, LinearRule, Relation, ShardView};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Close out a fixpoint: fold the evaluation's stats into the engine
-/// counters and annotate its span (no-op when instrumentation is off).
-fn finish_fixpoint(sp: &mut linrec_obs::Span, stats: &EvalStats) {
-    if !linrec_obs::enabled() {
-        return;
-    }
-    let prof = profile::rounds();
-    prof.fixpoints.inc();
-    prof.rounds.inc_by(stats.iterations as u64);
-    prof.derivations.inc_by(stats.derivations);
-    prof.duplicates.inc_by(stats.duplicates);
-    sp.attr("rounds", stats.iterations);
-    sp.attr("derivations", stats.derivations);
-    sp.attr("duplicates", stats.duplicates);
-    sp.attr("tuples", stats.tuples);
-}
-
-/// Semi-naive least fixpoint of `init ∪ Σᵢ Aᵢ(P)`.
+/// Semi-naive least fixpoint of `init ∪ Σᵢ Aᵢ(P)`, from scratch and
+/// sequentially.
 pub fn seminaive_star(
     rules: &[LinearRule],
     db: &Database,
     init: &Relation,
 ) -> (Relation, EvalStats) {
-    seminaive_star_in(rules, db, init, &mut Indexes::new())
+    let seq = Parallelism::sequential();
+    star_from(rules, db, init, None, &mut Indexes::new(), &seq)
 }
 
-/// [`seminaive_star`] with a caller-provided scan/index cache, so
-/// multi-phase strategies over the same database (decomposed clusters,
-/// redundancy-bounded branches) materialize each EDB relation only once.
-pub fn seminaive_star_in(
+/// The from-scratch case of [`seminaive_resume`]: `total = delta = init`.
+pub(crate) fn star_from(
     rules: &[LinearRule],
     db: &Database,
     init: &Relation,
+    round_cap: Option<usize>,
     indexes: &mut Indexes,
+    par: &Parallelism,
 ) -> (Relation, EvalStats) {
     let mut total = init.clone();
-    let stats = seminaive_resume_in(rules, db, &mut total, init.clone(), None, indexes);
+    let delta = init.clone();
+    let stats = seminaive_resume(rules, db, &mut total, delta, round_cap, indexes, par, None);
     (total, stats)
 }
 
-/// Resume a semi-naive fixpoint from an already-materialized relation —
+/// The semi-naive driver: extend `total` in place to the least fixpoint
+/// of `total ∪ Σᵢ Aᵢ(P)`, applying the rules only to `delta` and to what
+/// each round newly derives. Starting from `total = delta = init` this is
+/// the from-scratch star; starting from a materialized relation it is
 /// the primitive behind incremental view maintenance.
 ///
 /// Preconditions (the caller's obligations, not checked):
@@ -107,28 +112,46 @@ pub fn seminaive_star_in(
 ///   *previous* EDB and `delta` covering every rule application that
 ///   involves a changed EDB tuple.
 ///
-/// Under those premises the loop extends `total` in place to the least
-/// fixpoint of `init ∪ Σᵢ Aᵢ(P)` for any `init ⊆ total`, re-deriving
-/// nothing reachable only from the unchanged region. `round_cap` bounds
-/// the number of delta rounds: sound when a boundedness certificate
-/// guarantees the fixpoint is reached within that many applications
-/// (`None` runs to fixpoint).
-pub fn seminaive_resume_in(
+/// Under those premises nothing reachable only from the unchanged region
+/// is re-derived. The remaining arguments:
+/// * `round_cap` bounds the number of delta rounds: sound when a
+///   boundedness certificate guarantees the fixpoint is reached within
+///   that many applications (`None` runs to fixpoint);
+/// * `indexes` is the caller's scan/index cache, so multi-phase plans
+///   over one database and successive maintenance batches build each EDB
+///   index once;
+/// * `par` shards the rounds whose delta reaches its cutover over the
+///   shared engine pool (module docs) — results and statistics are
+///   identical to a sequential knob's;
+/// * `collect` additionally receives every tuple the resume derives, so a
+///   decomposed maintenance can start its next cluster from everything
+///   derived since the view was last closed.
+///
+/// Every call is one `engine.fixpoint` span and one observation of the
+/// `linrec_engine_{fixpoints,rounds,derivations,duplicates}_total`
+/// counters and the per-round histograms.
+#[allow(clippy::too_many_arguments)]
+pub fn seminaive_resume(
     rules: &[LinearRule],
     db: &Database,
     total: &mut Relation,
     mut delta: Relation,
     round_cap: Option<usize>,
     indexes: &mut Indexes,
+    par: &Parallelism,
+    mut collect: Option<&mut Relation>,
 ) -> EvalStats {
     let mut sp = linrec_obs::span("engine.fixpoint");
+    if par.is_parallel() {
+        sp.attr("par", par.threads());
+    }
     let prof = linrec_obs::enabled().then(profile::rounds);
     let mut round_start = prof.map(|_| Instant::now());
     let mut stats = EvalStats::default();
     while !delta.is_empty() && round_cap.is_none_or(|cap| stats.iterations < cap) {
         stats.iterations += 1;
         let delta_in = delta.len() as u64;
-        delta = sequential_round(rules, db, total, &delta, indexes, &mut stats);
+        delta = delta_round(rules, db, total, delta, indexes, par, &mut stats);
         if let (Some(p), Some(t0)) = (prof, round_start) {
             let now = Instant::now();
             p.round_ns.observe((now - t0).as_nanos() as u64);
@@ -136,9 +159,21 @@ pub fn seminaive_resume_in(
             round_start = Some(now);
         }
         total.union_in_place(&delta);
+        if let Some(collect) = collect.as_deref_mut() {
+            collect.union_in_place(&delta);
+        }
     }
     stats.tuples = total.len();
-    finish_fixpoint(&mut sp, &stats);
+    if let Some(p) = prof {
+        p.fixpoints.inc();
+        p.rounds.inc_by(stats.iterations as u64);
+        p.derivations.inc_by(stats.derivations);
+        p.duplicates.inc_by(stats.duplicates);
+        sp.attr("rounds", stats.iterations);
+        sp.attr("derivations", stats.derivations);
+        sp.attr("duplicates", stats.duplicates);
+        sp.attr("tuples", stats.tuples);
+    }
     stats
 }
 
@@ -156,83 +191,21 @@ fn sequential_round(
     let mut next_delta = Relation::new(total.arity());
     for rule in rules {
         let (derived, count) = apply_linear(rule, db, delta, indexes);
-        let mut new = 0u64;
-        for t in derived.iter() {
-            if !total.contains(t) && next_delta.insert(t) {
-                new += 1;
-            }
-        }
         // `new` counts tuples unseen in `total`; duplicates within
         // `derived` itself were already collapsed by the relation, so
         // recover them from the derivation count.
+        let new = next_delta.insert_unseen(derived.iter(), total);
         stats.record(count, new);
     }
     next_delta
 }
 
-/// [`seminaive_star_in`] with a [`Parallelism`] knob: rounds whose delta
-/// reaches the knob's cutover are evaluated over hash-partitioned shards
-/// on the shared engine pool (see the module docs for the protocol and why
-/// it is exact). With a sequential knob this *is* `seminaive_star_in`.
-pub fn seminaive_star_par_in(
-    rules: &[LinearRule],
-    db: &Database,
-    init: &Relation,
-    indexes: &mut Indexes,
-    par: &Parallelism,
-) -> (Relation, EvalStats) {
-    let mut total = init.clone();
-    let stats = seminaive_resume_par_in(rules, db, &mut total, init.clone(), None, indexes, par);
-    (total, stats)
-}
-
-/// [`seminaive_resume_in`] with a [`Parallelism`] knob — the parallel
-/// variant behind both `Plan::execute` and the service's delta
-/// maintenance. Preconditions and semantics are identical to the
-/// sequential resume; output and statistics are too (module docs).
-pub fn seminaive_resume_par_in(
-    rules: &[LinearRule],
-    db: &Database,
-    total: &mut Relation,
-    mut delta: Relation,
-    round_cap: Option<usize>,
-    indexes: &mut Indexes,
-    par: &Parallelism,
-) -> EvalStats {
-    if !par.is_parallel() {
-        return seminaive_resume_in(rules, db, total, delta, round_cap, indexes);
-    }
-    let mut sp = linrec_obs::span("engine.fixpoint");
-    sp.attr("par", par.threads());
-    let prof = linrec_obs::enabled().then(profile::rounds);
-    let mut round_start = prof.map(|_| Instant::now());
-    let mut stats = EvalStats::default();
-    while !delta.is_empty() && round_cap.is_none_or(|cap| stats.iterations < cap) {
-        stats.iterations += 1;
-        let delta_in = delta.len() as u64;
-        delta = seminaive_round_par(rules, db, total, delta, indexes, par, &mut stats);
-        if let (Some(p), Some(t0)) = (prof, round_start) {
-            let now = Instant::now();
-            p.round_ns.observe((now - t0).as_nanos() as u64);
-            p.round_delta.observe(delta_in);
-            round_start = Some(now);
-        }
-        total.union_in_place(&delta);
-    }
-    stats.tuples = total.len();
-    finish_fixpoint(&mut sp, &stats);
-    stats
-}
-
 /// One semi-naive round under a [`Parallelism`] knob: apply every rule to
 /// `delta`, returning the next delta (derived tuples not in `total`).
-/// `total` is **not** updated — the caller unions the result in, and may
-/// also fold it into other accumulators (the service's per-cluster
-/// maintenance keeps a cross-cluster frontier this way). Rounds below the
-/// knob's `min_delta` (or with no pool) run the plain sequential body;
-/// results and statistics are identical either way. `stats.iterations` is
-/// the caller's to advance.
-pub fn seminaive_round_par(
+/// `total` is **not** updated — the driver unions the result in. Rounds
+/// below the knob's `min_delta` (or with no pool) run the plain sequential
+/// body; results and statistics are identical either way.
+fn delta_round(
     rules: &[LinearRule],
     db: &Database,
     total: &mut Relation,
@@ -332,11 +305,7 @@ pub fn seminaive_round_par(
         for out in &shard_outs {
             let (rel, d) = &out[r];
             derivs += d;
-            for t in rel.iter() {
-                if next_delta.insert(t) {
-                    new += 1;
-                }
-            }
+            new += next_delta.union_in_place(rel) as u64;
         }
         stats.record(derivs, new);
     }
@@ -359,12 +328,7 @@ pub fn naive_star(rules: &[LinearRule], db: &Database, init: &Relation) -> (Rela
         let mut round = Relation::new(total.arity());
         for rule in rules {
             let (derived, count) = apply_linear(rule, db, &total, &mut indexes);
-            let mut new = 0u64;
-            for t in derived.iter() {
-                if !total.contains(t) && round.insert(t) {
-                    new += 1;
-                }
-            }
+            let new = round.insert_unseen(derived.iter(), &total);
             stats.record(count, new);
         }
         if round.is_empty() {
@@ -376,78 +340,12 @@ pub fn naive_star(rules: &[LinearRule], db: &Database, init: &Relation) -> (Rela
     (total, stats)
 }
 
-/// The bounded prefix `Σ_{m=0}^{count} Aᵐ init` for a single operator,
-/// evaluated semi-naively (used by the redundancy-bounded strategy,
-/// Theorem 4.2).
-pub fn bounded_prefix(
-    rule: &LinearRule,
-    db: &Database,
-    init: &Relation,
-    count: usize,
-) -> (Relation, EvalStats) {
-    bounded_prefix_in(rule, db, init, count, &mut Indexes::new())
-}
-
-/// [`bounded_prefix`] with a caller-provided scan/index cache.
-pub fn bounded_prefix_in(
-    rule: &LinearRule,
-    db: &Database,
-    init: &Relation,
-    count: usize,
-    indexes: &mut Indexes,
-) -> (Relation, EvalStats) {
-    let mut stats = EvalStats::default();
-    let mut total = init.clone();
-    let mut delta = init.clone();
-    for _ in 0..count {
-        if delta.is_empty() {
-            break;
-        }
-        stats.iterations += 1;
-        let (derived, count) = apply_linear(rule, db, &delta, indexes);
-        let mut next_delta = Relation::new(total.arity());
-        let mut new = 0u64;
-        for t in derived.iter() {
-            if !total.contains(t) && next_delta.insert(t) {
-                new += 1;
-            }
-        }
-        stats.record(count, new);
-        total.union_in_place(&next_delta);
-        delta = next_delta;
-    }
-    stats.tuples = total.len();
-    (total, stats)
-}
-
-/// The exact power image `Aᶜᵒᵘⁿᵗ(init)` (not accumulated). The dense
-/// fast path runs under [`crate::dense::DEFAULT_DENSE_BUDGET_BYTES`];
-/// planner execution uses [`exact_power_in`] with the active cost
-/// model's budget instead.
-pub fn exact_power(
-    rule: &LinearRule,
-    db: &Database,
-    init: &Relation,
-    count: usize,
-    stats: &mut EvalStats,
-) -> Relation {
-    exact_power_in(
-        rule,
-        db,
-        init,
-        count,
-        stats,
-        &mut Indexes::new(),
-        crate::dense::DEFAULT_DENSE_BUDGET_BYTES,
-    )
-}
-
-/// [`exact_power`] with a caller-provided scan/index cache and dense
-/// byte budget. `dense_budget_bytes` caps the working set of the dense
-/// fast path (three `domain × words` bitset matrices) — pass the active
-/// [`crate::planner::CostModel::dense_budget_bytes`] so a deployment
-/// that tightened its budget never sees larger transient dense
-/// allocations; `0` disables the fast path outright.
+/// The exact power image `Aᶜᵒᵘⁿᵗ(init)` (not accumulated), through the
+/// caller's scan/index cache. `dense_budget_bytes` caps the working set
+/// of the dense fast path (three `domain × words` bitset matrices) — pass
+/// the active [`crate::planner::CostModel::dense_budget_bytes`] so a
+/// deployment that tightened its budget never sees larger transient
+/// dense allocations; `0` disables the fast path outright.
 #[allow(clippy::too_many_arguments)]
 pub fn exact_power_in(
     rule: &LinearRule,
@@ -581,14 +479,18 @@ mod tests {
     }
 
     #[test]
-    fn bounded_prefix_stops_early() {
+    fn round_cap_cuts_the_star_off_under_every_knob() {
         let db = chain_db(10);
         let init = Relation::from_pairs([(0, 1)]);
-        let (r2, _) = bounded_prefix(&tc_rule(), &db, &init, 2);
-        // init ∪ A init ∪ A² init = {(0,1),(0,2),(0,3)}.
-        assert_eq!(r2.len(), 3);
-        let (rbig, _) = bounded_prefix(&tc_rule(), &db, &init, 100);
-        assert_eq!(rbig.len(), 10);
+        for par in [Parallelism::sequential(), eager(4)] {
+            let idx = &mut Indexes::new();
+            let (r2, stats) = star_from(&[tc_rule()], &db, &init, Some(2), idx, &par);
+            // init ∪ A init ∪ A² init = {(0,1),(0,2),(0,3)}.
+            assert_eq!((r2.len(), stats.iterations), (3, 2));
+            // A cap beyond the fixpoint is no cap.
+            let (rbig, _) = star_from(&[tc_rule()], &db, &init, Some(100), idx, &par);
+            assert_eq!(rbig.len(), 10);
+        }
     }
 
     #[test]
@@ -596,7 +498,15 @@ mod tests {
         let db = chain_db(10);
         let init = Relation::from_pairs([(0, 1)]);
         let mut stats = EvalStats::default();
-        let p3 = exact_power(&tc_rule(), &db, &init, 3, &mut stats);
+        let p3 = exact_power_in(
+            &tc_rule(),
+            &db,
+            &init,
+            3,
+            &mut stats,
+            &mut Indexes::new(),
+            crate::dense::DEFAULT_DENSE_BUDGET_BYTES,
+        );
         assert_eq!(p3.sorted(), Relation::from_pairs([(0, 4)]).sorted());
     }
 
@@ -628,13 +538,15 @@ mod tests {
         }
         total.union_in_place(&delta);
 
-        let stats = seminaive_resume_in(
+        let stats = seminaive_resume(
             std::slice::from_ref(&rule),
             &db2,
             &mut total,
             delta,
             None,
             &mut Indexes::new(),
+            &Parallelism::sequential(),
+            None,
         );
         let init2 = db2.relation_named("e").unwrap().clone();
         let (scratch, _) = seminaive_star(&[rule], &db2, &init2);
@@ -645,22 +557,29 @@ mod tests {
     }
 
     #[test]
-    fn resume_round_cap_limits_rounds() {
+    fn collector_receives_exactly_what_the_resume_derived() {
+        // Sequentially and sharded: the collector ends holding what the
+        // resume added to `total`, and nothing else.
         let rule = tc_rule();
-        let db = chain_db(10);
-        let mut total = Relation::from_pairs([(0, 1)]);
-        let delta = total.clone();
-        let stats = seminaive_resume_in(
-            &[rule],
-            &db,
-            &mut total,
-            delta,
-            Some(2),
-            &mut Indexes::new(),
-        );
-        assert_eq!(stats.iterations, 2);
-        // init ∪ A init ∪ A² init.
-        assert_eq!(total.len(), 3);
+        let db = chain_db(6);
+        for par in [Parallelism::sequential(), eager(3)] {
+            let mut total = Relation::from_pairs([(0, 1)]);
+            let before = total.clone();
+            let mut collected = Relation::new(2);
+            let stats = seminaive_resume(
+                std::slice::from_ref(&rule),
+                &db,
+                &mut total,
+                before.clone(),
+                None,
+                &mut Indexes::new(),
+                &par,
+                Some(&mut collected),
+            );
+            assert_eq!(total.len(), 6, "(0,1)…(0,6)");
+            assert_eq!(stats.tuples, 6);
+            assert_eq!(collected.sorted(), total.difference(&before).sorted());
+        }
     }
 
     #[test]
@@ -670,6 +589,16 @@ mod tests {
         let (result, stats) = seminaive_star(&[tc_rule()], &db, &init);
         assert!(result.is_empty());
         assert_eq!(stats.iterations, 0);
+    }
+
+    /// The from-scratch star under a knob.
+    fn star_under(
+        rules: &[LinearRule],
+        db: &Database,
+        init: &Relation,
+        par: &Parallelism,
+    ) -> (Relation, EvalStats) {
+        star_from(rules, db, init, None, &mut Indexes::new(), par)
     }
 
     /// A parallel knob that always engages (any delta size, k shards).
@@ -683,8 +612,7 @@ mod tests {
         let init = db.relation_named("e").unwrap().clone();
         let (seq, seq_stats) = seminaive_star(&[tc_rule()], &db, &init);
         for k in [1usize, 2, 3, 8] {
-            let (par, par_stats) =
-                seminaive_star_par_in(&[tc_rule()], &db, &init, &mut Indexes::new(), &eager(k));
+            let (par, par_stats) = star_under(&[tc_rule()], &db, &init, &eager(k));
             assert_eq!(par.sorted(), seq.sorted(), "k={k}");
             assert_eq!(par_stats, seq_stats, "k={k}: statistics must match too");
         }
@@ -702,8 +630,7 @@ mod tests {
         let init = Relation::from_pairs((0..12).map(|i| (i, i)));
         let rules = vec![up, down];
         let (seq, seq_stats) = seminaive_star(&rules, &db, &init);
-        let (par, par_stats) =
-            seminaive_star_par_in(&rules, &db, &init, &mut Indexes::new(), &eager(3));
+        let (par, par_stats) = star_under(&rules, &db, &init, &eager(3));
         assert_eq!(par.sorted(), seq.sorted());
         assert_eq!(par_stats, seq_stats);
     }
@@ -732,33 +659,24 @@ mod tests {
             }
         }
 
-        let run = |par: Option<Parallelism>| {
+        let run = |par: Parallelism| {
             let mut total = fix.clone();
             total.union_in_place(&seed);
-            let stats = match par {
-                Some(par) => seminaive_resume_par_in(
-                    std::slice::from_ref(&rule),
-                    &db2,
-                    &mut total,
-                    seed.clone(),
-                    None,
-                    &mut Indexes::new(),
-                    &par,
-                ),
-                None => seminaive_resume_in(
-                    std::slice::from_ref(&rule),
-                    &db2,
-                    &mut total,
-                    seed.clone(),
-                    None,
-                    &mut Indexes::new(),
-                ),
-            };
+            let stats = seminaive_resume(
+                std::slice::from_ref(&rule),
+                &db2,
+                &mut total,
+                seed.clone(),
+                None,
+                &mut Indexes::new(),
+                &par,
+                None,
+            );
             (total, stats)
         };
-        let (seq_total, seq_stats) = run(None);
+        let (seq_total, seq_stats) = run(Parallelism::sequential());
         for k in [2usize, 8] {
-            let (par_total, par_stats) = run(Some(eager(k)));
+            let (par_total, par_stats) = run(eager(k));
             assert_eq!(par_total.sorted(), seq_total.sorted(), "k={k}");
             assert_eq!(par_stats, seq_stats, "k={k}");
         }
@@ -769,46 +687,11 @@ mod tests {
     }
 
     #[test]
-    fn parallel_resume_respects_the_round_cap() {
-        let rule = tc_rule();
-        let db = chain_db(10);
-        let mut total = Relation::from_pairs([(0, 1)]);
-        let delta = total.clone();
-        let stats = seminaive_resume_par_in(
-            &[rule],
-            &db,
-            &mut total,
-            delta,
-            Some(2),
-            &mut Indexes::new(),
-            &eager(4),
-        );
-        assert_eq!(stats.iterations, 2);
-        assert_eq!(total.len(), 3);
-    }
-
-    #[test]
-    fn sequential_knob_runs_without_a_pool() {
-        let db = chain_db(6);
-        let init = db.relation_named("e").unwrap().clone();
-        let (a, sa) = seminaive_star_par_in(
-            &[tc_rule()],
-            &db,
-            &init,
-            &mut Indexes::new(),
-            &Parallelism::sequential(),
-        );
-        let (b, sb) = seminaive_star(&[tc_rule()], &db, &init);
-        assert_eq!(a.sorted(), b.sorted());
-        assert_eq!(sa, sb);
-    }
-
-    #[test]
     fn high_min_delta_keeps_every_round_sequential_but_exact() {
         let db = chain_db(25);
         let init = db.relation_named("e").unwrap().clone();
         let gated = Parallelism::new(4).with_min_delta(usize::MAX);
-        let (a, sa) = seminaive_star_par_in(&[tc_rule()], &db, &init, &mut Indexes::new(), &gated);
+        let (a, sa) = star_under(&[tc_rule()], &db, &init, &gated);
         let (b, sb) = seminaive_star(&[tc_rule()], &db, &init);
         assert_eq!(a.sorted(), b.sorted());
         assert_eq!(sa, sb);
@@ -826,8 +709,7 @@ mod tests {
         let db = chain_db(20);
         let init = db.relation_named("e").unwrap().clone();
         let (seq, seq_stats) = seminaive_star(&rules, &db, &init);
-        let (par, par_stats) =
-            seminaive_star_par_in(&rules, &db, &init, &mut Indexes::new(), &eager(3));
+        let (par, par_stats) = star_under(&rules, &db, &init, &eager(3));
         assert_eq!(par.sorted(), seq.sorted());
         assert_eq!(par_stats, seq_stats);
     }

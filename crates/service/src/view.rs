@@ -20,28 +20,27 @@
 //!    discrete derivative of the join; `A(V) ⊆ V` covers the all-old
 //!    term, so only the at-least-one-delta terms are enumerated);
 //! 2. **resumes the fixpoint** from `total = V ∪ Δ₀` with frontier `Δ₀`
-//!    ([`linrec_engine::seminaive::seminaive_resume_in`]), re-deriving
-//!    nothing that is reachable only from the unchanged region.
+//!    ([`Plan::resume`]), re-deriving nothing that is reachable only from
+//!    the unchanged region.
+//!
+//! Materialization is this rule from the empty view: with `V = ∅` the
+//! frontier `Δ₀` is the whole seed, and `A*(∅ ∪ seed)` is what
+//! [`Plan::execute`] computes — by the same per-shape code `Plan::resume`
+//! runs, entered with `total = delta = seed`. Both end in the engine's one
+//! semi-naive driver ([`linrec_engine::seminaive::seminaive_resume`]).
 //!
 //! # What the certificates license
 //!
-//! The resumed fixpoint's shape follows the planner's certificate-backed
-//! [`Plan`] for the view ([`MaintenanceMode`]):
-//!
-//! * **boundedness** (`BoundedPrefix`) — the resume is cut off after the
-//!   certified number of applications, no fixpoint test beyond it;
-//! * **commutativity** (`Decomposed`) — one resume per commuting cluster,
-//!   right-to-left (`B'* C'* (V ∪ Δ₀)`, licensed because the certificate
-//!   is a property of the rules, not of the data), producing no more
-//!   duplicates than the rule-sum resume (Theorem 3.1);
-//! * **`Direct`/`Naive`** — resume over the rule sum (always sound);
-//! * anything else (`Separable`, `RedundancyBounded`, `SelectAfter`) has
-//!   no incremental form here: maintenance **falls back to a full
-//!   recompute** through the plan, which is always safe.
+//! The shape of the resumed fixpoint is the view's certificate-backed
+//! [`Plan`] resuming itself — the rule sum, a certified round cap, or one
+//! resume per commuting cluster; [`Plan::resume`] lists the forms, and
+//! [`MaintenanceMode`] is the label of the one in use, in reports and in
+//! the decision record. A plan with no incremental form (`Separable`,
+//! `RedundancyBounded`, `SelectAfter`) **falls back to a full recompute**
+//! through the plan, which is always safe.
 
 use linrec_datalog::hash::FastMap;
 use linrec_datalog::{Atom, Database, LinearRule, Relation, Rule, Symbol};
-use linrec_engine::seminaive::{seminaive_resume_par_in, seminaive_round_par};
 pub use linrec_engine::MaintenanceMode;
 use linrec_engine::{
     apply_flat, Analysis, CostModel, EvalStats, Indexes, Parallelism, Plan, StrategyError,
@@ -98,28 +97,28 @@ pub struct MaintenanceOutcome {
     pub mode: &'static str,
 }
 
-/// A registered view: its definition, certificate-backed plan, derived
-/// maintenance mode, precomputed delta rewrites, and the scan/index cache
-/// that persists across maintenance batches.
+/// A registered view: its definition, certificate-backed plan,
+/// precomputed delta rewrites, and the scan/index cache that persists
+/// across maintenance batches.
 pub struct MaintainedView {
     def: ViewDef,
     plan: Plan,
-    mode: MaintenanceMode,
     delta_rules: Vec<DeltaRule>,
     /// Scan/index cache shared across batches: relations untouched by a
     /// batch keep their scans and indexes; mutated ones are revalidated by
     /// content version and rebuilt (see `linrec_engine::join`).
     indexes: Indexes,
-    /// Parallelism for the resumed fixpoint's rounds (and, through the
-    /// plan, for recompute fallbacks). Batch deltas are usually tiny, so
-    /// most maintenance rounds stay under the knob's cutover and run
-    /// sequentially; a large backfill batch engages the shared pool.
+    /// The caller's ungated knob, for the resumed fixpoint's rounds (the
+    /// plan carries its own cost-model-gated copy for materialization and
+    /// recompute). Batch deltas are usually tiny, so most maintenance
+    /// rounds stay under the knob's cutover and run sequentially; a large
+    /// backfill batch engages the shared pool.
     par: Parallelism,
 }
 
 impl MaintainedView {
-    /// Analyze `def`'s rules against the given database, pick the
-    /// cost-model-ranked plan, and derive the maintenance mode. Fails when
+    /// Analyze `def`'s rules against the given database and pick the
+    /// cost-model-ranked plan. Fails when
     /// the seed relation exists at a different arity than the rules.
     /// Maintenance and recompute run sequentially; see
     /// [`MaintainedView::register_with_parallelism`].
@@ -173,7 +172,7 @@ impl MaintainedView {
         let mode = MaintenanceMode::of(&plan.shape());
         let dec = plan.decision_mut();
         dec.view = def.name.clone();
-        dec.maintenance_mode = Some(mode.clone());
+        dec.maintenance_mode = Some(mode);
         let vsym = view_sym(&def.name);
         let mut delta_rules = Vec::new();
         for rule in &def.rules {
@@ -194,7 +193,6 @@ impl MaintainedView {
         Ok(MaintainedView {
             def,
             plan,
-            mode,
             delta_rules,
             indexes: Indexes::new(),
             par,
@@ -211,9 +209,10 @@ impl MaintainedView {
         &self.plan
     }
 
-    /// The derived maintenance mode.
-    pub fn mode(&self) -> &MaintenanceMode {
-        &self.mode
+    /// The label of the plan's incremental form (`Recompute` when
+    /// [`Plan::resume`] has none).
+    pub fn mode(&self) -> MaintenanceMode {
+        MaintenanceMode::of(&self.plan.shape())
     }
 
     /// Materialize the view from scratch on `db` (registration, or the
@@ -236,27 +235,47 @@ impl MaintainedView {
         db: &Database,
         deltas: &FastMap<Symbol, Arc<Relation>>,
     ) -> Result<MaintenanceOutcome, StrategyError> {
-        if self.mode == MaintenanceMode::Recompute {
-            let (relation, stats) = self.materialize(db)?;
-            return Ok(MaintenanceOutcome {
-                relation: Some(relation),
-                stats,
-                mode: "recompute",
-            });
-        }
+        let mode = self.mode();
+        // Asked before seeding: Δ₀ is taken against `V`, and a view whose
+        // plan selects after the star is not closed under the rules, so an
+        // empty Δ₀ would prove nothing about it.
+        let resumed = if mode == MaintenanceMode::Recompute {
+            None
+        } else {
+            self.resume(old, db, deltas)
+        };
+        let (relation, stats, mode) = match resumed {
+            Some((relation, stats)) => (relation, stats, mode),
+            None => {
+                let (relation, stats) = self.materialize(db)?;
+                (Some(relation), stats, MaintenanceMode::Recompute)
+            }
+        };
+        Ok(MaintenanceOutcome {
+            relation,
+            stats,
+            mode: mode.label(),
+        })
+    }
 
-        // Seed the delta: new seed tuples, plus every rule application
-        // through at least one changed EDB tuple (module docs, step 1).
-        // The view itself joins as a scratch relation (shared, zero-copy)
-        // so the tiny delta drives the join and `V` is only probed.
+    /// The maintenance rule of the module docs: seed `Δ₀`, then let the
+    /// plan resume itself from `V ∪ Δ₀`. The relation is `None` when `Δ₀`
+    /// is empty (the view is unchanged); the whole result is `None` when
+    /// the plan has no incremental form.
+    fn resume(
+        &mut self,
+        old: &Arc<Relation>,
+        db: &Database,
+        deltas: &FastMap<Symbol, Arc<Relation>>,
+    ) -> Option<(Option<Relation>, EvalStats)> {
+        // New seed tuples, plus every rule application through at least
+        // one changed EDB tuple. The view itself joins as a scratch
+        // relation (shared, zero-copy) so the tiny delta drives the join
+        // and `V` is only probed.
         let mut stats = EvalStats::default();
         let mut fresh = Relation::new(old.arity());
         if let Some(dseed) = deltas.get(&self.def.seed) {
-            for t in dseed.iter() {
-                if !old.contains(t) {
-                    fresh.insert(t);
-                }
-            }
+            fresh.insert_unseen(dseed.iter(), old);
         }
         let mut scratch = db.snapshot();
         scratch.set_relation_arc(view_sym(&self.def.name), Arc::clone(old));
@@ -268,103 +287,21 @@ impl MaintainedView {
                 continue;
             }
             let (derived, count) = apply_flat(&dr.rule, &scratch, &mut self.indexes);
-            let mut new = 0u64;
-            for t in derived.iter() {
-                if !old.contains(t) && fresh.insert(t) {
-                    new += 1;
-                }
-            }
-            stats.record(count, new);
+            stats.record(count, fresh.insert_unseen(derived.iter(), old));
         }
         if fresh.is_empty() {
             stats.tuples = old.len();
-            return Ok(MaintenanceOutcome {
-                relation: None,
-                stats,
-                mode: self.mode.label(),
-            });
+            return Some((None, stats));
         }
 
-        // Resume the fixpoint from total = V ∪ Δ₀ (module docs, step 2).
         let mut total = Relation::clone(old);
         total.union_in_place(&fresh);
-        match &self.mode {
-            MaintenanceMode::Incremental => {
-                stats += seminaive_resume_par_in(
-                    &self.def.rules,
-                    &scratch,
-                    &mut total,
-                    fresh,
-                    None,
-                    &mut self.indexes,
-                    &self.par,
-                );
-            }
-            MaintenanceMode::IncrementalBounded(applications) => {
-                stats += seminaive_resume_par_in(
-                    &self.def.rules,
-                    &scratch,
-                    &mut total,
-                    fresh,
-                    Some(*applications),
-                    &mut self.indexes,
-                    &self.par,
-                );
-            }
-            MaintenanceMode::IncrementalDecomposed(clusters) => {
-                // One resume per commuting cluster, right-to-left; each
-                // phase's frontier is everything derived since `old`, so a
-                // later cluster sees the earlier clusters' consequences.
-                let mut frontier = fresh;
-                for cluster in clusters.iter().rev() {
-                    let group: Vec<LinearRule> =
-                        cluster.iter().map(|&i| self.def.rules[i].clone()).collect();
-                    let s = resume_collecting(
-                        &group,
-                        &scratch,
-                        &mut total,
-                        &mut frontier,
-                        &mut self.indexes,
-                        &self.par,
-                    );
-                    stats += s;
-                }
-            }
-            MaintenanceMode::Recompute => unreachable!("handled above"),
-        }
+        stats += self
+            .plan
+            .resume(&scratch, &mut total, fresh, &mut self.indexes, &self.par)?;
         stats.tuples = total.len();
-        Ok(MaintenanceOutcome {
-            relation: Some(total),
-            stats,
-            mode: self.mode.label(),
-        })
+        Some((Some(total), stats))
     }
-}
-
-/// A resume that additionally folds every newly derived tuple into
-/// `frontier` (which doubles as the initial delta), so a subsequent
-/// cluster's resume starts from everything derived so far. Rounds run
-/// through [`seminaive_round_par`]: sequential below the knob's cutover,
-/// shard-parallel above it, identical results either way.
-fn resume_collecting(
-    rules: &[LinearRule],
-    db: &Database,
-    total: &mut Relation,
-    frontier: &mut Relation,
-    indexes: &mut Indexes,
-    par: &Parallelism,
-) -> EvalStats {
-    let mut stats = EvalStats::default();
-    let mut delta = frontier.clone();
-    while !delta.is_empty() {
-        stats.iterations += 1;
-        let next_delta = seminaive_round_par(rules, db, total, delta, indexes, par, &mut stats);
-        total.union_in_place(&next_delta);
-        frontier.union_in_place(&next_delta);
-        delta = next_delta;
-    }
-    stats.tuples = total.len();
-    stats
 }
 
 #[cfg(test)]
@@ -404,7 +341,7 @@ mod tests {
             seed: Symbol::new("e"),
         };
         let mut view = MaintainedView::register(def, &db).unwrap();
-        assert_eq!(view.mode(), &MaintenanceMode::Incremental);
+        assert_eq!(view.mode(), MaintenanceMode::Incremental);
         let (materialized, _) = view.materialize(&db).unwrap();
         let mut current = Arc::new(materialized);
         for batch in [
@@ -445,7 +382,7 @@ mod tests {
         assert_eq!(dec.winner, PlanShape::DenseClosure, "{dec}");
         assert_eq!(dec.view, "tc-dense");
         assert_eq!(dec.maintenance_mode, Some(MaintenanceMode::Incremental));
-        assert_eq!(view.mode(), &MaintenanceMode::Incremental);
+        assert_eq!(view.mode(), MaintenanceMode::Incremental);
         let (materialized, stats) = view.materialize(&db).unwrap();
         assert_eq!(
             materialized.sorted(),
@@ -483,10 +420,7 @@ mod tests {
             seed: Symbol::new("p0"),
         };
         let mut view = MaintainedView::register(def, &db).unwrap();
-        assert!(matches!(
-            view.mode(),
-            MaintenanceMode::IncrementalDecomposed(_)
-        ));
+        assert_eq!(view.mode(), MaintenanceMode::IncrementalDecomposed);
         let (materialized, _) = view.materialize(&db).unwrap();
         let mut current = Arc::new(materialized);
         for batch in [
@@ -520,10 +454,7 @@ mod tests {
             seed: Symbol::new("s"),
         };
         let mut view = MaintainedView::register(def, &db).unwrap();
-        assert!(matches!(
-            view.mode(),
-            MaintenanceMode::IncrementalBounded(_)
-        ));
+        assert_eq!(view.mode(), MaintenanceMode::IncrementalBounded);
         let (materialized, _) = view.materialize(&db).unwrap();
         let current = Arc::new(materialized);
 
@@ -548,25 +479,31 @@ mod tests {
 
     #[test]
     fn recompute_fallback_matches_scratch() {
-        let rules = vec![parse_linear_rule("p(x,y) :- p(x,z), e(z,y).").unwrap()];
-        let mut db = Database::new();
-        db.set_relation("e", Relation::from_pairs([(0, 1), (1, 2)]));
+        let rules = vec![linrec_engine::rules::shopping_rule()];
+        let (mut db, buys) = linrec_engine::workload::shopping(12, 6, 2, 5);
+        db.set_relation("b0", buys);
         let def = ViewDef {
-            name: "tc".into(),
+            name: "buys".into(),
             rules: rules.clone(),
-            seed: Symbol::new("e"),
+            seed: Symbol::new("b0"),
         };
         let mut view = MaintainedView::register(def, &db).unwrap();
-        // Force the fallback path (as if the plan had no incremental form).
-        view.mode = MaintenanceMode::Recompute;
+        // Force the fallback path with a hand-built plan that has no
+        // incremental form: the fixed-priority redundancy-bounded plan.
+        view.plan = Analysis::of(&rules, None).plan();
+        assert_eq!(view.plan().shape(), PlanShape::RedundancyBounded);
+        assert_eq!(view.mode(), MaintenanceMode::Recompute);
         let (materialized, _) = view.materialize(&db).unwrap();
         let current = Arc::new(materialized);
-        let deltas = apply(&mut db, &[("e", (2, 3))]);
+        // 1001 is a cheap item: person 3 now buys it through person 99.
+        let deltas = apply(&mut db, &[("b0", (99, 1001)), ("knows", (3, 99))]);
         let outcome = view.maintain(&current, &db, &deltas).unwrap();
         assert_eq!(outcome.mode, "recompute");
+        let maintained = outcome.relation.unwrap();
+        assert!(maintained.contains(&[Value::Int(3), Value::Int(1001)]));
         assert_eq!(
-            outcome.relation.unwrap().sorted(),
-            scratch_view(&rules, &db, Symbol::new("e")).sorted()
+            maintained.sorted(),
+            scratch_view(&rules, &db, Symbol::new("b0")).sorted()
         );
     }
 

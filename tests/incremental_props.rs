@@ -14,80 +14,14 @@
 //! filter) plus randomly generated arity-2 linear rules; batches insert
 //! into the seed relation and every EDB predicate the rules mention.
 
+mod common;
+
+use common::rule_set;
 use linrec::engine::{seminaive_star, workload};
 use linrec::prelude::*;
 use linrec::service::{ViewDef, ViewService};
 use proptest::collection::vec;
 use proptest::prelude::*;
-
-/// Deterministic generator driving rule synthesis (SplitMix64, as in
-/// `tests/planner_props.rs`).
-struct Gen(u64);
-
-impl Gen {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, bound: u64) -> u64 {
-        self.next() % bound
-    }
-}
-
-/// A random arity-2 linear rule over head `p(x0,x1)` (planner_props
-/// style): recursive-atom positions copy, swap, or refresh head variables;
-/// up to two nonrecursive atoms bind pairs from the pool.
-fn random_rule(g: &mut Gen) -> Option<LinearRule> {
-    let hv = [Var::new("x0"), Var::new("x1")];
-    let fresh = [Var::new("n0"), Var::new("n1")];
-    let head = Atom::from_vars("p", &hv);
-    let rec_terms: Vec<Term> = (0..2)
-        .map(|i| match g.below(4) {
-            0 => Term::Var(hv[i]),
-            1 => Term::Var(hv[(i + 1) % 2]),
-            n => Term::Var(fresh[(n as usize) % 2]),
-        })
-        .collect();
-    let pool: Vec<Var> = hv.iter().chain(fresh.iter()).copied().collect();
-    let mut nonrec = Vec::new();
-    for pred in ["q", "r"] {
-        if g.below(3) == 0 {
-            continue;
-        }
-        let a = pool[g.below(pool.len() as u64) as usize];
-        let b = pool[g.below(pool.len() as u64) as usize];
-        nonrec.push(Atom::from_vars(pred, &[a, b]));
-    }
-    LinearRule::from_parts(head, Atom::new("p", rec_terms), nonrec)
-        .ok()
-        .filter(|r| r.is_range_restricted())
-}
-
-/// Pick a rule set from the spectrum: paper examples for low `case`
-/// values, random rule sets beyond.
-fn rule_set(case: u64) -> Option<Vec<LinearRule>> {
-    match case % 8 {
-        0 => Some(vec![parse_linear_rule("p(x,y) :- p(x,z), q(z,y).").unwrap()]),
-        1 => Some(vec![
-            parse_linear_rule("p(x,y) :- p(x,z), q(z,y).").unwrap(),
-            parse_linear_rule("p(x,y) :- p(w,y), r(x,w).").unwrap(),
-        ]),
-        2 => Some(vec![parse_linear_rule("p(x,y) :- p(x,y), q(x,x).").unwrap()]),
-        _ => {
-            let mut g = Gen(case);
-            let n_rules = 1 + g.below(2) as usize;
-            let rules: Vec<LinearRule> = (0..8)
-                .filter_map(|_| random_rule(&mut g))
-                .take(n_rules)
-                .collect();
-            (rules.len() == n_rules).then_some(rules)
-        }
-    }
-}
 
 /// A database covering the EDB predicates plus the seed relation `s0`,
 /// deterministic in `case`.

@@ -5,9 +5,10 @@
 //! `K ∈ {1, 2, 3, 8}`, the shard-parallel semi-naive executor must produce
 //! **bit-identical results and statistics** to the sequential one — for the
 //! from-scratch star, for the resumed fixpoint behind incremental view
-//! maintenance (`seminaive_resume_par_in` driven through the service under
-//! insert batches), and for whole planner-chosen plans under
-//! `Plan::with_parallelism`.
+//! maintenance (`Plan::resume` driven through the service under insert
+//! batches), and for whole planner-chosen plans under
+//! `Plan::with_parallelism`. All of them are the one driver,
+//! `seminaive_resume`, under different knobs.
 //!
 //! The knobs force `min_delta = 1` so even the tiny random deltas exercise
 //! the concurrent prepare → probe → merge path; CI additionally pins the
@@ -19,83 +20,14 @@
 //! examples (transitive closure, the commuting up/down pair, a bounded
 //! filter) plus randomly generated arity-2 linear rules.
 
-use linrec::engine::{
-    seminaive::{seminaive_resume_in, seminaive_resume_par_in, seminaive_star_par_in},
-    seminaive_star, workload, Indexes,
-};
+mod common;
+
+use common::rule_set;
+use linrec::engine::{seminaive::seminaive_resume, seminaive_star, workload, EvalStats, Indexes};
 use linrec::prelude::*;
 use linrec::service::{ViewDef, ViewService};
 use proptest::collection::vec;
 use proptest::prelude::*;
-
-/// Deterministic generator driving rule synthesis (SplitMix64, as in
-/// `tests/planner_props.rs`).
-struct Gen(u64);
-
-impl Gen {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, bound: u64) -> u64 {
-        self.next() % bound
-    }
-}
-
-/// A random arity-2 linear rule over head `p(x0,x1)` (planner_props
-/// style): recursive-atom positions copy, swap, or refresh head variables;
-/// up to two nonrecursive atoms bind pairs from the pool.
-fn random_rule(g: &mut Gen) -> Option<LinearRule> {
-    let hv = [Var::new("x0"), Var::new("x1")];
-    let fresh = [Var::new("n0"), Var::new("n1")];
-    let head = Atom::from_vars("p", &hv);
-    let rec_terms: Vec<Term> = (0..2)
-        .map(|i| match g.below(4) {
-            0 => Term::Var(hv[i]),
-            1 => Term::Var(hv[(i + 1) % 2]),
-            n => Term::Var(fresh[(n as usize) % 2]),
-        })
-        .collect();
-    let pool: Vec<Var> = hv.iter().chain(fresh.iter()).copied().collect();
-    let mut nonrec = Vec::new();
-    for pred in ["q", "r"] {
-        if g.below(3) == 0 {
-            continue;
-        }
-        let a = pool[g.below(pool.len() as u64) as usize];
-        let b = pool[g.below(pool.len() as u64) as usize];
-        nonrec.push(Atom::from_vars(pred, &[a, b]));
-    }
-    LinearRule::from_parts(head, Atom::new("p", rec_terms), nonrec)
-        .ok()
-        .filter(|r| r.is_range_restricted())
-}
-
-/// Pick a rule set from the spectrum: paper examples for low `case`
-/// values, random rule sets beyond.
-fn rule_set(case: u64) -> Option<Vec<LinearRule>> {
-    match case % 8 {
-        0 => Some(vec![parse_linear_rule("p(x,y) :- p(x,z), q(z,y).").unwrap()]),
-        1 => Some(vec![
-            parse_linear_rule("p(x,y) :- p(x,z), q(z,y).").unwrap(),
-            parse_linear_rule("p(x,y) :- p(w,y), r(x,w).").unwrap(),
-        ]),
-        2 => Some(vec![parse_linear_rule("p(x,y) :- p(x,y), q(x,x).").unwrap()]),
-        _ => {
-            let mut g = Gen(case);
-            let n_rules = 1 + g.below(2) as usize;
-            let rules: Vec<LinearRule> = (0..8)
-                .filter_map(|_| random_rule(&mut g))
-                .take(n_rules)
-                .collect();
-            (rules.len() == n_rules).then_some(rules)
-        }
-    }
-}
 
 /// A database covering the EDB predicates plus a seed, deterministic in
 /// `case`.
@@ -123,6 +55,29 @@ fn eager(k: usize) -> Parallelism {
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 3, 8];
 
+/// The from-scratch star under a knob: the driver from `total = delta =
+/// init`.
+fn star_under(
+    rules: &[LinearRule],
+    db: &Database,
+    init: &Relation,
+    par: &Parallelism,
+) -> (Relation, EvalStats) {
+    let mut total = init.clone();
+    let delta = init.clone();
+    let stats = seminaive_resume(
+        rules,
+        db,
+        &mut total,
+        delta,
+        None,
+        &mut Indexes::new(),
+        par,
+        None,
+    );
+    (total, stats)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
@@ -136,8 +91,7 @@ proptest! {
         let (db, init) = base_db(&rules, case);
         let (seq, seq_stats) = seminaive_star(&rules, &db, &init);
         for k in SHARD_COUNTS {
-            let (par, par_stats) =
-                seminaive_star_par_in(&rules, &db, &init, &mut Indexes::new(), &eager(k));
+            let (par, par_stats) = star_under(&rules, &db, &init, &eager(k));
             prop_assert_eq!(par.sorted(), seq.sorted(), "case {} k {}", case, k);
             prop_assert_eq!(par_stats, seq_stats, "case {} k {}: stats", case, k);
         }
@@ -163,22 +117,17 @@ proptest! {
         for &(a, b) in &extra {
             delta.insert([Value::Int(a), Value::Int(b)]);
         }
-        let run = |par: Option<&Parallelism>| {
+        let run = |par: &Parallelism| {
             let mut total = fix.clone();
             total.union_in_place(&delta);
-            let stats = match par {
-                Some(par) => seminaive_resume_par_in(
-                    &rules, &db, &mut total, delta.clone(), cap, &mut Indexes::new(), par,
-                ),
-                None => seminaive_resume_in(
-                    &rules, &db, &mut total, delta.clone(), cap, &mut Indexes::new(),
-                ),
-            };
+            let stats = seminaive_resume(
+                &rules, &db, &mut total, delta.clone(), cap, &mut Indexes::new(), par, None,
+            );
             (total, stats)
         };
-        let (seq_total, seq_stats) = run(None);
+        let (seq_total, seq_stats) = run(&Parallelism::sequential());
         for k in SHARD_COUNTS {
-            let (par_total, par_stats) = run(Some(&eager(k)));
+            let (par_total, par_stats) = run(&eager(k));
             prop_assert_eq!(par_total.sorted(), seq_total.sorted(), "case {} k {}", case, k);
             prop_assert_eq!(par_stats, seq_stats, "case {} k {}: stats", case, k);
         }
@@ -186,10 +135,9 @@ proptest! {
 
     /// The maintenance path end to end: a service with a parallel knob and
     /// a sequential service must publish identical views after every
-    /// insert batch (this drives `seminaive_resume_par_in`/
-    /// `seminaive_round_par` through whatever maintenance form the view's
-    /// certificates license — rule-sum, bounded, decomposed, or the
-    /// recompute fallback).
+    /// insert batch (this drives `Plan::resume` through whatever
+    /// incremental form the view's certificates license — rule-sum,
+    /// bounded, decomposed — or the recompute fallback).
     #[test]
     fn parallel_maintenance_equals_sequential_under_batches(
         case in 0u64..10_000,
@@ -285,13 +233,7 @@ fn env_threads_are_respected() {
     let edges = workload::chain(64);
     let db = workload::graph_db("q", edges.clone());
     let (seq, seq_stats) = seminaive_star(&rules, &db, &edges);
-    let (par_rel, par_stats) = seminaive_star_par_in(
-        &rules,
-        &db,
-        &edges,
-        &mut Indexes::new(),
-        &par.with_min_delta(1),
-    );
+    let (par_rel, par_stats) = star_under(&rules, &db, &edges, &par.with_min_delta(1));
     assert_eq!(par_rel.sorted(), seq.sorted());
     assert_eq!(par_stats, seq_stats);
 }

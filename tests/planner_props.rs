@@ -9,28 +9,23 @@
 //!    certificates, the chosen plan never contains a `Decomposed` or
 //!    `Separable` node.
 //!
+//! 3. **A plan resumes itself**: for every shape with an incremental form,
+//!    `Plan::resume` from `total = delta = init` is `Plan::execute`, and
+//!    `execute` on a database followed by `resume` under a grown one is
+//!    `execute` on the grown one — and the naive reference.
+//!
 //! All randomness flows from explicit SplitMix64 seeds, so every run
 //! explores the same cases.
 
-use linrec::engine::{rules, workload, Analysis, PlanShape, Selection};
+mod common;
+
+use common::{random_rule, rule_set, Gen};
+use linrec::engine::seminaive::naive_star;
+use linrec::engine::{
+    apply_linear, dense, rules, workload, Analysis, EvalStats, Indexes, PlanShape, Selection,
+};
 use linrec::prelude::*;
-
-/// Deterministic generator driving rule and workload synthesis.
-struct Gen(u64);
-
-impl Gen {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, bound: u64) -> u64 {
-        self.next() % bound
-    }
-}
+use std::collections::BTreeSet;
 
 /// Does the shape tree contain a node that needs a certificate to build?
 fn uses_certified_strategy(shape: &PlanShape) -> bool {
@@ -52,36 +47,6 @@ fn contains_decomposed_or_separable(shape: &PlanShape) -> bool {
         PlanShape::SelectAfter(inner) => contains_decomposed_or_separable(inner),
         _ => false,
     }
-}
-
-/// A random arity-2 linear rule over head `p(x0,x1)`, in the style of the
-/// paper's small examples: each recursive-atom position copies a head
-/// variable, shifts it, or introduces a fresh variable; up to two
-/// nonrecursive atoms bind pairs from the variable pool.
-fn random_rule(g: &mut Gen) -> Option<LinearRule> {
-    let hv = [Var::new("x0"), Var::new("x1")];
-    let fresh = [Var::new("n0"), Var::new("n1")];
-    let head = Atom::from_vars("p", &hv);
-    let rec_terms: Vec<Term> = (0..2)
-        .map(|i| match g.below(4) {
-            0 => Term::Var(hv[i]),
-            1 => Term::Var(hv[(i + 1) % 2]),
-            n => Term::Var(fresh[(n as usize) % 2]),
-        })
-        .collect();
-    let pool: Vec<Var> = hv.iter().chain(fresh.iter()).copied().collect();
-    let mut nonrec = Vec::new();
-    for pred in ["q", "r"] {
-        if g.below(3) == 0 {
-            continue;
-        }
-        let a = pool[g.below(pool.len() as u64) as usize];
-        let b = pool[g.below(pool.len() as u64) as usize];
-        nonrec.push(Atom::from_vars(pred, &[a, b]));
-    }
-    LinearRule::from_parts(head, Atom::new("p", rec_terms), nonrec)
-        .ok()
-        .filter(|r| r.is_range_restricted())
 }
 
 /// A database covering every EDB predicate the rules mention, plus a seed
@@ -286,4 +251,206 @@ fn planner_agrees_with_direct_on_random_rule_sets() {
         );
         cases += 1;
     }
+}
+
+/// The plans worth resuming for a rule set: the baselines, the
+/// fixed-priority and the cost-based choice, and the dense closure where
+/// the rule has the shape for it. The bool marks the planner's choices.
+fn candidate_plans(all: &[LinearRule], db: &Database, init: &Relation) -> Vec<(Plan, bool)> {
+    let analysis = Analysis::of(all, None);
+    let mut plans = vec![
+        (Plan::direct(all), false),
+        (Plan::naive(all), false),
+        (analysis.plan(), true),
+        (analysis.plan_for(db, init), true),
+    ];
+    if let [rule] = all {
+        if let Ok(plan) = Plan::dense_closure(rule.clone(), dense::DEFAULT_DENSE_BUDGET_BYTES) {
+            plans.push((plan, false));
+        }
+    }
+    plans
+}
+
+/// `plan.resume` on copies of `total` and `delta`; `None` when the plan
+/// has no incremental form.
+fn resumed(
+    plan: &Plan,
+    db: &Database,
+    total: &Relation,
+    delta: &Relation,
+    par: &Parallelism,
+) -> Option<(Relation, EvalStats)> {
+    let mut total = total.clone();
+    let stats = plan.resume(db, &mut total, delta.clone(), &mut Indexes::new(), par)?;
+    Some((total, stats))
+}
+
+/// One input of the resume properties: rules, a covering database, a
+/// seed, and the node range new tuples are drawn from.
+struct ResumeCase {
+    name: String,
+    rules: Vec<LinearRule>,
+    db: Database,
+    init: Relation,
+    nodes: u64,
+}
+
+/// The spectrum of `common::rule_set`, each rule set over a dense
+/// 8-node database (where the planner goes dense, and most of a closure
+/// is there before the batch) and over a sparse 16-node one (long
+/// chains, so a batch's consequences reach several rounds and clusters
+/// deep).
+fn resume_cases() -> Vec<ResumeCase> {
+    let mut cases = Vec::new();
+    for case in 0..48u64 {
+        let Some(rules) = rule_set(case) else {
+            continue;
+        };
+        let (db, init) = cover_db(&rules, case * 13 + 3);
+        cases.push(ResumeCase {
+            name: format!("case {case} dense"),
+            rules: rules.clone(),
+            db,
+            init,
+            nodes: 8,
+        });
+        let mut db = Database::new();
+        for atom in rules.iter().flat_map(|r| r.nonrec_atoms()) {
+            if db.relation(atom.pred).is_none() {
+                let seed = case.wrapping_add(atom.pred.id() as u64);
+                db.set_relation(atom.pred, workload::random_graph(16, 14, seed));
+            }
+        }
+        cases.push(ResumeCase {
+            name: format!("case {case} sparse"),
+            rules,
+            db,
+            init: workload::random_graph(16, 3, case + 5),
+            nodes: 16,
+        });
+    }
+    cases
+}
+
+fn knobs() -> [Parallelism; 2] {
+    [
+        Parallelism::sequential(),
+        Parallelism::new(3).with_min_delta(1),
+    ]
+}
+
+/// The shapes the resume properties must have crossed, by label; the
+/// planner itself has to have chosen the certified and the dense ones.
+fn assert_shapes_covered(seen: &BTreeSet<(&'static str, bool)>) {
+    for wanted in [
+        ("Direct", false),
+        ("Naive", false),
+        ("BoundedPrefix", true),
+        ("Decomposed", true),
+        ("DenseClosure", true),
+    ] {
+        assert!(seen.contains(&wanted), "{wanted:?} never resumed: {seen:?}");
+    }
+}
+
+#[test]
+fn resume_from_the_seed_is_execute() {
+    let mut seen = BTreeSet::new();
+    for ResumeCase {
+        name,
+        rules: all,
+        db,
+        init,
+        ..
+    } in resume_cases()
+    {
+        for (plan, planned) in candidate_plans(&all, &db, &init) {
+            let executed = plan.execute(&db, &init).unwrap();
+            // `Naive` and `DenseClosure` execute by another algorithm;
+            // their incremental form is the rule-sum resume, `Direct`'s.
+            let expected_stats = match plan.shape() {
+                PlanShape::Naive | PlanShape::DenseClosure => {
+                    Plan::direct(all.as_slice())
+                        .execute(&db, &init)
+                        .unwrap()
+                        .stats
+                }
+                _ => executed.stats,
+            };
+            for par in knobs() {
+                let Some((relation, stats)) = resumed(&plan, &db, &init, &init, &par) else {
+                    continue;
+                };
+                seen.insert((plan.shape().label(), planned));
+                let what = format!("{name} {:?} {par:?}", plan.shape());
+                assert_eq!(relation.sorted(), executed.relation.sorted(), "{what}");
+                assert_eq!(stats, expected_stats, "{what}");
+            }
+        }
+    }
+    assert_shapes_covered(&seen);
+}
+
+#[test]
+fn execute_then_resume_is_execute_on_the_grown_database() {
+    let mut seen = BTreeSet::new();
+    for (i, case) in resume_cases().into_iter().enumerate() {
+        let ResumeCase {
+            name,
+            rules: all,
+            db,
+            init,
+            nodes,
+        } = case;
+        // Grow every EDB relation and the seed by a few tuples.
+        let mut g = Gen(i as u64 ^ 0xD1FF);
+        let mut pair = || [nodes, nodes].map(|n| Value::Int(g.below(n) as i64));
+        let mut grown_db = db.clone();
+        let mut grown_init = init.clone();
+        for rule in &all {
+            for atom in rule.nonrec_atoms() {
+                grown_db.insert_tuple(atom.pred, pair());
+                grown_db.insert_tuple(atom.pred, pair());
+            }
+        }
+        grown_init.insert(pair());
+        grown_init.insert(pair());
+        let (reference, _) = naive_star(&all, &grown_db, &grown_init);
+
+        for (plan, planned) in candidate_plans(&all, &db, &init) {
+            let view = plan.execute(&db, &init).unwrap().relation;
+            // Δ₀: the new seed tuples, and every one-step consequence of
+            // the view over the grown database that the view lacks.
+            let mut delta0 = Relation::new(view.arity());
+            delta0.insert_unseen(grown_init.iter(), &view);
+            for rule in &all {
+                let (derived, _) = apply_linear(rule, &grown_db, &view, &mut Indexes::new());
+                delta0.insert_unseen(derived.iter(), &view);
+            }
+            let mut start = view.clone();
+            start.union_in_place(&delta0);
+
+            let what = format!("{name} {:?}", plan.shape());
+            let mut stats_by_knob = Vec::new();
+            for par in knobs() {
+                let Some((relation, stats)) = resumed(&plan, &grown_db, &start, &delta0, &par)
+                else {
+                    continue;
+                };
+                seen.insert((plan.shape().label(), planned));
+                assert_eq!(relation.sorted(), reference.sorted(), "{what} {par:?}");
+                stats_by_knob.push(stats);
+            }
+            if let [sequential, sharded] = stats_by_knob[..] {
+                assert_eq!(
+                    sequential, sharded,
+                    "{what}: statistics under the two knobs"
+                );
+                let scratch = plan.execute(&grown_db, &grown_init).unwrap();
+                assert_eq!(scratch.relation.sorted(), reference.sorted(), "{what}");
+            }
+        }
+    }
+    assert_shapes_covered(&seen);
 }

@@ -8,7 +8,10 @@
 //! trace ID tying together protocol dispatch (`request`), the write path
 //! (`service.batch`), maintenance (`view.maintain` → `engine.fixpoint`),
 //! durability (`wal.append` → `wal.fsync`), and the epoch publish
-//! (`service.publish`).
+//! (`service.publish`). `decomposed_maintenance_reports_every_fixpoint`
+//! holds the same promise for the per-cluster resume: every sparse
+//! fixpoint is one `engine.fixpoint` span and one observation of the
+//! engine counters, whatever plan shape resumed.
 
 use linrec::engine::Parallelism;
 use linrec::prelude::*;
@@ -137,6 +140,96 @@ fn slow_request_threshold_counts_every_request() {
     s.handle("epoch");
     let after = s_metrics_value("linrec_service_slow_requests_total");
     assert!(after >= before + 2, "slow-request counter stuck at {after}");
+}
+
+#[test]
+fn decomposed_maintenance_reports_every_fixpoint() {
+    // The commuting up/down pair: maintenance resumes cluster by cluster.
+    // `down` has a diamond below 20, so the batch re-derives a tuple.
+    let mut db = Database::new();
+    db.set_relation("up", Relation::from_pairs([(1, 2), (2, 3)]));
+    db.set_relation(
+        "down",
+        Relation::from_pairs([(10, 11), (20, 21), (20, 22), (21, 23), (22, 23)]),
+    );
+    db.set_relation("p0", Relation::from_pairs([(3, 10)]));
+    let service = Arc::new(ViewService::new(db));
+    service
+        .register_view(ViewDef {
+            name: "updown-obs".into(),
+            rules: vec![
+                parse_linear_rule("p(x,y) :- p(x,z), down(z,y).").unwrap(),
+                parse_linear_rule("p(x,y) :- p(w,y), up(x,w).").unwrap(),
+            ],
+            seed: Symbol::new("p0"),
+        })
+        .unwrap();
+    let counters = [
+        "linrec_engine_fixpoints_total",
+        "linrec_engine_rounds_total",
+        "linrec_engine_derivations_total",
+        "linrec_engine_duplicates_total",
+    ];
+    let before = counters.map(s_metrics_value);
+
+    let mut s = Session::new(Arc::clone(&service));
+    assert!(s.handle("insert p0 3 20").text.starts_with("ok staged"));
+    assert!(s.handle("commit").text.starts_with("ok epoch"));
+    let snapshot = service.snapshot();
+    let view = snapshot.view("updown-obs").unwrap();
+    assert_eq!(view.mode, "incremental-decomposed");
+    // {1,2,3} × {10,11} before the batch, {1,2,3} × {20..23} from it.
+    assert_eq!(view.relation.len(), 3 * 2 + 3 * 4);
+
+    // The batch's trace: `view.maintain` for this view, and directly under
+    // it one `engine.fixpoint` per cluster. (The view name is this test's
+    // own, so the process-global recorder cannot confuse it.)
+    let (spans, _) = linrec::obs::trace::recorder().snapshot();
+    let maintain = spans
+        .iter()
+        .find(|sp| {
+            sp.name == "view.maintain" && sp.attrs.contains(&("view", "updown-obs".to_owned()))
+        })
+        .expect("the batch's view.maintain span");
+    assert_ne!(maintain.trace, 0, "the commit runs inside a request trace");
+    let fixpoints: Vec<_> = spans
+        .iter()
+        .filter(|sp| sp.name == "engine.fixpoint" && sp.parent == maintain.span)
+        .collect();
+    let sum = |key: &str| -> u64 {
+        fixpoints
+            .iter()
+            .map(|sp| {
+                let (_, v) = sp.attrs.iter().find(|(k, _)| *k == key).expect(key);
+                v.parse::<u64>().unwrap()
+            })
+            .sum()
+    };
+    assert_eq!(fixpoints.len(), 2, "one fixpoint per commuting cluster");
+    assert!(fixpoints.iter().all(|sp| sp.trace == maintain.trace));
+    assert!(sum("derivations") > 0 && sum("duplicates") > 0);
+    // Δ₀ seeding is in the view's statistics but is not a fixpoint.
+    assert_eq!(sum("rounds"), view.stats.iterations as u64);
+    assert!(sum("derivations") <= view.stats.derivations);
+
+    // The registry is process-global: at least this batch's work arrived.
+    let after = counters.map(s_metrics_value);
+    let grew = [
+        fixpoints.len() as u64,
+        sum("rounds"),
+        sum("derivations"),
+        sum("duplicates"),
+    ];
+    for i in 0..counters.len() {
+        assert!(
+            after[i] >= before[i] + grew[i],
+            "{} went {} → {}, the batch alone adds {}",
+            counters[i],
+            before[i],
+            after[i],
+            grew[i]
+        );
+    }
 }
 
 /// Read one metric out of the global registry directly.

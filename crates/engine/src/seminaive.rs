@@ -531,11 +531,7 @@ mod tests {
         let mut idx = Indexes::new();
         let (through_new, _) = apply_linear(&rule, &delta_db, &total, &mut idx);
         let mut delta = Relation::from_pairs([(4, 5)]);
-        for t in through_new.iter() {
-            if !total.contains(t) {
-                delta.insert(t);
-            }
-        }
+        delta.insert_unseen(through_new.iter(), &total);
         total.union_in_place(&delta);
 
         let stats = seminaive_resume(
@@ -653,11 +649,7 @@ mod tests {
         delta_db.set_relation("e", Relation::from_pairs((30..34).map(|i| (i, i + 1))));
         let mut seed = Relation::from_pairs((30..34).map(|i| (i, i + 1)));
         let (through_new, _) = apply_linear(&rule, &delta_db, &fix, &mut Indexes::new());
-        for t in through_new.iter() {
-            if !fix.contains(t) {
-                seed.insert(t);
-            }
-        }
+        seed.insert_unseen(through_new.iter(), &fix);
 
         let run = |par: Parallelism| {
             let mut total = fix.clone();

@@ -53,8 +53,20 @@ impl Database {
         Ok(db)
     }
 
-    /// Insert a ground atom as a fact.
+    /// Insert a ground atom as a fact. Facts come from program text, so a
+    /// predicate used at two arities is a typed error here rather than
+    /// [`Database::insert_tuple`]'s panic.
     pub fn insert_fact(&mut self, atom: &Atom) -> Result<(), RuleError> {
+        if let Some(rel) = self.relation(atom.pred) {
+            if rel.arity() != atom.arity() {
+                return Err(RuleError::Parse(format!(
+                    "fact {atom} has arity {}, but {} already holds {}-tuples",
+                    atom.arity(),
+                    atom.pred,
+                    rel.arity()
+                )));
+            }
+        }
         let mut tuple = Tuple::with_capacity(atom.arity());
         for t in &atom.terms {
             match t {
@@ -186,6 +198,15 @@ mod tests {
     #[test]
     fn rejects_nonground_facts() {
         assert!(Database::from_facts("e(x,2).").is_err());
+    }
+
+    #[test]
+    fn one_predicate_at_two_arities_is_a_typed_error() {
+        let err = Database::from_facts("e(1,2). e(1,2,3).").unwrap_err();
+        assert!(
+            matches!(&err, RuleError::Parse(msg) if msg.contains("e(1,2,3) has arity 3")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! [`Span`] locating the finding, a message, and an optional fix hint.
 
 use linrec_datalog::Symbol;
+pub use linrec_obs::trace::json_escape;
 use std::fmt;
 
 /// How serious a finding is.
@@ -273,23 +274,6 @@ impl fmt::Display for Diagnostic {
         }
         Ok(())
     }
-}
-
-/// Escape a string for embedding in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -12,9 +12,12 @@
 //!
 //! * **Epoch snapshots** ([`service`]) — readers serve lock-free-ish from
 //!   an immutable `Arc<Snapshot>` (database + every view relation, all
-//!   shared copy-on-write); a single writer applies insert batches and
-//!   publishes the next epoch. See `linrec_datalog::database` for the COW
-//!   substrate.
+//!   shared copy-on-write); a single writer, owning everything the write
+//!   path mutates, applies insert batches and publishes the next epoch; a
+//!   small status word keeps `health` readable mid-batch. Three locks, one
+//!   order (`writer → status → current`), configuration fixed at
+//!   construction ([`ServiceConfig`]). See `linrec_datalog::database` for
+//!   the COW substrate.
 //! * **Delta maintenance** ([`view`]) — new EDB tuples are pushed through
 //!   the existing semi-naive machinery seeded with only the delta
 //!   (`V' = A'*(V ∪ Δ₀)`), with the planner's certificates licensing the
@@ -72,7 +75,7 @@ pub use persist::{open_durable, open_durable_with_vfs, RecoveryReport};
 pub use protocol::{explain_json, serve_lines, serve_tcp, Reply, Session};
 pub use sentinel::{DriftTrip, SentinelConfig};
 pub use service::{
-    spawn_degraded_probe, BatchReport, ExplainReport, HealthInfo, RetryPolicy, ServiceError,
-    ServiceLimits, ServiceMode, Snapshot, ViewInfo, ViewReport, ViewService,
+    spawn_degraded_probe, BatchReport, ExplainReport, HealthInfo, RetryPolicy, ServiceConfig,
+    ServiceError, ServiceLimits, ServiceMode, Snapshot, ViewInfo, ViewReport, ViewService,
 };
 pub use view::{MaintainedView, MaintenanceMode, MaintenanceOutcome, ViewDef, DELTA_MARKER};

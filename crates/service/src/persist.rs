@@ -8,7 +8,7 @@
 //!    validated, with a torn last frame truncated.
 //! 2. **Rebuild the service** — on a snapshot, every view whose
 //!    definition fingerprint still matches is registered with its
-//!    persisted contents ([`ViewService::register_view_recovered`]);
+//!    persisted contents (no fixpoint runs, the epoch does not advance);
 //!    views that are new or whose definition changed re-materialize from
 //!    scratch (the snapshot cannot vouch for them). Without a snapshot
 //!    (fresh store, or crash before the first checkpoint) the service
@@ -20,7 +20,7 @@
 //!    certificates license per-cluster resumes, and plan shapes with no
 //!    incremental form recompute. Replay is maintenance, not a recovery
 //!    interpreter.
-//! 4. **Attach durability** — subsequent batches are WAL-logged before
+//! 4. **Hand over the store** — subsequent batches are WAL-logged before
 //!    acknowledgement and checkpointed per the policy. A fresh store (or
 //!    one whose view set changed) writes its baseline checkpoint
 //!    immediately, so the *next* cold start is snapshot-load +
@@ -30,10 +30,9 @@
 //! the tail's delta maintenance instead of a full from-scratch fixpoint
 //! (`persistence/*` in the bench suite records the ratio).
 
-use crate::service::{ServiceError, ViewService};
+use crate::service::{ServiceConfig, ServiceError, ViewService};
 use crate::view::ViewDef;
 use linrec_datalog::Database;
-use linrec_engine::Parallelism;
 use linrec_storage::{view_fingerprint, CheckpointPolicy, StdVfs, Store, Vfs};
 use std::path::Path;
 use std::sync::Arc;
@@ -59,15 +58,18 @@ pub struct RecoveryReport {
 /// module docs for the recovery flow. `initial_db` seeds a store that has
 /// no checkpoint yet — typically the program file's facts; once a
 /// checkpoint exists the persisted database wins and `initial_db` is
-/// ignored.
+/// ignored. `config` is the service's fixed [`ServiceConfig`] (a bare
+/// [`linrec_engine::Parallelism`] converts); it is in force from the first
+/// registration on, so e.g. `registration_checks: false` also covers the
+/// views registered here.
 pub fn open_durable(
     dir: impl AsRef<Path>,
     initial_db: Database,
     defs: Vec<ViewDef>,
-    par: Parallelism,
+    config: impl Into<ServiceConfig>,
     policy: CheckpointPolicy,
 ) -> Result<(ViewService, RecoveryReport), ServiceError> {
-    open_durable_with_vfs(dir, Arc::new(StdVfs), initial_db, defs, par, policy)
+    open_durable_with_vfs(dir, Arc::new(StdVfs), initial_db, defs, config, policy)
 }
 
 /// [`open_durable`] with an explicit [`Vfs`] — the fault-injection seam:
@@ -81,7 +83,7 @@ pub fn open_durable_with_vfs(
     vfs: Arc<dyn Vfs>,
     initial_db: Database,
     defs: Vec<ViewDef>,
-    par: Parallelism,
+    config: impl Into<ServiceConfig>,
     policy: CheckpointPolicy,
 ) -> Result<(ViewService, RecoveryReport), ServiceError> {
     let dir = dir.as_ref();
@@ -90,49 +92,37 @@ pub fn open_durable_with_vfs(
     // The decision log is observability, not ground truth: a failure to
     // open it must not fail recovery. Opened before views register so
     // registration-time plan decisions land in it.
-    let mut decision_log = match linrec_storage::DecisionLog::open(&vfs, dir) {
+    let decision_log = match linrec_storage::DecisionLog::open(&vfs, dir) {
         Ok(log) => Some(log),
         Err(e) => {
             eprintln!("linrec: decision log unavailable at {}: {e}", dir.display());
             None
         }
     };
-    let mut rematerialized = Vec::new();
-    let (service, from_snapshot, snapshot_epoch) = match recovered.snapshot {
-        Some(snap) => {
-            let epoch = snap.epoch;
-            let service = ViewService::with_parallelism_at_epoch(snap.db, par, epoch);
-            if let Some(log) = decision_log.take() {
-                service.attach_decision_log(log);
-            }
-            for def in defs {
-                let fp = view_fingerprint(def.seed, def.rules.iter());
-                let persisted = snap
-                    .views
-                    .iter()
-                    .find(|v| v.name == def.name && v.fingerprint == fp);
-                match persisted {
-                    Some(v) => service.register_view_recovered(def, Arc::clone(&v.relation))?,
-                    None => {
-                        rematerialized.push(def.name.clone());
-                        service.register_view(def)?;
-                    }
-                }
-            }
-            (service, true, epoch)
-        }
-        None => {
-            let service = ViewService::with_parallelism(initial_db, par);
-            if let Some(log) = decision_log.take() {
-                service.attach_decision_log(log);
-            }
-            for def in defs {
-                rematerialized.push(def.name.clone());
-                service.register_view(def)?;
-            }
-            (service, false, 0)
-        }
+    let from_snapshot = recovered.snapshot.is_some();
+    let (db, snapshot_epoch, persisted) = match recovered.snapshot {
+        Some(snap) => (snap.db, snap.epoch, snap.views),
+        None => (initial_db, 0, Vec::new()),
     };
+    let service = ViewService::assemble(db, snapshot_epoch, config.into(), decision_log);
+    let mut rematerialized = Vec::new();
+    for def in defs {
+        // A view whose definition fingerprint still matches adopts its
+        // persisted contents; every other view materializes.
+        let fp = view_fingerprint(def.seed, def.rules.iter());
+        let contents = persisted
+            .iter()
+            .find(|v| v.name == def.name && v.fingerprint == fp)
+            .map(|v| Arc::clone(&v.relation));
+        if contents.is_none() {
+            rematerialized.push(def.name.clone());
+        }
+        service.register(def, contents)?;
+    }
+    // The checkpoint's relations must not outlive their adoption: held
+    // across the replay they would keep a whole superseded copy of every
+    // view resident.
+    drop(persisted);
 
     // Replay the tail through the live maintenance path.
     let replayed_batches = recovered.batches.len();
@@ -140,7 +130,7 @@ pub fn open_durable_with_vfs(
         service.apply_batch(batch.inserts)?;
     }
 
-    service.attach_durability(store, policy);
+    let service = service.with_store(store, policy)?;
     // A fresh store, a changed view set, or a replayed tail deserves a
     // checkpoint now, so the next cold start pays only a snapshot load.
     if !from_snapshot || !rematerialized.is_empty() || replayed_batches > 0 {
@@ -163,6 +153,7 @@ pub fn open_durable_with_vfs(
 mod tests {
     use super::*;
     use linrec_datalog::{parse_linear_rule, Relation, Symbol, Value};
+    use linrec_engine::Parallelism;
     use std::path::PathBuf;
 
     fn tmpdir(tag: &str) -> PathBuf {

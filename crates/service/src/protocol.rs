@@ -311,9 +311,7 @@ impl Session {
                 Reply::service_err(&ServiceError::ReadOnly)
             }
             (crate::service::ServiceMode::Degraded, reason) => {
-                Reply::service_err(&ServiceError::Degraded {
-                    reason: reason.unwrap_or_else(|| "storage fault".to_owned()),
-                })
+                Reply::service_err(&crate::service::degraded(reason))
             }
         }
     }
@@ -699,13 +697,22 @@ pub fn serve_tcp(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::service::{ServiceConfig, ServiceLimits};
     use crate::view::ViewDef;
     use linrec_datalog::{parse_linear_rule, Database, Relation};
 
     fn tc_service() -> Arc<ViewService> {
+        tc_service_with(ServiceLimits::default())
+    }
+
+    fn tc_service_with(limits: ServiceLimits) -> Arc<ViewService> {
         let mut db = Database::new();
         db.set_relation("e", Relation::from_pairs([(1, 2), (2, 3)]));
-        let service = Arc::new(ViewService::new(db));
+        let config = ServiceConfig {
+            limits,
+            ..ServiceConfig::default()
+        };
+        let service = Arc::new(ViewService::with_config(db, config));
         service
             .register_view(ViewDef {
                 name: "tc".into(),
@@ -789,6 +796,14 @@ mod tests {
         // Malformed source: typed parse diagnostic, not a generic error.
         let bad = s.handle("register this is not datalog").text;
         assert!(bad.starts_with("err L000 program:"), "{bad}");
+
+        // Facts using one predicate at two arities: typed, not a panic,
+        // and the session keeps serving.
+        let clash = s
+            .handle("register r(x,y) :- r(x,z), up(z,y). up(1,2). up(1,2,3).")
+            .text;
+        assert!(clash.starts_with("err L000 program:"), "{clash}");
+        assert_eq!(s.handle("views").text, "ok views p");
 
         assert!(s.handle("register").text.starts_with("err usage"));
     }
@@ -1026,8 +1041,7 @@ mod tests {
 
     #[test]
     fn slow_request_threshold_counts_and_logs() {
-        let service = tc_service();
-        service.set_limits(crate::service::ServiceLimits {
+        let service = tc_service_with(ServiceLimits {
             slow_request: Some(std::time::Duration::ZERO),
             ..Default::default()
         });
@@ -1044,8 +1058,7 @@ mod tests {
 
     #[test]
     fn staged_cap_sheds_inserts_with_busy() {
-        let service = tc_service();
-        service.set_limits(crate::service::ServiceLimits {
+        let service = tc_service_with(ServiceLimits {
             max_staged: 2,
             ..Default::default()
         });

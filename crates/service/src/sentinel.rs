@@ -19,7 +19,7 @@
 use linrec_datalog::hash::FastMap;
 
 /// Knobs for the drift sentinel (see
-/// [`ViewService::set_sentinel_config`](crate::ViewService::set_sentinel_config)).
+/// [`ServiceConfig::sentinel`](crate::ServiceConfig::sentinel)).
 #[derive(Debug, Clone)]
 pub struct SentinelConfig {
     /// Trip when the EWMA of estimate/actual derivations leaves
@@ -113,7 +113,7 @@ struct ViewDrift {
     last_calibrate_seq: u64,
 }
 
-/// Per-view drift state plus the config; lives behind one service mutex.
+/// Per-view drift state plus the config; part of the service's writer state.
 pub(crate) struct Sentinel {
     cfg: SentinelConfig,
     views: FastMap<String, ViewDrift>,
@@ -129,13 +129,6 @@ impl Sentinel {
 
     pub(crate) fn config(&self) -> &SentinelConfig {
         &self.cfg
-    }
-
-    /// Swap the knobs and restart every view's warm-up (old EWMAs were
-    /// produced under old tolerances).
-    pub(crate) fn set_config(&mut self, cfg: SentinelConfig) {
-        self.cfg = cfg;
-        self.views.clear();
     }
 
     /// Feed one maintenance sample; `Some` when drift trips. The ratio

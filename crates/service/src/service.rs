@@ -1,27 +1,50 @@
-//! The long-lived view service: epoch-versioned snapshots, one writer,
-//! many concurrent readers.
+//! The long-lived view service: one published snapshot, one writer, one
+//! status word.
 //!
-//! # Snapshot lifecycle
+//! # The three pieces
 //!
-//! The service owns a current [`Snapshot`] behind an `RwLock<Arc<_>>`.
-//! Readers grab the `Arc` (one lock-held clone, no data copied — the
-//! snapshot's database and view relations are themselves shared
-//! copy-on-write) and serve from it for as long as they like; a snapshot
-//! is immutable once published. The single writer path
-//! ([`ViewService::apply_batch`], [`ViewService::register_view`]) runs
-//! under a separate mutex: it clones the master database (cheap COW),
-//! applies the insert batch (copying only the touched relations),
-//! maintains every registered view through its certificate-licensed
-//! maintenance form ([`crate::view`]), and publishes a new `Arc<Snapshot>`
-//! with the epoch bumped. Readers never block writers and vice versa
-//! beyond the pointer swap.
+//! Readers commute with the writer — they hold an immutable
+//! `Arc<Snapshot>` — and everything else is serialized by the writer, so
+//! [`ViewService`] is three locks, always taken in the order
+//! **`writer → status → current`** (nothing acquires `writer` while
+//! holding either of the other two):
+//!
+//! * **`current`** — the published [`Snapshot`] behind an
+//!   `RwLock<Arc<_>>`: what readers see. Readers grab the `Arc` (one
+//!   lock-held clone, no data copied — the database and view relations
+//!   are shared copy-on-write) and serve from it for as long as they
+//!   like; a snapshot is immutable once published.
+//! * **`writer`** — one mutex over *everything the write path mutates*:
+//!   the master database, the epoch, each registered view with the state
+//!   it serves, the store and its checkpoint policy, the shared cost
+//!   model, the drift sentinel, the decision log and the view pool.
+//!   [`ViewService::apply_batch`] and [`ViewService::register_view`] run
+//!   under it: clone the master database (cheap COW), apply the insert
+//!   batch (copying only the touched relations), maintain every view
+//!   through its certificate-licensed maintenance form ([`crate::view`]),
+//!   and publish the result with the epoch bumped. Readers never block
+//!   writers and vice versa beyond the pointer swap.
+//! * **`status`** — a small mutex over what must stay readable *while a
+//!   batch runs*: the write-availability mode with its reason and fault
+//!   history, and the store facts `health` prints (durable, generation,
+//!   WAL pressure), which the write path copies out of the live store
+//!   after every append, checkpoint, degrade and restore. `health`,
+//!   `ready` and the write gate therefore never wait behind a fixpoint or
+//!   an fsync.
+//!
+//! What is fixed for the life of the service is one plain
+//! [`ServiceConfig`] taken at construction; the only runtime toggle is
+//! [`ViewService::set_read_only`]. A panic under `writer` poisons it:
+//! later writers answer [`ServiceError::Internal`] while readers keep
+//! serving the last published epoch. `status` and `current` only ever
+//! hold a fully formed value, so a poisoned guard there is recovered.
 //!
 //! Epochs are strictly increasing; a batch that inserts nothing new (all
 //! duplicates) publishes nothing and reports the current epoch.
 //!
 //! # Durability (optional)
 //!
-//! A service with an attached [`linrec_storage::Store`] (see
+//! A service opened over a [`linrec_storage::Store`] (see
 //! [`crate::persist::open_durable`]) write-ahead-logs every batch: the WAL
 //! append + fsync happens **before** the batch commits to the master
 //! database, publishes, or is acknowledged, so an acknowledged batch is on
@@ -45,7 +68,7 @@
 //! on).
 
 use crate::sentinel::{DriftTrip, Sentinel, SentinelConfig};
-use crate::view::{MaintainedView, MaintenanceOutcome, ViewDef, DELTA_MARKER};
+use crate::view::{MaintainedView, ViewDef, DELTA_MARKER};
 use linrec_datalog::hash::FastMap;
 use linrec_datalog::{Database, Relation, Symbol, Value};
 use linrec_engine::{
@@ -59,7 +82,7 @@ use linrec_storage::{
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock, TryLockError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, TryLockError};
 use std::time::{Duration, Instant};
 
 /// Errors from the service's write and query paths.
@@ -86,7 +109,7 @@ pub enum ServiceError {
     Storage(StorageError),
     /// The static analyzer refused the view's rules at registration
     /// (error-severity findings; see
-    /// [`ViewService::set_registration_checks`] for the opt-out).
+    /// [`ServiceConfig::registration_checks`] for the opt-out).
     Lint(linrec_lint::LintReport),
     /// The service is in fault-driven read-only degraded mode: persistent
     /// storage failed, reads keep serving the last published epoch, and
@@ -109,6 +132,9 @@ pub enum ServiceError {
         /// The deadline that expired, in milliseconds.
         millis: u64,
     },
+    /// A broken internal condition — today, a writer poisoned by an
+    /// earlier panic. Reads keep serving the last published epoch.
+    Internal(String),
 }
 
 impl ServiceError {
@@ -128,6 +154,7 @@ impl ServiceError {
             ServiceError::ReadOnly => "read-only",
             ServiceError::Busy { .. } => "busy",
             ServiceError::Timeout { .. } => "timeout",
+            ServiceError::Internal(_) => "internal",
         }
     }
 }
@@ -171,6 +198,7 @@ impl fmt::Display for ServiceError {
             ServiceError::Timeout { millis } => {
                 write!(f, "request deadline of {millis}ms expired")
             }
+            ServiceError::Internal(what) => write!(f, "{what}"),
         }
     }
 }
@@ -178,9 +206,10 @@ impl fmt::Display for ServiceError {
 impl std::error::Error for ServiceError {}
 
 /// The service's write-availability mode (reads always work).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ServiceMode {
     /// Normal operation.
+    #[default]
     ReadWrite,
     /// Operator-requested read-only (`--read-only` / `set_read_only`);
     /// never auto-restores.
@@ -465,27 +494,91 @@ pub struct BatchReport {
     pub views: Vec<ViewReport>,
 }
 
+/// Everything that is fixed for the life of a service, taken at
+/// construction ([`ViewService::with_config`],
+/// [`crate::persist::open_durable`]). A bare [`Parallelism`] converts into
+/// a config with every other field at its default.
+#[derive(Debug, Clone)]
+pub struct ServiceConfig {
+    /// Handed to every registered view: materialization, recompute
+    /// fallbacks and large-delta maintenance rounds fan out on the shared
+    /// engine pool (cost-model gated per round), and batches touching
+    /// several views maintain them concurrently (one view per worker).
+    pub par: Parallelism,
+    /// Overload-control knobs.
+    pub limits: ServiceLimits,
+    /// Retry policy for the durable write path.
+    pub retry: RetryPolicy,
+    /// Deny-by-default static analysis at registration (on by default):
+    /// `linrec-lint`'s structural passes run over the offered rules and
+    /// error-severity findings are refused with [`ServiceError::Lint`].
+    /// Off is an experiment escape hatch — an unsafe rule can still fail
+    /// (or loop) at materialization time.
+    pub registration_checks: bool,
+    /// The drift sentinel's knobs.
+    pub sentinel: SentinelConfig,
+    /// The cost model the service starts with; the drift sentinel
+    /// recalibrates the service's own copy ([`ViewService::cost_model`]).
+    pub cost_model: CostModel,
+}
+
+impl Default for ServiceConfig {
+    fn default() -> ServiceConfig {
+        ServiceConfig {
+            par: Parallelism::sequential(),
+            limits: ServiceLimits::default(),
+            retry: RetryPolicy::default(),
+            registration_checks: true,
+            sentinel: SentinelConfig::default(),
+            cost_model: CostModel::default(),
+        }
+    }
+}
+
+impl From<Parallelism> for ServiceConfig {
+    fn from(par: Parallelism) -> ServiceConfig {
+        ServiceConfig {
+            par,
+            ..ServiceConfig::default()
+        }
+    }
+}
+
+/// A registered view together with the state it currently serves: its
+/// relation is the maintenance input of the next batch and what a
+/// checkpoint persists, and a published snapshot is these, collected.
+struct Registered {
+    view: MaintainedView,
+    info: ViewInfo,
+}
+
+/// Everything the write path mutates; see the module docs.
 struct Writer {
     /// The master database: the writer's working copy, snapshotted into
     /// every published epoch.
     db: Database,
-    views: Vec<MaintainedView>,
+    views: Vec<Registered>,
     epoch: u64,
-    /// Parallelism handed to every registered view's maintenance (and,
-    /// through its plan, to materialization/recompute).
-    par: Parallelism,
     /// Lazily created pool for fanning one batch's maintenance out across
     /// views (one view per worker). Deliberately distinct from the
     /// engine's shared pool: a per-view job blocks on its fixpoint's
     /// sharded rounds, which run on the engine pool — running both tiers
     /// on one pool could park every worker on a wait (see module docs).
     view_pool: Option<Arc<WorkerPool>>,
+    durability: Option<Durability>,
+    /// The shared cost model every registration plans with; the drift
+    /// sentinel recalibrates it from journal feedback.
+    cost_model: CostModel,
+    /// Per-view drift state.
+    sentinel: Sentinel,
+    /// Optional on-disk decision log (`decisions.log` next to the WAL).
+    decision_log: Option<DecisionLog>,
 }
 
-/// Durable state attached to a service: the store plus the checkpoint
-/// policy driving WAL-to-snapshot folding. While degraded the store is
-/// `None` — the handle is dropped so the recovery probe re-opens the data
-/// directory from scratch (`dir` + `vfs` are kept for exactly that).
+/// Durable state of a service: the store plus the checkpoint policy
+/// driving WAL-to-snapshot folding. While degraded the store is `None` —
+/// the handle is dropped so the recovery probe re-opens the data directory
+/// from scratch (`dir` + `vfs` are kept for exactly that).
 struct Durability {
     store: Option<Store>,
     policy: CheckpointPolicy,
@@ -493,8 +586,32 @@ struct Durability {
     vfs: Arc<dyn Vfs>,
 }
 
-/// Mutable mode state behind [`ViewService::mode_state`].
-struct ModeState {
+/// What [`ViewService::health`] reports about the store, copied out of
+/// the live [`Store`] by the write path so readers never touch the writer.
+#[derive(Clone, Copy, Default)]
+struct StoreFacts {
+    durable: bool,
+    generation: Option<u64>,
+    wal_batches: u64,
+    wal_bytes: u64,
+}
+
+impl StoreFacts {
+    fn of(durability: Option<&Durability>) -> StoreFacts {
+        let store = durability.and_then(|d| d.store.as_ref());
+        let (wal_batches, wal_bytes) = store.map_or((0, 0), Store::wal_pressure);
+        StoreFacts {
+            durable: durability.is_some(),
+            generation: store.map(Store::generation),
+            wal_batches,
+            wal_bytes,
+        }
+    }
+}
+
+/// What must be readable while a batch runs; see the module docs.
+#[derive(Default)]
+struct Status {
     kind: ServiceMode,
     /// Why the service degraded (kept while `kind == Degraded`).
     reason: Option<String>,
@@ -505,67 +622,60 @@ struct ModeState {
     last_fault: Option<String>,
     /// When the last (inline or background) restore attempt ran.
     last_probe: Option<Instant>,
+    store: StoreFacts,
 }
 
-/// The service: one writer, epoch snapshots, concurrent readers. See the
-/// module docs for the lifecycle.
+/// The refusal a write gets while the service is degraded.
+pub(crate) fn degraded(reason: Option<String>) -> ServiceError {
+    ServiceError::Degraded {
+        reason: reason.unwrap_or_else(|| "storage fault".to_owned()),
+    }
+}
+
+/// The service: one published snapshot, one writer, one status word. See
+/// the module docs for the three pieces and their order.
 pub struct ViewService {
     current: RwLock<Arc<Snapshot>>,
     writer: Mutex<Writer>,
-    /// Lock order is always writer → durability → mode_state → current.
-    durability: Mutex<Option<Durability>>,
-    /// Write-availability mode (may be read without the writer lock).
-    mode_state: Mutex<ModeState>,
-    /// Overload-control knobs (see [`ServiceLimits`]).
-    limits: Mutex<ServiceLimits>,
-    /// Retry policy for the durable write path.
-    retry: Mutex<RetryPolicy>,
+    status: Mutex<Status>,
     /// Writers currently queued behind the writer lock.
     waiting_writers: AtomicUsize,
     /// Highest WAL sequence number ever acknowledged to a caller. The
     /// restore probe refuses to reattach a store whose recovered log does
     /// not reach this point — that would silently lose an acked batch.
     acked_seq: AtomicU64,
-    /// Deny-by-default static analysis at registration (see
-    /// [`ViewService::set_registration_checks`]).
-    registration_checks: std::sync::atomic::AtomicBool,
-    /// The shared cost model every registration plans with. Mutable so
-    /// the drift sentinel can recalibrate it from journal feedback.
-    cost_model: Mutex<CostModel>,
-    /// Per-view drift state + knobs (see [`SentinelConfig`]).
-    sentinel: Mutex<Sentinel>,
-    /// Optional on-disk decision log (`decisions.log` next to the WAL).
-    /// Appends are best-effort: a failure is counted, never surfaced to a
-    /// batch caller.
-    decision_log: Mutex<Option<DecisionLog>>,
+    config: ServiceConfig,
 }
 
 impl ViewService {
     /// A service starting from the given database at epoch 0, with no
-    /// views. Maintenance runs sequentially; see
-    /// [`ViewService::with_parallelism`].
+    /// views and the default [`ServiceConfig`] (sequential maintenance).
     pub fn new(db: Database) -> ViewService {
-        ViewService::with_parallelism(db, Parallelism::sequential())
+        ViewService::with_config(db, ServiceConfig::default())
     }
 
-    /// [`ViewService::new`] with a [`Parallelism`] knob: view
-    /// materialization, recompute fallbacks, and large-delta maintenance
-    /// rounds fan out on the shared engine pool (cost-model gated per
-    /// round — small batches keep maintaining sequentially), and batches
-    /// touching several views maintain them concurrently (one view per
-    /// worker).
+    /// [`ViewService::new`] with a [`Parallelism`] knob (see
+    /// [`ServiceConfig::par`]).
     pub fn with_parallelism(db: Database, par: Parallelism) -> ViewService {
-        ViewService::with_parallelism_at_epoch(db, par, 0)
+        ViewService::with_config(db, par.into())
+    }
+
+    /// [`ViewService::new`] with every fixed setting spelled out.
+    pub fn with_config(db: Database, config: ServiceConfig) -> ViewService {
+        ViewService::assemble(db, 0, config, None)
     }
 
     /// A service whose first snapshot is published at `epoch` — the
     /// recovery path: a database loaded from a checkpoint resumes at the
     /// epoch the checkpoint captured, so epochs stay strictly increasing
-    /// across restarts.
-    pub(crate) fn with_parallelism_at_epoch(
+    /// across restarts. Registration decisions, drift events and
+    /// recalibrations append to `decision_log` when one is given
+    /// (CRC-framed, best-effort — see [`linrec_storage::DecisionLog`]).
+    pub(crate) fn assemble(
         db: Database,
-        par: Parallelism,
         epoch: u64,
+        config: ServiceConfig,
+        decision_log: Option<DecisionLog>,
     ) -> ViewService {
         let snapshot = Arc::new(Snapshot {
             epoch,
@@ -578,155 +688,66 @@ impl ViewService {
                 db,
                 views: Vec::new(),
                 epoch,
-                par,
                 view_pool: None,
+                durability: None,
+                cost_model: config.cost_model.clone(),
+                sentinel: Sentinel::new(config.sentinel.clone()),
+                decision_log,
             }),
-            durability: Mutex::new(None),
-            mode_state: Mutex::new(ModeState {
-                kind: ServiceMode::ReadWrite,
-                reason: None,
-                degradations: 0,
-                last_fault: None,
-                last_probe: None,
-            }),
-            limits: Mutex::new(ServiceLimits::default()),
-            retry: Mutex::new(RetryPolicy::default()),
+            status: Mutex::new(Status::default()),
             waiting_writers: AtomicUsize::new(0),
             acked_seq: AtomicU64::new(0),
-            registration_checks: std::sync::atomic::AtomicBool::new(true),
-            cost_model: Mutex::new(CostModel::default()),
-            sentinel: Mutex::new(Sentinel::new(SentinelConfig::default())),
-            decision_log: Mutex::new(None),
+            config,
         }
     }
 
-    /// Enable or disable the static-analysis registration gate (on by
-    /// default): [`ViewService::register_view`] runs `linrec-lint`'s
-    /// structural passes over the offered rules and refuses error-severity
-    /// findings with [`ServiceError::Lint`]. Disabling is an experiment
-    /// escape hatch — an unsafe rule that passes the gate can still fail
-    /// (or loop) at materialization time.
-    pub fn set_registration_checks(&self, enabled: bool) {
-        self.registration_checks
-            .store(enabled, std::sync::atomic::Ordering::Relaxed);
+    /// The last construction step of a durable service: hand the recovered
+    /// store over once the WAL tail has been replayed (replay must not
+    /// re-log what it reads). Every subsequent batch is write-ahead logged
+    /// before acknowledgement, and `policy` decides when the WAL is folded
+    /// into a fresh snapshot generation. Takes the service by value —
+    /// there is no attaching a store to a service that is already shared.
+    pub(crate) fn with_store(
+        self,
+        store: Store,
+        policy: CheckpointPolicy,
+    ) -> Result<ViewService, ServiceError> {
+        self.acked_seq
+            .store(store.next_seq().saturating_sub(1), Ordering::SeqCst);
+        let durability = Durability {
+            dir: store.dir().to_owned(),
+            vfs: store.vfs(),
+            store: Some(store),
+            policy,
+        };
+        self.status().store = StoreFacts::of(Some(&durability));
+        self.lock_writer()?.durability = Some(durability);
+        Ok(self)
+    }
+
+    /// The fixed overload-control knobs.
+    pub fn limits(&self) -> ServiceLimits {
+        self.config.limits
     }
 
     /// A copy of the shared [`CostModel`] views are planned with. The
     /// drift sentinel mutates the shared model in place
     /// ([`CostModel::calibrate`]), so two calls can observe different
     /// `fanout_scale`s.
-    pub fn cost_model(&self) -> CostModel {
-        self.cost_model
-            .lock()
-            .expect("cost model lock poisoned")
-            .clone()
-    }
-
-    /// Replace the shared cost model (e.g. with deployment-specific
-    /// constants, or a deliberately skewed model in drift tests). Applies
-    /// to future registrations and future per-batch estimates; already
-    /// registered views keep their plans.
-    pub fn set_cost_model(&self, model: CostModel) {
-        *self.cost_model.lock().expect("cost model lock poisoned") = model;
-    }
-
-    /// The drift sentinel's current knobs.
-    pub fn sentinel_config(&self) -> SentinelConfig {
-        self.sentinel
-            .lock()
-            .expect("sentinel lock poisoned")
-            .config()
-            .clone()
-    }
-
-    /// Replace the drift sentinel's knobs. Every view's EWMA state and
-    /// warm-up restarts (it was accumulated under the old tolerances).
-    pub fn set_sentinel_config(&self, cfg: SentinelConfig) {
-        self.sentinel
-            .lock()
-            .expect("sentinel lock poisoned")
-            .set_config(cfg);
-    }
-
-    /// Attach a `decisions.log`: registration decisions, drift events and
-    /// recalibrations append to it (CRC-framed, best-effort — see
-    /// [`linrec_storage::DecisionLog`]). `open_durable` attaches one next
-    /// to the WAL automatically.
-    pub(crate) fn attach_decision_log(&self, log: DecisionLog) {
-        *self
-            .decision_log
-            .lock()
-            .expect("decision log lock poisoned") = Some(log);
-    }
-
-    /// Best-effort append to the attached decision log. Failures bump
-    /// `linrec_service_decision_log_errors_total` and are otherwise
-    /// swallowed: the log is observability data and must never fail an
-    /// acknowledged operation.
-    fn log_decision(&self, json: &str) {
-        let mut log = self
-            .decision_log
-            .lock()
-            .expect("decision log lock poisoned");
-        if let Some(log) = log.as_mut() {
-            if log.append(json).is_err() {
-                crate::profile::service().decision_log_errors.inc();
-            }
-        }
-    }
-
-    /// Attach a recovered store: every subsequent batch is write-ahead
-    /// logged before acknowledgement, and `policy` decides when the WAL is
-    /// folded into a fresh snapshot generation. Use
-    /// [`crate::persist::open_durable`] for the full open/recover/attach
-    /// flow.
-    pub(crate) fn attach_durability(&self, store: Store, policy: CheckpointPolicy) {
-        let dir = store.dir().to_owned();
-        let vfs = store.vfs();
-        self.acked_seq
-            .store(store.next_seq().saturating_sub(1), Ordering::SeqCst);
-        let mut dur = self.durability.lock().expect("durability lock poisoned");
-        *dur = Some(Durability {
-            store: Some(store),
-            policy,
-            dir,
-            vfs,
-        });
+    pub fn cost_model(&self) -> Result<CostModel, ServiceError> {
+        Ok(self.lock_writer()?.cost_model.clone())
     }
 
     /// The live on-disk snapshot generation, when durable (and not
     /// currently degraded).
     pub fn store_generation(&self) -> Option<u64> {
-        self.durability
-            .lock()
-            .expect("durability lock poisoned")
-            .as_ref()
-            .and_then(|d| d.store.as_ref())
-            .map(Store::generation)
-    }
-
-    /// Force a checkpoint of the current snapshot (no-op returning `false`
-    /// on a non-durable — or currently degraded — service). The write
-    /// happens under the writer lock, so it captures a batch-consistent
-    /// state; readers are unaffected.
-    pub fn checkpoint_now(&self) -> Result<bool, ServiceError> {
-        let retry = self.retry_policy();
-        let writer = self.writer.lock().expect("writer lock poisoned");
-        let mut dur = self.durability.lock().expect("durability lock poisoned");
-        match dur.as_mut().and_then(|d| d.store.as_mut()) {
-            Some(store) => {
-                let data = self.snapshot_data(&writer);
-                retry.run(|| store.checkpoint(&data))?;
-                Ok(true)
-            }
-            None => Ok(false),
-        }
+        self.status().store.generation
     }
 
     /// The current write-availability mode and (when degraded) its reason.
     pub fn mode(&self) -> (ServiceMode, Option<String>) {
-        let mode = self.mode_state.lock().expect("mode lock poisoned");
-        (mode.kind, mode.reason.clone())
+        let status = self.status();
+        (status.kind, status.reason.clone())
     }
 
     /// Operator toggle: switch the service read-only (writes answer
@@ -734,96 +755,116 @@ impl ViewService {
     /// *degraded* service "on" is a no-op — the fault, not the operator,
     /// owns the mode until the probe restores it.
     pub fn set_read_only(&self, read_only: bool) {
-        let mut mode = self.mode_state.lock().expect("mode lock poisoned");
-        match (read_only, mode.kind) {
-            (true, ServiceMode::ReadWrite) => mode.kind = ServiceMode::ReadOnly,
-            (false, ServiceMode::ReadOnly) => mode.kind = ServiceMode::ReadWrite,
+        let mut status = self.status();
+        match (read_only, status.kind) {
+            (true, ServiceMode::ReadWrite) => status.kind = ServiceMode::ReadOnly,
+            (false, ServiceMode::ReadOnly) => status.kind = ServiceMode::ReadWrite,
             _ => {}
         }
     }
 
-    /// Replace the overload-control knobs.
-    pub fn set_limits(&self, limits: ServiceLimits) {
-        *self.limits.lock().expect("limits lock poisoned") = limits;
-    }
-
-    /// The current overload-control knobs.
-    pub fn limits(&self) -> ServiceLimits {
-        *self.limits.lock().expect("limits lock poisoned")
-    }
-
-    /// Replace the durable-write retry policy.
-    pub fn set_retry_policy(&self, retry: RetryPolicy) {
-        *self.retry.lock().expect("retry lock poisoned") = retry;
-    }
-
-    fn retry_policy(&self) -> RetryPolicy {
-        *self.retry.lock().expect("retry lock poisoned")
-    }
-
     /// A point-in-time health report: mode, epoch, queue depth, WAL
-    /// pressure, fault history. Lock-light — safe to call from any
-    /// session at any time, including while degraded.
+    /// pressure, fault history. Never touches the writer — safe to call
+    /// from any session at any time, including mid-batch and while
+    /// degraded.
     pub fn health(&self) -> HealthInfo {
         let snap = self.snapshot();
-        let (wal_batches, wal_bytes, generation, durable) = {
-            let dur = self.durability.lock().expect("durability lock poisoned");
-            match dur.as_ref() {
-                Some(d) => match d.store.as_ref() {
-                    Some(s) => {
-                        let (batches, bytes) = s.wal_pressure();
-                        (batches, bytes, Some(s.generation()), true)
-                    }
-                    None => (0, 0, None, true),
-                },
-                None => (0, 0, None, false),
-            }
-        };
-        let mode = self.mode_state.lock().expect("mode lock poisoned");
+        let status = self.status();
         HealthInfo {
-            mode: mode.kind,
-            reason: mode.reason.clone(),
+            mode: status.kind,
+            reason: status.reason.clone(),
             epoch: snap.epoch,
             views: snap.views.len(),
             waiting_writers: self.waiting_writers.load(Ordering::SeqCst),
-            max_queue: self.limits().max_queue,
-            durable,
-            wal_batches,
-            wal_bytes,
-            generation,
-            degradations: mode.degradations,
-            last_fault: mode.last_fault.clone(),
+            max_queue: self.config.limits.max_queue,
+            durable: status.store.durable,
+            wal_batches: status.store.wal_batches,
+            wal_bytes: status.store.wal_bytes,
+            generation: status.store.generation,
+            degradations: status.degradations,
+            last_fault: status.last_fault.clone(),
         }
+    }
+
+    /// The current snapshot (cheap: one `Arc` clone under a read lock).
+    pub fn snapshot(&self) -> Arc<Snapshot> {
+        Arc::clone(&self.current.read().unwrap_or_else(PoisonError::into_inner))
+    }
+
+    /// The status word. A poisoned guard is recovered: every update is a
+    /// plain field store, so the value is whole at every step.
+    fn status(&self) -> MutexGuard<'_, Status> {
+        self.status.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Acquire the writer under overload control: uncontended acquisition
+    /// is free; a contended request joins a bounded queue (shed with
+    /// [`ServiceError::Busy`] beyond `max_queue`) and spins with a
+    /// deadline (expiry answers [`ServiceError::Timeout`]). A writer
+    /// poisoned by an earlier panic answers [`ServiceError::Internal`] —
+    /// its state may be half-updated, so it is never recovered.
+    fn lock_writer(&self) -> Result<MutexGuard<'_, Writer>, ServiceError> {
+        let try_lock = || match self.writer.try_lock() {
+            Ok(w) => Ok(Some(w)),
+            Err(TryLockError::WouldBlock) => Ok(None),
+            Err(TryLockError::Poisoned(_)) => Err(ServiceError::Internal(
+                "writer lock poisoned by an earlier panic".to_owned(),
+            )),
+        };
+        if let Some(w) = try_lock()? {
+            return Ok(w);
+        }
+        let limits = self.config.limits;
+        let waiting = self.waiting_writers.fetch_add(1, Ordering::SeqCst) + 1;
+        if limits.max_queue > 0 && waiting > limits.max_queue {
+            self.waiting_writers.fetch_sub(1, Ordering::SeqCst);
+            return Err(ServiceError::Busy {
+                waiting,
+                limit: limits.max_queue,
+            });
+        }
+        let deadline = limits.request_timeout.map(|t| (t, Instant::now() + t));
+        let result = loop {
+            match try_lock() {
+                Ok(Some(w)) => break Ok(w),
+                Err(e) => break Err(e),
+                Ok(None) => {
+                    if let Some((timeout, at)) = deadline {
+                        if Instant::now() >= at {
+                            break Err(ServiceError::Timeout {
+                                millis: timeout.as_millis() as u64,
+                            });
+                        }
+                    }
+                    std::thread::sleep(Duration::from_micros(100));
+                }
+            }
+        };
+        self.waiting_writers.fetch_sub(1, Ordering::SeqCst);
+        result
     }
 
     /// Enter degraded mode: drop the store handle (the probe re-opens the
     /// directory from scratch), record the fault, and start refusing
-    /// writes. Called with the durability lock **held** by the caller.
-    fn degrade(&self, dur: &mut Option<Durability>, fault: &StorageError, context: &str) -> String {
+    /// writes.
+    fn degrade(&self, writer: &mut Writer, fault: &StorageError, context: &str) -> String {
         let reason = format!("{context}: {fault}");
-        if let Some(d) = dur.as_mut() {
+        if let Some(d) = writer.durability.as_mut() {
             d.store = None;
         }
-        let mut mode = self.mode_state.lock().expect("mode lock poisoned");
-        if mode.kind != ServiceMode::Degraded {
-            mode.kind = ServiceMode::Degraded;
-            mode.degradations += 1;
+        let mut status = self.status();
+        if status.kind != ServiceMode::Degraded {
+            status.kind = ServiceMode::Degraded;
+            status.degradations += 1;
             if linrec_obs::enabled() {
                 crate::profile::service().degradations.inc();
             }
         }
-        mode.reason = Some(reason.clone());
-        mode.last_fault = Some(reason.clone());
-        mode.last_probe = None;
+        status.reason = Some(reason.clone());
+        status.last_fault = Some(reason.clone());
+        status.last_probe = None;
+        status.store = StoreFacts::of(writer.durability.as_ref());
         reason
-    }
-
-    /// Record a storage fault that did *not* degrade the service (e.g. a
-    /// failed post-commit checkpoint — the WAL remains the durability
-    /// source, so the service stays read-write).
-    fn note_fault(&self, fault: &StorageError, context: &str) {
-        let mut mode = self.mode_state.lock().expect("mode lock poisoned");
-        mode.last_fault = Some(format!("{context}: {fault}"));
     }
 
     /// Try to leave degraded mode by re-opening and re-recovering the
@@ -841,14 +882,13 @@ impl ViewService {
     /// in memory before acknowledgement, and degraded mode refused writes,
     /// so memory is exactly the acked prefix the disk recovered.
     pub fn try_restore(&self) -> Result<bool, ServiceError> {
-        let _writer = self.writer.lock().expect("writer lock poisoned");
-        let mut dur = self.durability.lock().expect("durability lock poisoned");
+        let mut writer = self.lock_writer()?;
         let degraded = {
-            let mut mode = self.mode_state.lock().expect("mode lock poisoned");
-            mode.last_probe = Some(Instant::now());
-            mode.kind == ServiceMode::Degraded
+            let mut status = self.status();
+            status.last_probe = Some(Instant::now());
+            status.kind == ServiceMode::Degraded
         };
-        let Some(d) = dur.as_mut() else {
+        let Some(d) = writer.durability.as_mut() else {
             return Ok(false);
         };
         if !degraded && d.store.is_some() {
@@ -870,22 +910,23 @@ impl ViewService {
                             store.next_seq().saturating_sub(1)
                         ),
                     };
-                    self.note_fault(&err, "restore probe");
+                    self.status().last_fault = Some(format!("restore probe: {err}"));
                     return Err(ServiceError::Storage(err));
                 }
                 d.store = Some(store);
-                let mut mode = self.mode_state.lock().expect("mode lock poisoned");
-                if mode.kind == ServiceMode::Degraded {
-                    mode.kind = ServiceMode::ReadWrite;
-                    mode.reason = None;
+                let mut status = self.status();
+                status.store = StoreFacts::of(Some(&*d));
+                if status.kind == ServiceMode::Degraded {
+                    status.kind = ServiceMode::ReadWrite;
+                    status.reason = None;
                 }
                 Ok(true)
             }
             Err(e) => {
-                self.note_fault(&e, "restore probe");
-                let mut mode = self.mode_state.lock().expect("mode lock poisoned");
-                mode.reason = Some(format!("restore probe: {e}"));
-                drop(mode);
+                let fault = format!("restore probe: {e}");
+                let mut status = self.status();
+                status.last_fault = Some(fault.clone());
+                status.reason = Some(fault);
                 Err(ServiceError::Storage(e))
             }
         }
@@ -895,15 +936,15 @@ impl ViewService {
     /// A degraded service whose inline-probe interval has elapsed gets one
     /// restore attempt right here, so traffic alone heals the service even
     /// without a background probe thread. Must be called **before**
-    /// acquiring the writer lock ([`ViewService::try_restore`] takes it).
+    /// acquiring the writer ([`ViewService::try_restore`] takes it).
     fn write_gate(&self) -> Result<(), ServiceError> {
         let (kind, reason, probe_due) = {
-            let mode = self.mode_state.lock().expect("mode lock poisoned");
-            let due = match mode.last_probe {
-                Some(at) => at.elapsed() >= self.limits().probe_interval,
+            let status = self.status();
+            let due = match status.last_probe {
+                Some(at) => at.elapsed() >= self.config.limits.probe_interval,
                 None => true,
             };
-            (mode.kind, mode.reason.clone(), due)
+            (status.kind, status.reason.clone(), due)
         };
         match kind {
             ServiceMode::ReadWrite => Ok(()),
@@ -912,83 +953,9 @@ impl ViewService {
                 if probe_due && matches!(self.try_restore(), Ok(true)) {
                     return Ok(());
                 }
-                Err(ServiceError::Degraded {
-                    reason: reason.unwrap_or_else(|| "storage fault".to_owned()),
-                })
+                Err(degraded(reason))
             }
         }
-    }
-
-    /// Acquire the writer lock under overload control: uncontended
-    /// acquisition is free; a contended request joins a bounded queue
-    /// (shed with [`ServiceError::Busy`] beyond `max_queue`) and spins
-    /// with a deadline (expiry answers [`ServiceError::Timeout`]).
-    fn lock_writer(&self) -> Result<MutexGuard<'_, Writer>, ServiceError> {
-        match self.writer.try_lock() {
-            Ok(w) => return Ok(w),
-            Err(TryLockError::Poisoned(_)) => panic!("writer lock poisoned"),
-            Err(TryLockError::WouldBlock) => {}
-        }
-        let limits = self.limits();
-        let waiting = self.waiting_writers.fetch_add(1, Ordering::SeqCst) + 1;
-        if limits.max_queue > 0 && waiting > limits.max_queue {
-            self.waiting_writers.fetch_sub(1, Ordering::SeqCst);
-            return Err(ServiceError::Busy {
-                waiting,
-                limit: limits.max_queue,
-            });
-        }
-        let deadline = limits.request_timeout.map(|t| (t, Instant::now() + t));
-        let result = loop {
-            match self.writer.try_lock() {
-                Ok(w) => break Ok(w),
-                Err(TryLockError::Poisoned(_)) => panic!("writer lock poisoned"),
-                Err(TryLockError::WouldBlock) => {
-                    if let Some((timeout, at)) = deadline {
-                        if Instant::now() >= at {
-                            break Err(ServiceError::Timeout {
-                                millis: timeout.as_millis() as u64,
-                            });
-                        }
-                    }
-                    std::thread::sleep(Duration::from_micros(100));
-                }
-            }
-        };
-        self.waiting_writers.fetch_sub(1, Ordering::SeqCst);
-        result
-    }
-
-    /// The current state as a storage-layer snapshot: the master database
-    /// plus every view's relation and definition fingerprint. Caller holds
-    /// the writer lock, so the current snapshot *is* the writer's state.
-    fn snapshot_data(&self, writer: &Writer) -> SnapshotData {
-        let snap = self.snapshot();
-        let views = writer
-            .views
-            .iter()
-            .map(|v| {
-                let name = v.def().name.clone();
-                let info = snap
-                    .view(&name)
-                    .expect("registered view must be in the current snapshot");
-                ViewSnapshot {
-                    fingerprint: view_fingerprint(v.def().seed, v.def().rules.iter()),
-                    relation: Arc::clone(&info.relation),
-                    name,
-                }
-            })
-            .collect();
-        SnapshotData {
-            epoch: snap.epoch,
-            db: snap.db.snapshot(),
-            views,
-        }
-    }
-
-    /// The current snapshot (cheap: one `Arc` clone under a read lock).
-    pub fn snapshot(&self) -> Arc<Snapshot> {
-        Arc::clone(&self.current.read().expect("snapshot lock poisoned"))
     }
 
     /// Explain a registered view's plan: the tree plus the structured
@@ -1005,6 +972,7 @@ impl ViewService {
             let view = writer
                 .views
                 .iter()
+                .map(|r| &r.view)
                 .find(|v| v.def().name == name)
                 .ok_or_else(|| ServiceError::UnknownView(name.to_owned()))?;
             (
@@ -1037,11 +1005,30 @@ impl ViewService {
     /// Register a view: plan it against the current database, materialize
     /// it, and publish a new epoch.
     pub fn register_view(&self, def: ViewDef) -> Result<BatchReport, ServiceError> {
+        self.register(def, None)
+    }
+
+    /// The one registration body. With `recovered` contents (a checkpoint's
+    /// relation for this view) the plan and maintenance mode are derived
+    /// exactly as for a fresh view, but the relation is adopted as the
+    /// materialized state instead of running the fixpoint, and the epoch
+    /// does **not** advance (the recovered state belongs to the persisted
+    /// epoch). The caller vouches for it being this view's fixpoint over
+    /// the current database — `open_durable` does so by matching the
+    /// checkpoint's definition fingerprint and CRC-validated contents,
+    /// which is also why the registration gate is not re-run on it.
+    pub(crate) fn register(
+        &self,
+        def: ViewDef,
+        recovered: Option<Arc<Relation>>,
+    ) -> Result<BatchReport, ServiceError> {
         let mut sp = linrec_obs::span("service.register");
         sp.attr("view", &def.name);
+        let fresh = recovered.is_none();
         self.write_gate()?;
-        let mut writer = self.lock_writer()?;
-        if writer.views.iter().any(|v| v.def().name == def.name) {
+        let mut guard = self.lock_writer()?;
+        let writer = &mut *guard;
+        if writer.views.iter().any(|r| r.view.def().name == def.name) {
             return Err(ServiceError::DuplicateView(def.name));
         }
         // Deny-by-default static analysis: structural lints plus the
@@ -1049,10 +1036,7 @@ impl ViewService {
         // (registration-time relations legitimately start empty). Clients
         // get the typed diagnostic over the protocol instead of a late
         // fixpoint failure.
-        if self
-            .registration_checks
-            .load(std::sync::atomic::Ordering::Relaxed)
-        {
+        if fresh && self.config.registration_checks {
             let report = linrec_lint::check_rules(&def.rules, None, None);
             if report.has_errors() {
                 return Err(ServiceError::Lint(report));
@@ -1066,95 +1050,76 @@ impl ViewService {
             let arity = rule.arity();
             writer.db.set_relation(def.seed, Relation::new(arity));
         }
-        let mut view =
-            MaintainedView::register_with(def, &writer.db, writer.par.clone(), &self.cost_model())?;
-        let started = Instant::now();
-        let (relation, stats) = view.materialize(&writer.db)?;
-        let nanos = started.elapsed().as_nanos() as u64;
-        let grown_by = relation.len();
-        if linrec_obs::enabled() {
-            crate::profile::service().maintain_ns.observe(nanos);
-            sp.attr("tuples", grown_by);
-        }
-        // Persist the registration's decision record (the journal got it
-        // from `execute_feedback` inside materialize).
-        self.log_decision(&view.plan().decision().to_json());
-        writer.epoch += 1;
+        let mut view = MaintainedView::register_with(
+            def,
+            &writer.db,
+            self.config.par.clone(),
+            &writer.cost_model,
+        )?;
+        let (relation, mode, stats, nanos) = match recovered {
+            Some(relation) => {
+                let arity = view.def().rules[0].arity();
+                if relation.arity() != arity {
+                    return Err(ServiceError::ArityMismatch {
+                        pred: Symbol::new(&name),
+                        expected: arity,
+                        got: relation.arity(),
+                    });
+                }
+                let stats = EvalStats {
+                    tuples: relation.len(),
+                    ..Default::default()
+                };
+                (relation, "recovered", stats, 0)
+            }
+            None => {
+                let started = Instant::now();
+                let (relation, stats) = view.materialize(&writer.db)?;
+                let nanos = started.elapsed().as_nanos() as u64;
+                if linrec_obs::enabled() {
+                    crate::profile::service().maintain_ns.observe(nanos);
+                    sp.attr("tuples", relation.len());
+                }
+                // Persist the registration's decision record (the journal
+                // got it from `execute_feedback` inside materialize).
+                writer.log_decision(&view.plan().decision().to_json());
+                writer.epoch += 1;
+                (Arc::new(relation), "materialize", stats, nanos)
+            }
+        };
         let epoch = writer.epoch;
+        let grown_by = relation.len();
         let info = ViewInfo {
-            relation: Arc::new(relation),
-            mode: "materialize",
+            relation,
+            mode,
             stats,
             maintenance_nanos: nanos,
             updated_epoch: epoch,
             decision: view.plan().shared_decision(),
         };
-        writer.views.push(view);
-        self.publish(&writer, [(name.clone(), info)]);
+        writer.views.push(Registered { view, info });
+        self.publish(writer);
         // Registrations are not WAL-logged (the log carries insert batches
-        // only), so a durable service folds the new view into a checkpoint
-        // right away.
-        self.checkpoint_if_durable(&writer);
+        // only), so a durable service folds a newly materialized view into
+        // a checkpoint right away.
+        if fresh {
+            self.checkpoint_or_warn(
+                writer,
+                "post-registration checkpoint",
+                "the view is registered and will be captured by the next successful checkpoint",
+            );
+        }
         Ok(BatchReport {
             epoch,
             inserted: 0,
             views: vec![ViewReport {
                 name,
-                mode: "materialize",
+                mode,
                 stats,
                 nanos,
                 grown_by,
             }],
         })
-    }
-
-    /// Register a view whose materialized contents were recovered from a
-    /// checkpoint: the plan and maintenance mode are derived exactly as in
-    /// [`ViewService::register_view`], but `relation` is installed as the
-    /// materialized state instead of running the fixpoint, and the epoch
-    /// does **not** advance (the recovered state belongs to the persisted
-    /// epoch). The caller vouches for `relation` being this view's fixpoint
-    /// over the current database — `open_durable` does so by matching the
-    /// checkpoint's definition fingerprint and CRC-validated contents.
-    pub fn register_view_recovered(
-        &self,
-        def: ViewDef,
-        relation: Arc<Relation>,
-    ) -> Result<(), ServiceError> {
-        let mut writer = self.writer.lock().expect("writer lock poisoned");
-        if writer.views.iter().any(|v| v.def().name == def.name) {
-            return Err(ServiceError::DuplicateView(def.name));
-        }
-        let name = def.name.clone();
-        if let (Some(rule), None) = (def.rules.first(), writer.db.relation(def.seed)) {
-            let arity = rule.arity();
-            writer.db.set_relation(def.seed, Relation::new(arity));
-        }
-        let view =
-            MaintainedView::register_with(def, &writer.db, writer.par.clone(), &self.cost_model())?;
-        let arity = view.def().rules[0].arity();
-        if relation.arity() != arity {
-            return Err(ServiceError::ArityMismatch {
-                pred: Symbol::new(&name),
-                expected: arity,
-                got: relation.arity(),
-            });
-        }
-        let stats = EvalStats {
-            tuples: relation.len(),
-            ..Default::default()
-        };
-        let info = ViewInfo {
-            relation,
-            mode: "recovered",
-            stats,
-            maintenance_nanos: 0,
-            updated_epoch: writer.epoch,
-            decision: view.plan().shared_decision(),
-        };
-        writer.views.push(view);
-        self.publish(&writer, [(name, info)]);
-        Ok(())
     }
 
     /// Apply one insert-only batch: extend the EDB, maintain every view,
@@ -1168,7 +1133,8 @@ impl ViewService {
         let mut sp = linrec_obs::span("service.batch");
         let t0 = linrec_obs::enabled().then(Instant::now);
         self.write_gate()?;
-        let mut writer = self.lock_writer()?;
+        let mut guard = self.lock_writer()?;
+        let writer = &mut *guard;
 
         // Validate and stage: nothing is written until the whole batch
         // checks out (a failed batch leaves the master database intact).
@@ -1223,48 +1189,7 @@ impl ViewService {
             deltas.into_iter().map(|(p, r)| (p, Arc::new(r))).collect();
 
         let epoch = writer.epoch + 1;
-        let snapshot = self.snapshot();
-        let maintained = Self::maintain_views(&mut writer, &snapshot, &db, &deltas)?;
-        let mut reports = Vec::new();
-        let mut updates: Vec<(String, ViewInfo)> = Vec::new();
-        for (i, (outcome, nanos)) in maintained.into_iter().enumerate() {
-            let view = &writer.views[i];
-            let name = view.def().name.clone();
-            match outcome.relation {
-                Some(relation) => {
-                    let old_len = snapshot
-                        .view(&name)
-                        .map(|v| v.relation.len())
-                        .expect("registered view must be in the current snapshot");
-                    let grown_by = relation.len() - old_len;
-                    updates.push((
-                        name.clone(),
-                        ViewInfo {
-                            relation: Arc::new(relation),
-                            mode: outcome.mode,
-                            stats: outcome.stats,
-                            maintenance_nanos: nanos,
-                            updated_epoch: epoch,
-                            decision: view.plan().shared_decision(),
-                        },
-                    ));
-                    reports.push(ViewReport {
-                        name,
-                        mode: outcome.mode,
-                        stats: outcome.stats,
-                        nanos,
-                        grown_by,
-                    });
-                }
-                None => reports.push(ViewReport {
-                    name,
-                    mode: "unchanged",
-                    stats: outcome.stats,
-                    nanos,
-                    grown_by: 0,
-                }),
-            }
-        }
+        let maintained = writer.maintain_views(&self.config.par, &db, &deltas, epoch)?;
 
         // Durability barrier: the WAL append + fsync must succeed before
         // the batch commits to the master database, publishes, or is
@@ -1273,30 +1198,23 @@ impl ViewService {
         // re-appending is always safe); exhausted retries degrade the
         // service to read-only and refuse the batch — the master database
         // is untouched, so the unacked batch vanishes atomically.
-        {
-            let retry = self.retry_policy();
-            let mut dur = self.durability.lock().expect("durability lock poisoned");
-            let append = match dur.as_mut() {
-                None => None,
-                Some(d) => match d.store.as_mut() {
-                    Some(store) => Some(retry.run(|| store.append_batch(&logged))),
-                    // Degraded between the gate and here: refuse.
-                    None => {
-                        let (_, reason) = self.mode();
-                        return Err(ServiceError::Degraded {
-                            reason: reason.unwrap_or_else(|| "storage fault".to_owned()),
-                        });
-                    }
-                },
+        let mut checkpoint_due = false;
+        if let Some(d) = writer.durability.as_mut() {
+            let Some(store) = d.store.as_mut() else {
+                // Degraded between the gate and here: refuse.
+                return Err(degraded(self.mode().1));
             };
-            match append {
-                None | Some(Ok(_)) => {
-                    if let Some(Ok(seq)) = append {
-                        self.acked_seq.store(seq, Ordering::SeqCst);
-                    }
+            match self.config.retry.run(|| store.append_batch(&logged)) {
+                Ok(seq) => {
+                    self.acked_seq.store(seq, Ordering::SeqCst);
+                    let facts = StoreFacts::of(Some(&*d));
+                    checkpoint_due = d
+                        .policy
+                        .should_checkpoint(facts.wal_batches, facts.wal_bytes);
+                    self.status().store = facts;
                 }
-                Some(Err(e)) => {
-                    let reason = self.degrade(&mut dur, &e, "wal append");
+                Err(e) => {
+                    let reason = self.degrade(writer, &e, "wal append");
                     return Err(ServiceError::Degraded { reason });
                 }
             }
@@ -1304,13 +1222,32 @@ impl ViewService {
 
         writer.db = db;
         writer.epoch = epoch;
-        self.publish(&writer, updates);
-        self.maybe_checkpoint(&writer);
+        let mut reports = Vec::with_capacity(maintained.len());
+        for (registered, (report, info)) in writer.views.iter_mut().zip(maintained) {
+            if let Some(info) = info {
+                registered.info = info;
+            }
+            reports.push(report);
+        }
+        self.publish(writer);
+        // Fold the WAL into a new snapshot generation when the policy says
+        // so. This is **after the commit point**, so a checkpoint failure
+        // must not fail the already-committed batch: it is reported
+        // out-of-band and the acknowledged batches simply stay in the WAL,
+        // which remains the source of durability. The next batch (or an
+        // explicit [`ViewService::checkpoint_now`]) retries.
+        if checkpoint_due {
+            self.checkpoint_or_warn(
+                writer,
+                "checkpoint",
+                "committed batches remain durable in the WAL and the next batch will retry",
+            );
+        }
         // The batch is committed and acked from here on; feed the drift
         // sentinel (estimate each maintained view's batch against the
         // shared model, journal the pair, trip + recalibrate on drift).
         if linrec_obs::enabled() {
-            self.observe_maintenance(&writer, &deltas, &reports);
+            writer.observe_maintenance(&deltas, &reports);
         }
         if let Some(t0) = t0 {
             let prof = crate::profile::service();
@@ -1327,25 +1264,210 @@ impl ViewService {
         })
     }
 
+    /// Force a checkpoint of the current state (no-op returning `false`
+    /// on a non-durable — or currently degraded — service). The write
+    /// happens under the writer lock, so it captures a batch-consistent
+    /// state; readers are unaffected.
+    pub fn checkpoint_now(&self) -> Result<bool, ServiceError> {
+        let mut writer = self.lock_writer()?;
+        Ok(self.checkpoint(&mut writer)?)
+    }
+
+    /// The one checkpoint body: fold the writer's state — the master
+    /// database plus every view's relation and definition fingerprint —
+    /// into a fresh on-disk generation. `Ok(false)` when there is no live
+    /// store. Callers decide whether to run it and whether a failure is
+    /// fatal.
+    fn checkpoint(&self, writer: &mut Writer) -> Result<bool, StorageError> {
+        let Writer {
+            db,
+            views,
+            epoch,
+            durability,
+            ..
+        } = writer;
+        let Some(store) = durability.as_mut().and_then(|d| d.store.as_mut()) else {
+            return Ok(false);
+        };
+        let data = SnapshotData {
+            epoch: *epoch,
+            db: db.snapshot(),
+            views: views
+                .iter()
+                .map(|Registered { view, info }| ViewSnapshot {
+                    fingerprint: view_fingerprint(view.def().seed, view.def().rules.iter()),
+                    relation: Arc::clone(&info.relation),
+                    name: view.def().name.clone(),
+                })
+                .collect(),
+        };
+        let result = self.config.retry.run(|| store.checkpoint(&data));
+        self.status().store = StoreFacts::of(durability.as_ref());
+        result.map(|_| true)
+    }
+
+    /// [`ViewService::checkpoint`] after a commit point: the operation it
+    /// follows is already published, so a failure is recorded in `health`
+    /// and warned about on stderr instead of failing the caller.
+    fn checkpoint_or_warn(&self, writer: &mut Writer, context: &str, consequence: &str) {
+        if let Err(e) = self.checkpoint(writer) {
+            self.status().last_fault = Some(format!("{context}: {e}"));
+            eprintln!("warning: {context} failed ({e}); {consequence}");
+        }
+    }
+
+    /// Publish the writer's state as the next snapshot.
+    fn publish(&self, writer: &Writer) {
+        let mut sp = linrec_obs::span("service.publish");
+        sp.attr("epoch", writer.epoch);
+        let views: FastMap<String, ViewInfo> = writer
+            .views
+            .iter()
+            .map(|r| (r.view.def().name.clone(), r.info.clone()))
+            .collect();
+        if linrec_obs::enabled() {
+            let prof = crate::profile::service();
+            prof.epoch.set(writer.epoch as i64);
+            prof.views.set(views.len() as i64);
+        }
+        let snapshot = Arc::new(Snapshot {
+            epoch: writer.epoch,
+            db: writer.db.snapshot(),
+            views,
+        });
+        *self.current.write().unwrap_or_else(PoisonError::into_inner) = snapshot;
+    }
+}
+
+/// One view's maintenance under one batch, timed and traced — the body
+/// both the sequential loop and the pooled fan-out run. Returns the view's
+/// batch report and, when the batch reached it, the state to serve from
+/// `epoch` on.
+fn maintain_one(
+    registered: &mut Registered,
+    db: &Database,
+    deltas: &FastMap<Symbol, Arc<Relation>>,
+    epoch: u64,
+) -> Result<Maintained, StrategyError> {
+    let Registered { view, info: old } = registered;
+    let mut sp = linrec_obs::span("view.maintain");
+    sp.attr("view", &view.def().name);
+    let started = Instant::now();
+    let outcome = view.maintain(&old.relation, db, deltas)?;
+    let nanos = started.elapsed().as_nanos() as u64;
+    if linrec_obs::enabled() {
+        crate::profile::service().maintain_ns.observe(nanos);
+        sp.attr("mode", outcome.mode);
+    }
+    let mut report = ViewReport {
+        name: view.def().name.clone(),
+        mode: "unchanged",
+        stats: outcome.stats,
+        nanos,
+        grown_by: 0,
+    };
+    let info = outcome.relation.map(|relation| {
+        report.mode = outcome.mode;
+        report.grown_by = relation.len() - old.relation.len();
+        ViewInfo {
+            relation: Arc::new(relation),
+            mode: outcome.mode,
+            stats: outcome.stats,
+            maintenance_nanos: nanos,
+            updated_epoch: epoch,
+            decision: view.plan().shared_decision(),
+        }
+    });
+    Ok((report, info))
+}
+
+/// What [`maintain_one`] hands back per view.
+type Maintained = (ViewReport, Option<ViewInfo>);
+
+impl Writer {
+    /// Best-effort append to the decision log, if there is one. Failures
+    /// bump `linrec_service_decision_log_errors_total` and are otherwise
+    /// swallowed: the log is observability data and must never fail an
+    /// acknowledged operation.
+    fn log_decision(&mut self, json: &str) {
+        if let Some(log) = self.decision_log.as_mut() {
+            if log.append(json).is_err() {
+                crate::profile::service().decision_log_errors.inc();
+            }
+        }
+    }
+
+    /// Maintain every registered view against the post-batch database,
+    /// returning one [`Maintained`] per view in registration order.
+    /// One view per worker when the knob is parallel and several views are
+    /// registered; outcomes are identical to the sequential loop either
+    /// way (each view's maintenance is independent: same frozen pre-batch
+    /// relations, same deltas).
+    fn maintain_views(
+        &mut self,
+        par: &Parallelism,
+        db: &Database,
+        deltas: &FastMap<Symbol, Arc<Relation>>,
+        epoch: u64,
+    ) -> Result<Vec<Maintained>, StrategyError> {
+        if !par.is_parallel() || self.views.len() < 2 {
+            return self
+                .views
+                .iter_mut()
+                .map(|registered| maintain_one(registered, db, deltas, epoch))
+                .collect();
+        }
+
+        let pool = Arc::clone(
+            self.view_pool
+                .get_or_insert_with(|| Arc::new(WorkerPool::new(par.threads()))),
+        );
+        let ctx = linrec_obs::trace::context();
+        let receivers: Vec<_> = std::mem::take(&mut self.views)
+            .into_iter()
+            .map(|mut registered| {
+                let db = db.snapshot();
+                let deltas = deltas.clone();
+                pool.submit(move || {
+                    let _g = ctx.enter();
+                    let outcome = maintain_one(&mut registered, &db, &deltas, epoch);
+                    (registered, outcome)
+                })
+            })
+            .collect();
+        // Reassemble the views in dispatch order before surfacing any
+        // error (the first, as the sequential loop would), so a failed
+        // batch cannot drop a registered view.
+        let mut outcomes = Vec::with_capacity(receivers.len());
+        for rx in receivers {
+            let (registered, outcome) = rx.recv().expect("view maintenance worker panicked");
+            self.views.push(registered);
+            outcomes.push(outcome);
+        }
+        outcomes.into_iter().collect()
+    }
+
     /// Per-view drift observation for one committed batch: estimate the
     /// maintenance work the shared model predicts for this delta, journal
     /// the (estimate, actual) pair, and let the sentinel decide whether
     /// the model has drifted.
     fn observe_maintenance(
-        &self,
-        writer: &Writer,
+        &mut self,
         deltas: &FastMap<Symbol, Arc<Relation>>,
         reports: &[ViewReport],
     ) {
-        let model = self.cost_model();
+        // One model for the whole batch: a recalibration tripped by one
+        // view must not move the estimates of the views after it.
+        let model = self.cost_model.clone();
         let journal = linrec_obs::journal::journal();
-        for (view, report) in writer.views.iter().zip(reports) {
+        for (i, report) in reports.iter().enumerate() {
             if report.mode == "unchanged" {
                 continue;
             }
+            let view = &self.views[i].view;
             let estimate = deltas
                 .get(&view.def().seed)
-                .map(|delta| model.estimate(view.plan(), &writer.db, delta));
+                .map(|delta| model.estimate(view.plan(), &self.db, delta));
             let shape = view.plan().shape().label();
             journal.record(
                 "maintain",
@@ -1356,16 +1478,12 @@ impl ViewService {
                 report.nanos,
                 String::new(),
             );
-            let trip = self
-                .sentinel
-                .lock()
-                .expect("sentinel lock poisoned")
-                .observe(
-                    &report.name,
-                    estimate,
-                    report.stats.derivations,
-                    report.nanos,
-                );
+            let trip = self.sentinel.observe(
+                &report.name,
+                estimate,
+                report.stats.derivations,
+                report.nanos,
+            );
             if let Some(trip) = trip {
                 self.handle_drift(&report.name, shape, &trip);
             }
@@ -1377,7 +1495,7 @@ impl ViewService {
     /// decision-log records), then — for ratio drift with auto-calibrate
     /// on — recalibrate the shared cost model from the journal's recent
     /// (estimate, actual) pairs and restart the view's drift window.
-    fn handle_drift(&self, view: &str, shape: &'static str, trip: &DriftTrip) {
+    fn handle_drift(&mut self, view: &str, shape: &'static str, trip: &DriftTrip) {
         let journal = linrec_obs::journal::journal();
         crate::profile::service().plan_drift.inc();
         let mut sp = linrec_obs::span("plan.drift");
@@ -1399,28 +1517,17 @@ impl ViewService {
         );
         journal.record("drift", view, shape, 0.0, 0, 0, drift_json.clone());
         self.log_decision(&drift_json);
-        let (auto, window) = {
-            let sentinel = self.sentinel.lock().expect("sentinel lock poisoned");
-            let cfg = sentinel.config();
-            (cfg.auto_calibrate, cfg.calibration_window)
-        };
-        if !auto || !matches!(trip, DriftTrip::Ratio { .. }) {
+        let cfg = self.sentinel.config();
+        if !cfg.auto_calibrate || !matches!(trip, DriftTrip::Ratio { .. }) {
             return;
         }
-        let since = self
-            .sentinel
-            .lock()
-            .expect("sentinel lock poisoned")
-            .last_calibrate_seq(view);
-        let pairs = journal.recent_pairs(Some(view), window, since);
+        let since = self.sentinel.last_calibrate_seq(view);
+        let pairs = journal.recent_pairs(Some(view), cfg.calibration_window, since);
         if pairs.is_empty() {
             return;
         }
-        let scale = {
-            let mut model = self.cost_model.lock().expect("cost model lock poisoned");
-            model.calibrate(&pairs);
-            model.fanout_scale
-        };
+        self.cost_model.calibrate(&pairs);
+        let scale = self.cost_model.fanout_scale;
         let calib_json = format!(
             "{{\"event\":\"calibrate\",\"view\":\"{}\",\"pairs\":{},\"fanout_scale\":{scale}}}",
             linrec_obs::trace::json_escape(view),
@@ -1428,176 +1535,12 @@ impl ViewService {
         );
         let seq = journal.record("calibrate", view, shape, 0.0, 0, 0, calib_json.clone());
         self.log_decision(&calib_json);
-        self.sentinel
-            .lock()
-            .expect("sentinel lock poisoned")
-            .note_calibrated(view, seq);
+        self.sentinel.note_calibrated(view, seq);
         eprintln!(
             "linrec: recalibrated cost model from {} journal pairs for view '{view}' \
              (fanout_scale → {scale:.4}) trace={trace}",
             pairs.len()
         );
-    }
-
-    /// Maintain every registered view against the post-batch database,
-    /// returning one `(outcome, nanos)` per view in registration order.
-    /// One view per worker when the knob is parallel and several views are
-    /// registered; outcomes are identical to the sequential loop either
-    /// way (each view's maintenance is independent: same frozen pre-batch
-    /// relations, same deltas).
-    fn maintain_views(
-        writer: &mut Writer,
-        snapshot: &Snapshot,
-        db: &Database,
-        deltas: &FastMap<Symbol, Arc<Relation>>,
-    ) -> Result<Vec<(MaintenanceOutcome, u64)>, ServiceError> {
-        let old_of = |name: &str| {
-            snapshot
-                .view(name)
-                .map(|v| Arc::clone(&v.relation))
-                .expect("registered view must be in the current snapshot")
-        };
-        if !writer.par.is_parallel() || writer.views.len() < 2 {
-            let mut out = Vec::with_capacity(writer.views.len());
-            for view in writer.views.iter_mut() {
-                let old = old_of(&view.def().name);
-                let mut sp = linrec_obs::span("view.maintain");
-                sp.attr("view", &view.def().name);
-                let started = Instant::now();
-                let outcome = view.maintain(&old, db, deltas)?;
-                let nanos = started.elapsed().as_nanos() as u64;
-                if linrec_obs::enabled() {
-                    crate::profile::service().maintain_ns.observe(nanos);
-                    sp.attr("mode", outcome.mode);
-                }
-                drop(sp);
-                out.push((outcome, nanos));
-            }
-            return Ok(out);
-        }
-
-        let pool = Arc::clone(
-            writer
-                .view_pool
-                .get_or_insert_with(|| Arc::new(WorkerPool::new(writer.par.threads()))),
-        );
-        let ctx = linrec_obs::trace::context();
-        let receivers: Vec<_> = std::mem::take(&mut writer.views)
-            .into_iter()
-            .map(|mut view| {
-                let old = old_of(&view.def().name);
-                let db = db.snapshot();
-                let deltas = deltas.clone();
-                pool.submit(move || {
-                    let _g = ctx.enter();
-                    let mut sp = linrec_obs::span("view.maintain");
-                    sp.attr("view", &view.def().name);
-                    let started = Instant::now();
-                    let outcome = view.maintain(&old, &db, &deltas);
-                    let nanos = started.elapsed().as_nanos() as u64;
-                    if linrec_obs::enabled() {
-                        crate::profile::service().maintain_ns.observe(nanos);
-                        if let Ok(o) = &outcome {
-                            sp.attr("mode", o.mode);
-                        }
-                    }
-                    drop(sp);
-                    (view, outcome, nanos)
-                })
-            })
-            .collect();
-        // Reassemble the views in dispatch order before surfacing any
-        // error, so a failed batch cannot drop a registered view.
-        let mut out = Vec::with_capacity(receivers.len());
-        let mut first_err: Option<StrategyError> = None;
-        for rx in receivers {
-            let (view, outcome, nanos) = rx.recv().expect("view maintenance worker panicked");
-            writer.views.push(view);
-            match outcome {
-                Ok(o) => out.push((o, nanos)),
-                Err(e) => first_err = first_err.or(Some(e)),
-            }
-        }
-        match first_err {
-            Some(e) => Err(e.into()),
-            None => Ok(out),
-        }
-    }
-
-    /// Fold the WAL into a new snapshot generation when the policy says
-    /// so. Called with the writer lock held, right after a publish — i.e.
-    /// **after the commit point**, so a checkpoint failure must not fail
-    /// the already-committed operation: it is reported out-of-band
-    /// (stderr) and the acknowledged batches simply stay in the WAL,
-    /// which remains the source of durability. The next batch (or an
-    /// explicit [`ViewService::checkpoint_now`]) retries.
-    fn maybe_checkpoint(&self, writer: &Writer) {
-        let retry = self.retry_policy();
-        let mut dur = self.durability.lock().expect("durability lock poisoned");
-        let Some(d) = dur.as_mut() else {
-            return;
-        };
-        let Some(store) = d.store.as_mut() else {
-            return;
-        };
-        let (batches, bytes) = store.wal_pressure();
-        if !d.policy.should_checkpoint(batches, bytes) {
-            return;
-        }
-        let data = self.snapshot_data(writer);
-        if let Err(e) = retry.run(|| store.checkpoint(&data)) {
-            self.note_fault(&e, "checkpoint");
-            eprintln!(
-                "warning: checkpoint failed ({e}); committed batches remain \
-                 durable in the WAL and the next batch will retry"
-            );
-        }
-    }
-
-    /// Unconditional checkpoint when durable (registration path). Like
-    /// [`ViewService::maybe_checkpoint`], runs after the registration has
-    /// committed and published, so failures are out-of-band.
-    fn checkpoint_if_durable(&self, writer: &Writer) {
-        let retry = self.retry_policy();
-        let mut dur = self.durability.lock().expect("durability lock poisoned");
-        if let Some(store) = dur.as_mut().and_then(|d| d.store.as_mut()) {
-            let data = self.snapshot_data(writer);
-            if let Err(e) = retry.run(|| store.checkpoint(&data)) {
-                self.note_fault(&e, "post-registration checkpoint");
-                eprintln!(
-                    "warning: post-registration checkpoint failed ({e}); the \
-                     view is registered and will be captured by the next \
-                     successful checkpoint"
-                );
-            }
-        }
-    }
-
-    /// Build and publish a snapshot from the writer's state, carrying the
-    /// previous snapshot's view states forward except for `updates`.
-    fn publish(&self, writer: &Writer, updates: impl IntoIterator<Item = (String, ViewInfo)>) {
-        let mut sp = linrec_obs::span("service.publish");
-        sp.attr("epoch", writer.epoch);
-        let mut views = self
-            .current
-            .read()
-            .expect("snapshot lock poisoned")
-            .views
-            .clone();
-        for (name, info) in updates {
-            views.insert(name, info);
-        }
-        if linrec_obs::enabled() {
-            let prof = crate::profile::service();
-            prof.epoch.set(writer.epoch as i64);
-            prof.views.set(views.len() as i64);
-        }
-        let snapshot = Arc::new(Snapshot {
-            epoch: writer.epoch,
-            db: writer.db.snapshot(),
-            views,
-        });
-        *self.current.write().expect("snapshot lock poisoned") = snapshot;
     }
 }
 
@@ -1917,22 +1860,70 @@ mod tests {
         db
     }
 
-    #[test]
-    fn wal_fault_degrades_to_read_only_and_restore_recovers() {
-        use linrec_storage::{FaultOp, FaultPlan, FaultVfs};
-        let dir = tmpdir("degrade");
-        let fault = FaultVfs::new(FaultPlan::none());
+    /// Retries off, so every injected fault is observable.
+    fn no_retry() -> ServiceConfig {
+        ServiceConfig {
+            retry: RetryPolicy::none(),
+            ..ServiceConfig::default()
+        }
+    }
+
+    /// A durable chain-TC service over a fault-injecting VFS, retries off.
+    fn faulty_service(
+        tag: &str,
+        policy: CheckpointPolicy,
+    ) -> (
+        ViewService,
+        Arc<linrec_storage::FaultVfs>,
+        std::path::PathBuf,
+    ) {
+        let dir = tmpdir(tag);
+        let fault = linrec_storage::FaultVfs::new(linrec_storage::FaultPlan::none());
         let vfs: Arc<dyn Vfs> = fault.clone();
         let (service, _) = crate::persist::open_durable_with_vfs(
             &dir,
             vfs,
             chain_db(3),
             vec![tc_def("tc")],
-            Parallelism::sequential(),
-            CheckpointPolicy::default(),
+            no_retry(),
+            policy,
         )
         .unwrap();
-        service.set_retry_policy(RetryPolicy::none());
+        (service, fault, dir)
+    }
+
+    /// `(durable, generation, wal_batches)` as `health` reports them,
+    /// checked against what the old implementation derived from the live
+    /// store on every call.
+    fn store_facts(service: &ViewService) -> (bool, Option<u64>, u64) {
+        let h = service.health();
+        let writer = service.writer.lock().unwrap();
+        let store = writer.durability.as_ref().and_then(|d| d.store.as_ref());
+        let (batches, bytes) = store.map_or((0, 0), |s| s.wal_pressure());
+        assert_eq!(h.durable, writer.durability.is_some());
+        assert_eq!(h.generation, store.map(|s| s.generation()));
+        assert_eq!((h.wal_batches, h.wal_bytes), (batches, bytes));
+        (h.durable, h.generation, h.wal_batches)
+    }
+
+    #[test]
+    fn wal_fault_degrades_to_read_only_and_restore_recovers() {
+        use linrec_storage::{FaultOp, FaultPlan};
+        assert_eq!(
+            store_facts(&ViewService::new(chain_db(2))),
+            (false, None, 0)
+        );
+        let (service, fault, dir) = faulty_service("degrade", CheckpointPolicy::default());
+        let g0 = service.store_generation().unwrap();
+        assert_eq!(store_facts(&service), (true, Some(g0), 0));
+        // An append raises the WAL pressure `health` reports; a checkpoint
+        // rotates the generation and resets it.
+        service
+            .apply_batch([(Symbol::new("e"), pair(2, 4))])
+            .unwrap();
+        assert_eq!(store_facts(&service), (true, Some(g0), 1));
+        assert!(service.checkpoint_now().unwrap());
+        assert_eq!(store_facts(&service), (true, Some(g0 + 1), 0));
         service
             .apply_batch([(Symbol::new("e"), pair(3, 4))])
             .unwrap();
@@ -1960,6 +1951,8 @@ mod tests {
         assert_eq!(health.mode, ServiceMode::Degraded);
         assert_eq!(health.degradations, 1);
         assert!(health.reason.as_deref().unwrap().contains("wal append"));
+        // The store handle is gone, but the service is still a durable one.
+        assert_eq!(store_facts(&service), (true, None, 0));
         // Further writes answer degraded (the inline probe runs — reads
         // are faulted too, so it fails and the mode sticks).
         let err = service
@@ -1973,9 +1966,11 @@ mod tests {
         fault.clear();
         assert!(service.try_restore().unwrap());
         assert_eq!(service.mode().0, ServiceMode::ReadWrite);
+        assert_eq!(store_facts(&service), (true, Some(g0 + 1), 1));
         service
             .apply_batch([(Symbol::new("e"), pair(4, 5))])
             .unwrap();
+        assert_eq!(store_facts(&service), (true, Some(g0 + 1), 2));
         assert!(service.snapshot().contains("tc", &pair(0, 5)).unwrap());
         let want = service.snapshot().view("tc").unwrap().relation.sorted();
         drop(service);
@@ -1998,29 +1993,17 @@ mod tests {
 
     #[test]
     fn failed_checkpoint_keeps_the_service_read_write() {
-        use linrec_storage::{FaultKind, FaultOp, FaultPlan, FaultVfs};
-        let dir = tmpdir("ckpt-fault");
-        let fault = FaultVfs::new(FaultPlan::none());
-        let vfs: Arc<dyn Vfs> = fault.clone();
+        use linrec_storage::{FaultKind, FaultOp, FaultPlan};
         let policy = CheckpointPolicy {
             max_wal_batches: 1,
             max_wal_bytes: u64::MAX,
         };
-        let (service, _) = crate::persist::open_durable_with_vfs(
-            &dir,
-            vfs,
-            chain_db(3),
-            vec![tc_def("tc")],
-            Parallelism::sequential(),
-            policy,
-        )
-        .unwrap();
+        let (service, fault, dir) = faulty_service("ckpt-fault", policy);
         // The next checkpoint's snapshot publication (rename) fails:
         // post-commit, so the batch stays acked and the service stays
         // read-write — the WAL remains the durability source. (Retries
         // off: the default policy would paper over a single lost rename,
         // which is exactly what it is for.)
-        service.set_retry_policy(RetryPolicy::none());
         let next_rename = fault.op_count(FaultOp::Rename) + 1;
         fault.set_plan(FaultPlan::none().fail_nth(
             FaultOp::Rename,
@@ -2040,6 +2023,7 @@ mod tests {
         );
         // The next batch's checkpoint succeeds and rotates the generation.
         let g = service.store_generation().unwrap();
+        assert_eq!(store_facts(&service), (true, Some(g), 1));
         service
             .apply_batch([(Symbol::new("e"), pair(4, 5))])
             .unwrap();
@@ -2049,41 +2033,119 @@ mod tests {
 
     #[test]
     fn contended_writers_shed_busy_and_time_out() {
+        let limits = ServiceConfig {
+            limits: ServiceLimits {
+                max_queue: 1,
+                request_timeout: Some(Duration::from_millis(200)),
+                ..Default::default()
+            },
+            ..ServiceConfig::default()
+        };
+        let volatile = ViewService::with_config(chain_db(2), limits.clone());
+        volatile.register_view(tc_def("tc")).unwrap();
+        let dir = tmpdir("contended");
+        let (durable, _) = crate::persist::open_durable(
+            &dir,
+            chain_db(2),
+            vec![tc_def("tc")],
+            limits,
+            CheckpointPolicy::default(),
+        )
+        .unwrap();
+        for service in [volatile, durable] {
+            let service = Arc::new(service);
+            let generation = service.store_generation();
+            // Occupy the writer lock directly (same-module test privilege).
+            let guard = service.writer.lock().unwrap();
+            // First contended writer takes the one queue slot and will time
+            // out; the second is shed immediately with `busy`.
+            let svc = Arc::clone(&service);
+            let queued = std::thread::spawn(move || {
+                svc.apply_batch([(Symbol::new("e"), pair(2, 3))])
+                    .unwrap_err()
+            });
+            while service.waiting_writers.load(Ordering::SeqCst) == 0 {
+                std::thread::yield_now();
+            }
+            let shed = service
+                .apply_batch([(Symbol::new("e"), pair(3, 4))])
+                .unwrap_err();
+            assert!(matches!(shed, ServiceError::Busy { .. }), "{shed}");
+            assert_eq!(shed.code(), "busy");
+            // The lock claim: nothing a reader or `health` needs sits behind
+            // the writer — on the durable service that includes the store
+            // facts. (On a helper thread, so a regression fails the receive
+            // instead of deadlocking the test.)
+            let svc = Arc::clone(&service);
+            let (tx, rx) = std::sync::mpsc::channel();
+            let reader = std::thread::spawn(move || {
+                let seen = (
+                    svc.snapshot().epoch,
+                    svc.health(),
+                    svc.mode().0,
+                    svc.store_generation(),
+                    svc.limits().max_queue,
+                );
+                let _ = tx.send(seen);
+            });
+            let (epoch, health, mode, seen_generation, max_queue) = rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("reads must not wait for the writer");
+            reader.join().unwrap();
+            assert_eq!(epoch, 1);
+            assert_eq!(mode, ServiceMode::ReadWrite);
+            assert_eq!(max_queue, 1);
+            assert_eq!(seen_generation, generation);
+            assert_eq!(health.generation, generation);
+            assert_eq!(health.durable, generation.is_some());
+            assert!(health.waiting_writers >= 1);
+            let timed_out = queued.join().unwrap();
+            assert!(
+                matches!(timed_out, ServiceError::Timeout { .. }),
+                "{timed_out}"
+            );
+            drop(guard);
+            // The lock is free again: writes flow.
+            service
+                .apply_batch([(Symbol::new("e"), pair(2, 3))])
+                .unwrap();
+            assert_eq!(service.waiting_writers.load(Ordering::SeqCst), 0);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_poisoned_writer_answers_internal_while_reads_keep_serving() {
         let service = Arc::new(ViewService::new(chain_db(2)));
         service.register_view(tc_def("tc")).unwrap();
-        service.set_limits(ServiceLimits {
-            max_queue: 1,
-            request_timeout: Some(Duration::from_millis(200)),
-            ..Default::default()
-        });
-        // Occupy the writer lock directly (same-module test privilege).
-        let guard = service.writer.lock().unwrap();
-        // First contended writer takes the one queue slot and will time
-        // out; the second is shed immediately with `busy`.
         let svc = Arc::clone(&service);
-        let queued = std::thread::spawn(move || {
-            svc.apply_batch([(Symbol::new("e"), pair(2, 3))])
-                .unwrap_err()
-        });
-        while service.waiting_writers.load(Ordering::SeqCst) == 0 {
-            std::thread::yield_now();
-        }
-        let shed = service
-            .apply_batch([(Symbol::new("e"), pair(3, 4))])
-            .unwrap_err();
-        assert!(matches!(shed, ServiceError::Busy { .. }), "{shed}");
-        assert_eq!(shed.code(), "busy");
-        let timed_out = queued.join().unwrap();
-        assert!(
-            matches!(timed_out, ServiceError::Timeout { .. }),
-            "{timed_out}"
-        );
-        drop(guard);
-        // The lock is free again: writes flow.
-        service
+        let panicked = std::thread::spawn(move || {
+            let _guard = svc.writer.lock().unwrap();
+            panic!("deliberate panic with the writer held");
+        })
+        .join();
+        assert!(panicked.is_err());
+
+        let err = service
             .apply_batch([(Symbol::new("e"), pair(2, 3))])
-            .unwrap();
-        assert_eq!(service.waiting_writers.load(Ordering::SeqCst), 0);
+            .unwrap_err();
+        assert!(matches!(err, ServiceError::Internal(_)), "{err}");
+        assert_eq!(err.code(), "internal");
+        for err in [
+            service.register_view(tc_def("tc2")).unwrap_err(),
+            service.explain("tc", false).unwrap_err(),
+            service.checkpoint_now().unwrap_err(),
+            service.try_restore().unwrap_err(),
+        ] {
+            assert!(matches!(err, ServiceError::Internal(_)), "{err}");
+        }
+        // Reads still serve the last published epoch.
+        let snap = service.snapshot();
+        assert_eq!(snap.epoch, 1);
+        assert_eq!(snap.count("tc").unwrap(), 3);
+        let health = service.health();
+        assert_eq!((health.epoch, health.views), (1, 1));
+        assert_eq!(service.mode().0, ServiceMode::ReadWrite);
     }
 
     #[test]

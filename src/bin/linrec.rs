@@ -355,7 +355,7 @@ fn explain(path: &str, tuple: &str) -> Result<(), String> {
 /// reported. Registration goes through the same machinery `serve` uses,
 /// so what this prints is exactly what serving this program would decide.
 fn explain_plan(path: &str, args: &[String]) -> Result<(), String> {
-    use linrec::service::{explain_json, ViewDef, ViewService};
+    use linrec::service::{explain_json, ServiceConfig, ViewDef, ViewService};
 
     let (args, no_check) = strip_flag(args, "--no-check");
     let (args, analyze_flag) = strip_flag(&args, "--analyze");
@@ -378,10 +378,13 @@ fn explain_plan(path: &str, args: &[String]) -> Result<(), String> {
     let name = prog.rec_pred().as_str().to_owned();
     let mut db = prog.database().snapshot();
     db.set_relation(prog.rec_pred(), prog.init().clone());
-    let service = ViewService::new(db);
-    if no_check {
-        service.set_registration_checks(false);
-    }
+    let service = ViewService::with_config(
+        db,
+        ServiceConfig {
+            registration_checks: !no_check,
+            ..ServiceConfig::default()
+        },
+    );
     service
         .register_view(ViewDef {
             name: name.clone(),
@@ -605,7 +608,7 @@ fn top(args: &[String]) -> Result<(), String> {
 fn serve(path: &str, args: &[String]) -> Result<(), String> {
     use linrec::service::{
         open_durable, serve_lines, serve_tcp, spawn_degraded_probe, CheckpointPolicy,
-        ServiceLimits, ViewDef, ViewService, WorkerPool,
+        ServiceConfig, ServiceLimits, ViewDef, ViewService, WorkerPool,
     };
     use std::sync::Arc;
 
@@ -700,11 +703,17 @@ fn serve(path: &str, args: &[String]) -> Result<(), String> {
     };
     // One knob, two uses: `par` shards large maintenance rounds on the
     // engine pool, `threads` sizes the connection pool below.
+    let config = ServiceConfig {
+        par,
+        limits,
+        registration_checks: !no_check,
+        ..ServiceConfig::default()
+    };
     let service = match data_dir {
         Some(dir) => {
             let started = std::time::Instant::now();
             let (service, report) =
-                open_durable(&dir, db, vec![def], par, policy).map_err(|e| e.to_string())?;
+                open_durable(&dir, db, vec![def], config, policy).map_err(|e| e.to_string())?;
             eprintln!(
                 "store {dir}: {} in {:.2} ms (epoch {}, {} WAL batches replayed, \
                  generation {})",
@@ -721,15 +730,11 @@ fn serve(path: &str, args: &[String]) -> Result<(), String> {
             Arc::new(service)
         }
         None => {
-            let service = Arc::new(ViewService::with_parallelism(db, par));
-            if no_check {
-                service.set_registration_checks(false);
-            }
+            let service = Arc::new(ViewService::with_config(db, config));
             service.register_view(def).map_err(|e| e.to_string())?;
             service
         }
     };
-    service.set_limits(limits);
     if read_only {
         service.set_read_only(true);
         eprintln!("read-only: commits answer `err read-only`; queries serve normally");

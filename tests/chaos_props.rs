@@ -29,8 +29,8 @@
 
 use linrec::prelude::*;
 use linrec::service::{
-    open_durable, open_durable_with_vfs, CheckpointPolicy, RetryPolicy, ServiceError, ServiceMode,
-    ViewDef, ViewService,
+    open_durable, open_durable_with_vfs, CheckpointPolicy, RetryPolicy, ServiceConfig,
+    ServiceError, ServiceMode, ViewDef, ViewService,
 };
 use linrec::storage::{FaultOp, FaultPlan, FaultVfs, Vfs};
 use std::collections::BTreeSet;
@@ -129,21 +129,26 @@ fn chaos_iteration(seed: u64) {
         max_wal_batches: 3 + rng.below(4),
         max_wal_bytes: 1 << 20,
     };
+    // Half the schedules run without retries so single transient
+    // faults surface; the other half exercise the retry path.
+    let retry = if seed.is_multiple_of(2) {
+        RetryPolicy::none()
+    } else {
+        RetryPolicy::default()
+    };
     let (service, _report) = open_durable_with_vfs(
         &dir,
         vfs,
         chain_db(6),
         vec![tc_def()],
-        Parallelism::sequential(),
+        ServiceConfig {
+            retry,
+            ..ServiceConfig::default()
+        },
         policy,
     )
     .expect("clean open under a no-fault plan");
     let service = Arc::new(service);
-    if seed.is_multiple_of(2) {
-        // Half the schedules run without retries so single transient
-        // faults surface; the other half exercise the retry path.
-        service.set_retry_policy(RetryPolicy::none());
-    }
 
     // The model: every tuple the service has ever acknowledged.
     let mut acked: BTreeSet<(i64, i64)> = (0..6).map(|i| (i, i + 1)).collect();
@@ -285,11 +290,13 @@ fn crash_while_degraded_recovers_the_acked_prefix() {
         vfs,
         chain_db(4),
         vec![tc_def()],
-        Parallelism::sequential(),
+        ServiceConfig {
+            retry: RetryPolicy::none(),
+            ..ServiceConfig::default()
+        },
         CheckpointPolicy::default(),
     )
     .expect("clean open");
-    service.set_retry_policy(RetryPolicy::none());
 
     service
         .apply_batch(vec![(Symbol::new("e"), vec![Value::Int(4), Value::Int(5)])])

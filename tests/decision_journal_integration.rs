@@ -13,8 +13,8 @@
 use linrec::engine::{CertKind, DenseVerdict, MaintenanceMode, PickedBy};
 use linrec::prelude::*;
 use linrec::service::{
-    explain_json, open_durable_with_vfs, MaintainedView, SentinelConfig, Session, ViewDef,
-    ViewService,
+    explain_json, open_durable_with_vfs, MaintainedView, SentinelConfig, ServiceConfig, Session,
+    ViewDef, ViewService,
 };
 use linrec::storage::{
     read_decision_log, CheckpointPolicy, FaultOp, FaultPlan, FaultVfs, StdVfs, Vfs,
@@ -146,16 +146,22 @@ fn forced_miscalibration_trips_the_sentinel_and_recalibrates_from_the_journal() 
     // Scale the fanout charge 500×: every maintenance estimate is now
     // wildly above the actual derivations, which is exactly the drift the
     // sentinel exists to catch.
-    let service = ViewService::new(chain_db(50));
-    let mut model = service.cost_model();
-    model.fanout_scale = 500.0;
-    service.set_cost_model(model);
-    service.set_sentinel_config(SentinelConfig {
-        ratio_tolerance: 4.0,
-        min_batches: 2,
-        auto_calibrate: true,
-        ..SentinelConfig::default()
-    });
+    let service = ViewService::with_config(
+        chain_db(50),
+        ServiceConfig {
+            cost_model: CostModel {
+                fanout_scale: 500.0,
+                ..CostModel::default()
+            },
+            sentinel: SentinelConfig {
+                ratio_tolerance: 4.0,
+                min_batches: 2,
+                auto_calibrate: true,
+                ..SentinelConfig::default()
+            },
+            ..ServiceConfig::default()
+        },
+    );
     service.register_view(tc_def()).unwrap();
 
     let drift_before = linrec::obs::metrics::registry()
@@ -183,7 +189,7 @@ fn forced_miscalibration_trips_the_sentinel_and_recalibrates_from_the_journal() 
     // Auto-recalibration pulled the scale back toward reality from the
     // journal's (estimate, actual) pairs — at the very least out of the
     // tripping band.
-    let scale = service.cost_model().fanout_scale;
+    let scale = service.cost_model().unwrap().fanout_scale;
     assert!(
         scale < 500.0 / 4.0,
         "fanout_scale {scale} was not recalibrated down from 500"

@@ -102,10 +102,23 @@ fn duplicate_rule_is_l006() {
 
 #[test]
 fn unparsable_file_is_l000() {
-    let f = Fixture::new("garbage.lr", "this is not a program\n");
-    let out = check(&[f.path()]);
-    assert!(!out.status.success());
-    assert!(stdout(&out).contains("error[L000]"), "{}", stdout(&out));
+    // Garbage, and facts using one predicate at two arities (which used
+    // to abort inside the relation arena instead of being reported).
+    for (name, src) in [
+        ("garbage.lr", "this is not a program\n"),
+        (
+            "two-arities.lr",
+            "p(x,y) :- p(x,z), edge(z,y).\nedge(1,2). edge(1,2,3).\np(1,1).\n",
+        ),
+    ] {
+        let f = Fixture::new(name, src);
+        let out = check(&[f.path()]);
+        assert_eq!(out.status.code(), Some(1), "{name}: {out:?}");
+        let text = stdout(&out);
+        assert_eq!(text.lines().count(), 1, "{name}: {text}");
+        assert!(text.contains("error[L000]"), "{name}: {text}");
+        assert!(out.stderr.is_empty(), "{name}: {out:?}");
+    }
 }
 
 #[test]

@@ -15,7 +15,9 @@
 
 use linrec::engine::Parallelism;
 use linrec::prelude::*;
-use linrec::service::{open_durable, CheckpointPolicy, Session, ViewDef, ViewService};
+use linrec::service::{
+    open_durable, CheckpointPolicy, ServiceConfig, ServiceLimits, Session, ViewDef, ViewService,
+};
 use std::io::{BufRead, BufReader, Write as _};
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -29,6 +31,10 @@ fn tmpdir(tag: &str) -> PathBuf {
 
 /// A durable transitive-closure service in a fresh store directory.
 fn durable_service(tag: &str) -> Arc<ViewService> {
+    durable_service_with(tag, ServiceLimits::default())
+}
+
+fn durable_service_with(tag: &str, limits: ServiceLimits) -> Arc<ViewService> {
     let mut db = Database::new();
     db.set_relation("e", Relation::from_pairs((0..8).map(|i| (i, i + 1))));
     let def = ViewDef {
@@ -40,7 +46,11 @@ fn durable_service(tag: &str) -> Arc<ViewService> {
         tmpdir(tag),
         db,
         vec![def],
-        Parallelism::new(1),
+        ServiceConfig {
+            par: Parallelism::new(1),
+            limits,
+            ..ServiceConfig::default()
+        },
         CheckpointPolicy::default(),
     )
     .unwrap();
@@ -128,12 +138,14 @@ fn metrics_command_reflects_durable_work() {
 
 #[test]
 fn slow_request_threshold_counts_every_request() {
-    let service = durable_service("slow");
     // Threshold zero: every request is slow by definition.
-    service.set_limits(linrec::service::ServiceLimits {
-        slow_request: Some(std::time::Duration::ZERO),
-        ..Default::default()
-    });
+    let service = durable_service_with(
+        "slow",
+        ServiceLimits {
+            slow_request: Some(std::time::Duration::ZERO),
+            ..Default::default()
+        },
+    );
     let mut s = Session::new(service);
     let before = s_metrics_value("linrec_service_slow_requests_total");
     s.handle("epoch");

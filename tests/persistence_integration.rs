@@ -9,7 +9,9 @@
 //! and a torn WAL tail silently drops only the unacknowledged suffix.
 
 use linrec::prelude::*;
-use linrec::service::{open_durable, CheckpointPolicy, Session, ViewDef};
+use linrec::service::{
+    open_durable, CheckpointPolicy, ServiceConfig, ServiceError, Session, ViewDef, ViewService,
+};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -301,5 +303,52 @@ fn durable_and_volatile_services_agree_under_identical_traffic() {
         durable.snapshot().view("tc").unwrap().relation.sorted(),
         volatile.snapshot().view("tc").unwrap().relation.sorted()
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn registration_checks_mean_the_same_with_and_without_a_data_dir() {
+    // Two rules using `e` at two arities: the registration gate's L003.
+    let def = || ViewDef {
+        name: "tc".into(),
+        rules: vec![
+            parse_linear_rule("p(x,y) :- p(x,z), e(z,y).").unwrap(),
+            parse_linear_rule("p(x,y) :- p(x,z), e(z,y,y).").unwrap(),
+        ],
+        seed: Symbol::new("p"),
+    };
+    let db = || {
+        let mut db = chain_db("e", 3);
+        db.set_relation("p", Relation::from_pairs([(0, 0)]));
+        db
+    };
+    let config = |registration_checks| ServiceConfig {
+        registration_checks,
+        ..ServiceConfig::default()
+    };
+    let policy = CheckpointPolicy::default();
+    let refused = |e: ServiceError| matches!(e, ServiceError::Lint(_));
+
+    // Gate on: both shapes refuse, typed.
+    let volatile = ViewService::with_config(db(), config(true));
+    assert!(refused(volatile.register_view(def()).unwrap_err()));
+    let dir = tmpdir("no-check-refused");
+    let err = open_durable(&dir, db(), vec![def()], config(true), policy)
+        .map(|_| ())
+        .unwrap_err();
+    assert!(refused(err));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // Gate off: the config is in force while `open_durable` registers, so
+    // a fresh data dir serves exactly what the volatile service serves.
+    let volatile = ViewService::with_config(db(), config(false));
+    volatile.register_view(def()).unwrap();
+    let dir = tmpdir("no-check-served");
+    let (durable, _) = open_durable(&dir, db(), vec![def()], config(false), policy).unwrap();
+    assert_eq!(
+        durable.snapshot().view("tc").unwrap().relation.sorted(),
+        volatile.snapshot().view("tc").unwrap().relation.sorted()
+    );
+    assert_eq!(durable.snapshot().count("tc").unwrap(), 4);
     let _ = std::fs::remove_dir_all(&dir);
 }

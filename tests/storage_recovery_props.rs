@@ -18,7 +18,9 @@
 
 use linrec::engine::workload;
 use linrec::prelude::*;
-use linrec::service::{open_durable, CheckpointPolicy, ServiceError, ViewDef, ViewService};
+use linrec::service::{
+    open_durable, CheckpointPolicy, ServiceConfig, ServiceError, ViewDef, ViewService,
+};
 use linrec::storage::Store;
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -192,7 +194,7 @@ proptest! {
 
         let mut durable = Some(
             open_durable(&dir, base_db(&rules, case), vec![view_def(&rules)],
-                         Default::default(), policy)
+                         ServiceConfig::default(), policy)
                 .expect("fresh open")
                 .0,
         );
@@ -203,7 +205,7 @@ proptest! {
                 drop(durable.take());
                 let (service, report) = open_durable(
                     &dir, Database::new(), vec![view_def(&rules)],
-                    Default::default(), policy,
+                    ServiceConfig::default(), policy,
                 ).expect("reopen");
                 prop_assert!(report.rematerialized.is_empty(),
                     "fingerprint must match across restarts");
@@ -225,7 +227,7 @@ proptest! {
         // Final cold start must reproduce the state exactly.
         drop(durable.take());
         let (recovered, _) = open_durable(
-            &dir, Database::new(), vec![view_def(&rules)], Default::default(), policy,
+            &dir, Database::new(), vec![view_def(&rules)], ServiceConfig::default(), policy,
         ).expect("final cold start");
         assert_state_matches(&recovered, &mirror, "after final cold start");
         prop_assert_eq!(recovered.snapshot().epoch, mirror.snapshot().epoch,
@@ -265,7 +267,7 @@ proptest! {
         {
             let (durable, _) = open_durable(
                 &dir, base_db(&rules, case), vec![view_def(&rules)],
-                Default::default(), policy,
+                ServiceConfig::default(), policy,
             ).expect("fresh open");
             for batch in &batches {
                 let inserts: Vec<(Symbol, Vec<Value>)> = batch
@@ -314,7 +316,7 @@ proptest! {
         // Full service recovery: some acknowledged prefix, or typed error.
         let result = open_durable(
             &dir, base_db(&rules, case), vec![view_def(&rules)],
-            Default::default(), policy,
+            ServiceConfig::default(), policy,
         );
         match result {
             Ok((service, _)) => {

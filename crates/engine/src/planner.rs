@@ -1986,6 +1986,7 @@ mod tests {
             Plan::dense_closure(rules::tc_right(), dense::DEFAULT_DENSE_BUDGET_BYTES).unwrap(),
             Analysis::of(&[rules::shopping_rule()], None).plan(),
             Analysis::of(&updown(), Some(&sel)).plan(),
+            Plan::select_after(Analysis::of(&updown(), None).plan(), sel.clone()),
             Plan::select_after(Plan::direct(updown()), sel),
         ];
         for plan in plans {

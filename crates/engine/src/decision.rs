@@ -196,9 +196,9 @@ impl fmt::Display for ParallelVerdict {
 
 /// How a materialized view is maintained under a delta batch — the label,
 /// in reports and on the wire, of what [`crate::planner::Plan::resume`]
-/// does for the plan's shape (the certificates are properties of the
-/// rules, not of the data, so they license the same decomposition of
-/// every later delta).
+/// does for the plan (the certificates are properties of the rules, not of
+/// the data, so they license the same decomposition of every later delta).
+/// [`MaintenanceMode::of`] reads it off the star list `resume` executes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MaintenanceMode {
     /// Semi-naive resume over the rule sum.
@@ -214,24 +214,6 @@ pub enum MaintenanceMode {
 }
 
 impl MaintenanceMode {
-    /// The label of the incremental form of a plan of this `shape`;
-    /// `Recompute` exactly where `Plan::resume` has none.
-    pub fn of(shape: &PlanShape) -> MaintenanceMode {
-        match shape {
-            // DenseClosure: a delta batch resumes soundly through the
-            // sparse semi-naive delta rules (same fixpoint); full
-            // recomputes still go through the plan and stay dense.
-            PlanShape::Direct | PlanShape::Naive | PlanShape::DenseClosure => {
-                MaintenanceMode::Incremental
-            }
-            PlanShape::BoundedPrefix { .. } => MaintenanceMode::IncrementalBounded,
-            PlanShape::Decomposed { .. } => MaintenanceMode::IncrementalDecomposed,
-            PlanShape::Separable | PlanShape::RedundancyBounded | PlanShape::SelectAfter(_) => {
-                MaintenanceMode::Recompute
-            }
-        }
-    }
-
     /// Short label for reports and the protocol's `stats` command.
     pub fn label(&self) -> &'static str {
         match self {
@@ -642,34 +624,5 @@ mod tests {
             json.contains("\"parallel\":{\"engaged\":false,\"threads\":4,\"est_peak_delta\":6,"),
             "{json}"
         );
-    }
-
-    #[test]
-    fn maintenance_mode_follows_the_plan_shape() {
-        assert_eq!(
-            MaintenanceMode::of(&PlanShape::Direct),
-            MaintenanceMode::Incremental
-        );
-        assert_eq!(
-            MaintenanceMode::of(&PlanShape::DenseClosure),
-            MaintenanceMode::Incremental
-        );
-        assert_eq!(
-            MaintenanceMode::of(&PlanShape::BoundedPrefix { applications: 3 }),
-            MaintenanceMode::IncrementalBounded
-        );
-        assert_eq!(
-            MaintenanceMode::of(&PlanShape::Decomposed {
-                clusters: vec![vec![0], vec![1]]
-            }),
-            MaintenanceMode::IncrementalDecomposed
-        );
-        for shape in [
-            PlanShape::Separable,
-            PlanShape::RedundancyBounded,
-            PlanShape::SelectAfter(Box::new(PlanShape::Direct)),
-        ] {
-            assert_eq!(MaintenanceMode::of(&shape), MaintenanceMode::Recompute);
-        }
     }
 }

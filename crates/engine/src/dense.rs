@@ -287,8 +287,8 @@ pub fn exact_power(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::join::Indexes;
-    use crate::seminaive::{exact_power_in, seminaive_star};
+    use crate::join::{apply_linear, Indexes};
+    use crate::seminaive::seminaive_star;
     use crate::{rules, workload};
     use linrec_datalog::parse_linear_rule;
 
@@ -362,17 +362,12 @@ mod tests {
                 &mut dense_stats,
             )
             .unwrap();
-            let mut sparse_stats = EvalStats::default();
-            // A zero budget pins the reference to the sparse join chain.
-            let sparse = exact_power_in(
-                &rule,
-                &db,
-                &edges,
-                count,
-                &mut sparse_stats,
-                &mut Indexes::new(),
-                0,
-            );
+            // The reference: `count` sparse joins, one after the other.
+            let mut sparse = edges.clone();
+            let indexes = &mut Indexes::new();
+            for _ in 0..count {
+                sparse = apply_linear(&rule, &db, &sparse, indexes).0;
+            }
             assert_eq!(dense.sorted(), sparse.sorted(), "count {count}");
         }
     }

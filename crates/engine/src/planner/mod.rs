@@ -1,0 +1,119 @@
+//! The certificate-carrying planner: `Analysis → Plan → Execution`.
+//!
+//! This module is the single entry point for evaluating a linear recursion,
+//! a three-stage pipeline:
+//!
+//! 1. **[`Analysis`]** runs the paper's tests over a rule set (and optional
+//!    [`Selection`](crate::Selection)) and collects *typed certificates*
+//!    from `linrec-core`: `BoundednessCert`, `CommutativityCert`,
+//!    `SeparabilityCert`, `RedundancyCert`.
+//! 2. **[`Plan`]** is a composable strategy tree. The specialized nodes —
+//!    `Decomposed`, `Separable`, `RedundancyBounded`, `BoundedPrefix`,
+//!    `DenseClosure` — can **only** be built from the corresponding
+//!    certificate, so an unlicensed plan is unrepresentable; `Direct`,
+//!    `Naive` and `SelectAfter` need no premise and are always available.
+//! 3. **[`Plan::execute`]** runs the tree over a database and seed
+//!    relation, returning an [`ExecOutcome`] with the result relation, the
+//!    paper's duplicate/derivation statistics, and a per-phase trace. One
+//!    scan/index cache is shared by every phase of the tree.
+//!
+//! # Every plan is a product of stars
+//!
+//! The paper's strategies are expressions over one primitive:
+//! `(B+C)* = B*C*`, `B*(σC*)`, `Σ_{m<N} Aᵐ` are products of stars. A plan
+//! node *lowers* to the list of stars it evaluates, and everything that
+//! must agree about a plan reads that one list: the executor runs it, the
+//! cost model prices it, [`Plan::parallelize`] asks it whether any round
+//! can shard, [`Plan::resume`] has an incremental form exactly when the
+//! node *is* the product of its stars, and
+//! [`MaintenanceMode::of`](crate::MaintenanceMode::of) labels that form.
+//!
+//! The four files, and what each may not know:
+//!
+//! * `analysis` — certificates in, a licensed plan out; never evaluates.
+//! * `cost` — cardinality estimates over a plan's stars; never evaluates.
+//! * `plan` — the strategy tree, its constructors and its lowering to
+//!   stars; neither estimates nor evaluates.
+//! * `exec` — runs stars and exact powers over a database, and owns the
+//!   sparse / sharded / dense backend choice; never estimates.
+//!
+//! # Choosing among licensed plans
+//!
+//! Two selectors are provided. [`Analysis::plan`] uses the paper's fixed
+//! preference order (bounded, then separable, then decomposed, then
+//! redundancy-bounded, then direct) and needs no data — useful for
+//! inspection and for showcasing a certificate.
+//! [`Analysis::plan_for`] additionally takes the concrete
+//! database and seed relation and ranks the licensed candidates with a
+//! [`CostModel`]: boundedness and separability keep their fixed priority
+//! (provably minimal applications, and selection push-down, respectively),
+//! while `Decomposed`, `RedundancyBounded`, and `Direct` compete on
+//! estimated cost — so a certificate is exploited only where the data says
+//! it pays (a redundancy certificate that *loses* wall-clock on a small
+//! dense database no longer gets picked).
+//!
+//! # Why this plan
+//!
+//! Every [`Plan`] owns one [`PlanDecision`](crate::PlanDecision)
+//! ([`Plan::decision`]): the winner and how it was picked, every
+//! candidate's estimate, the certificates leaned on, the dense and
+//! parallel verdicts and, after [`Plan::execute_feedback`], the actual
+//! statistics. Its `Display` form is the one rendered rationale
+//! (`describe()`'s `rationale:` line).
+//!
+//! ```
+//! use linrec_engine::{planner::Analysis, workload, rules, CertKind};
+//!
+//! let (db, init) = workload::up_down(5, 42);
+//! let analysis = Analysis::of(&[rules::up_rule(), rules::down_rule()], None);
+//! let plan = analysis.plan();          // picks Decomposed, certificate-backed
+//! let outcome = plan.execute(&db, &init).unwrap();
+//! assert_eq!(plan.decision().certificates[0].0, CertKind::Commutativity);
+//! assert_eq!(outcome.relation.len(), outcome.stats.tuples);
+//! ```
+
+mod analysis;
+mod cost;
+mod exec;
+mod plan;
+
+pub use analysis::{Analysis, AnalysisEffort};
+pub use cost::CostModel;
+pub use exec::{ExecOutcome, TraceStep};
+pub use plan::{Plan, PlanShape};
+
+use linrec_datalog::RuleError;
+
+/// Errors from plan construction and execution.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum StrategyError {
+    /// The selection does not commute with the operator that must absorb it
+    /// (Theorem 4.1's selection premise).
+    SelectionDoesNotCommute,
+    /// A strategy was requested without the certificate that licenses it.
+    MissingCertificate(String),
+    /// Underlying rule manipulation failed.
+    Rule(RuleError),
+}
+
+impl std::fmt::Display for StrategyError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            StrategyError::SelectionDoesNotCommute => {
+                write!(f, "selection does not commute with the outer operator")
+            }
+            StrategyError::MissingCertificate(what) => {
+                write!(f, "no certificate licenses the strategy: {what}")
+            }
+            StrategyError::Rule(e) => write!(f, "{e}"),
+        }
+    }
+}
+
+impl std::error::Error for StrategyError {}
+
+impl From<RuleError> for StrategyError {
+    fn from(e: RuleError) -> StrategyError {
+        StrategyError::Rule(e)
+    }
+}

@@ -78,22 +78,10 @@ pub fn seminaive_star(
     db: &Database,
     init: &Relation,
 ) -> (Relation, EvalStats) {
-    let seq = Parallelism::sequential();
-    star_from(rules, db, init, None, &mut Indexes::new(), &seq)
-}
-
-/// The from-scratch case of [`seminaive_resume`]: `total = delta = init`.
-pub(crate) fn star_from(
-    rules: &[LinearRule],
-    db: &Database,
-    init: &Relation,
-    round_cap: Option<usize>,
-    indexes: &mut Indexes,
-    par: &Parallelism,
-) -> (Relation, EvalStats) {
     let mut total = init.clone();
-    let delta = init.clone();
-    let stats = seminaive_resume(rules, db, &mut total, delta, round_cap, indexes, par, None);
+    let seq = Parallelism::sequential();
+    let indexes = &mut Indexes::new();
+    let stats = seminaive_resume(rules, db, &mut total, init.clone(), None, indexes, &seq);
     (total, stats)
 }
 
@@ -122,15 +110,14 @@ pub(crate) fn star_from(
 ///   index once;
 /// * `par` shards the rounds whose delta reaches its cutover over the
 ///   shared engine pool (module docs) — results and statistics are
-///   identical to a sequential knob's;
-/// * `collect` additionally receives every tuple the resume derives, so a
-///   decomposed maintenance can start its next cluster from everything
-///   derived since the view was last closed.
+///   identical to a sequential knob's.
+///
+/// `total` only ever grows by appending: the rows past its old length are
+/// exactly what the resume derived, in derivation order.
 ///
 /// Every call is one `engine.fixpoint` span and one observation of the
 /// `linrec_engine_{fixpoints,rounds,derivations,duplicates}_total`
 /// counters and the per-round histograms.
-#[allow(clippy::too_many_arguments)]
 pub fn seminaive_resume(
     rules: &[LinearRule],
     db: &Database,
@@ -139,7 +126,6 @@ pub fn seminaive_resume(
     round_cap: Option<usize>,
     indexes: &mut Indexes,
     par: &Parallelism,
-    mut collect: Option<&mut Relation>,
 ) -> EvalStats {
     let mut sp = linrec_obs::span("engine.fixpoint");
     if par.is_parallel() {
@@ -159,9 +145,6 @@ pub fn seminaive_resume(
             round_start = Some(now);
         }
         total.union_in_place(&delta);
-        if let Some(collect) = collect.as_deref_mut() {
-            collect.union_in_place(&delta);
-        }
     }
     stats.tuples = total.len();
     if let Some(p) = prof {
@@ -340,44 +323,6 @@ pub fn naive_star(rules: &[LinearRule], db: &Database, init: &Relation) -> (Rela
     (total, stats)
 }
 
-/// The exact power image `Aᶜᵒᵘⁿᵗ(init)` (not accumulated), through the
-/// caller's scan/index cache. `dense_budget_bytes` caps the working set
-/// of the dense fast path (three `domain × words` bitset matrices) — pass
-/// the active [`crate::planner::CostModel::dense_budget_bytes`] so a
-/// deployment that tightened its budget never sees larger transient
-/// dense allocations; `0` disables the fast path outright.
-#[allow(clippy::too_many_arguments)]
-pub fn exact_power_in(
-    rule: &LinearRule,
-    db: &Database,
-    init: &Relation,
-    count: usize,
-    stats: &mut EvalStats,
-    indexes: &mut Indexes,
-    dense_budget_bytes: usize,
-) -> Relation {
-    // Dense fast path: a composition-shaped rule's power image is
-    // `init ∘ qᶜ` (or `qᶜ ∘ init`), and `qᶜ` by binary exponentiation
-    // needs O(log c) matrix composes instead of c joins. Only worth the
-    // two domain remaps for chains long enough that squaring saves work.
-    if count >= 4 {
-        if let Some(shape) = crate::dense::composition_shape(rule) {
-            if let Some(rel) =
-                crate::dense::exact_power(&shape, db, init, count, dense_budget_bytes, stats)
-            {
-                return rel;
-            }
-        }
-    }
-    let mut current = init.clone();
-    for _ in 0..count {
-        let (next, derivs) = apply_linear(rule, db, &current, indexes);
-        stats.record(derivs, next.len() as u64);
-        current = next;
-    }
-    current
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -417,45 +362,6 @@ mod tests {
     }
 
     #[test]
-    fn exact_power_in_honors_the_dense_budget() {
-        let db = chain_db(40);
-        let init = db.relation_named("e").unwrap().clone();
-        let rule = tc_rule();
-        let mut sparse_stats = EvalStats::default();
-        let sparse = exact_power_in(
-            &rule,
-            &db,
-            &init,
-            8,
-            &mut sparse_stats,
-            &mut Indexes::new(),
-            0,
-        );
-        let mut dense_stats = EvalStats::default();
-        let dense = exact_power_in(
-            &rule,
-            &db,
-            &init,
-            8,
-            &mut dense_stats,
-            &mut Indexes::new(),
-            crate::dense::DEFAULT_DENSE_BUDGET_BYTES,
-        );
-        assert_eq!(sparse.sorted(), dense.sorted());
-        // One record per sparse join vs O(log c) dense composes: the
-        // stats betray which path ran, so a tightened (here: zero)
-        // budget demonstrably keeps the power chain off dense matrices.
-        assert_eq!(
-            sparse_stats.applications, 8,
-            "a zero budget must stay on the sparse join path"
-        );
-        assert!(
-            dense_stats.applications < 8,
-            "the default budget licenses O(log c) dense composes"
-        );
-    }
-
-    #[test]
     fn cycle_terminates() {
         let mut db = Database::new();
         db.set_relation("e", Relation::from_pairs([(0, 1), (1, 2), (2, 0)]));
@@ -483,31 +389,13 @@ mod tests {
         let db = chain_db(10);
         let init = Relation::from_pairs([(0, 1)]);
         for par in [Parallelism::sequential(), eager(4)] {
-            let idx = &mut Indexes::new();
-            let (r2, stats) = star_from(&[tc_rule()], &db, &init, Some(2), idx, &par);
+            let (r2, stats) = star_under(&[tc_rule()], &db, &init, Some(2), &par);
             // init ∪ A init ∪ A² init = {(0,1),(0,2),(0,3)}.
             assert_eq!((r2.len(), stats.iterations), (3, 2));
             // A cap beyond the fixpoint is no cap.
-            let (rbig, _) = star_from(&[tc_rule()], &db, &init, Some(100), idx, &par);
+            let (rbig, _) = star_under(&[tc_rule()], &db, &init, Some(100), &par);
             assert_eq!(rbig.len(), 10);
         }
-    }
-
-    #[test]
-    fn exact_power_is_an_image() {
-        let db = chain_db(10);
-        let init = Relation::from_pairs([(0, 1)]);
-        let mut stats = EvalStats::default();
-        let p3 = exact_power_in(
-            &tc_rule(),
-            &db,
-            &init,
-            3,
-            &mut stats,
-            &mut Indexes::new(),
-            crate::dense::DEFAULT_DENSE_BUDGET_BYTES,
-        );
-        assert_eq!(p3.sorted(), Relation::from_pairs([(0, 4)]).sorted());
     }
 
     #[test]
@@ -542,7 +430,6 @@ mod tests {
             None,
             &mut Indexes::new(),
             &Parallelism::sequential(),
-            None,
         );
         let init2 = db2.relation_named("e").unwrap().clone();
         let (scratch, _) = seminaive_star(&[rule], &db2, &init2);
@@ -550,32 +437,6 @@ mod tests {
         assert_eq!(stats.tuples, total.len());
         // C(6,2) = 15 pairs.
         assert_eq!(total.len(), 15);
-    }
-
-    #[test]
-    fn collector_receives_exactly_what_the_resume_derived() {
-        // Sequentially and sharded: the collector ends holding what the
-        // resume added to `total`, and nothing else.
-        let rule = tc_rule();
-        let db = chain_db(6);
-        for par in [Parallelism::sequential(), eager(3)] {
-            let mut total = Relation::from_pairs([(0, 1)]);
-            let before = total.clone();
-            let mut collected = Relation::new(2);
-            let stats = seminaive_resume(
-                std::slice::from_ref(&rule),
-                &db,
-                &mut total,
-                before.clone(),
-                None,
-                &mut Indexes::new(),
-                &par,
-                Some(&mut collected),
-            );
-            assert_eq!(total.len(), 6, "(0,1)…(0,6)");
-            assert_eq!(stats.tuples, 6);
-            assert_eq!(collected.sorted(), total.difference(&before).sorted());
-        }
     }
 
     #[test]
@@ -587,14 +448,18 @@ mod tests {
         assert_eq!(stats.iterations, 0);
     }
 
-    /// The from-scratch star under a knob.
+    /// The from-scratch star under a round cap and a knob.
     fn star_under(
         rules: &[LinearRule],
         db: &Database,
         init: &Relation,
+        round_cap: Option<usize>,
         par: &Parallelism,
     ) -> (Relation, EvalStats) {
-        star_from(rules, db, init, None, &mut Indexes::new(), par)
+        let mut total = init.clone();
+        let indexes = &mut Indexes::new();
+        let stats = seminaive_resume(rules, db, &mut total, init.clone(), round_cap, indexes, par);
+        (total, stats)
     }
 
     /// A parallel knob that always engages (any delta size, k shards).
@@ -608,7 +473,7 @@ mod tests {
         let init = db.relation_named("e").unwrap().clone();
         let (seq, seq_stats) = seminaive_star(&[tc_rule()], &db, &init);
         for k in [1usize, 2, 3, 8] {
-            let (par, par_stats) = star_under(&[tc_rule()], &db, &init, &eager(k));
+            let (par, par_stats) = star_under(&[tc_rule()], &db, &init, None, &eager(k));
             assert_eq!(par.sorted(), seq.sorted(), "k={k}");
             assert_eq!(par_stats, seq_stats, "k={k}: statistics must match too");
         }
@@ -626,7 +491,7 @@ mod tests {
         let init = Relation::from_pairs((0..12).map(|i| (i, i)));
         let rules = vec![up, down];
         let (seq, seq_stats) = seminaive_star(&rules, &db, &init);
-        let (par, par_stats) = star_under(&rules, &db, &init, &eager(3));
+        let (par, par_stats) = star_under(&rules, &db, &init, None, &eager(3));
         assert_eq!(par.sorted(), seq.sorted());
         assert_eq!(par_stats, seq_stats);
     }
@@ -662,7 +527,6 @@ mod tests {
                 None,
                 &mut Indexes::new(),
                 &par,
-                None,
             );
             (total, stats)
         };
@@ -683,7 +547,7 @@ mod tests {
         let db = chain_db(25);
         let init = db.relation_named("e").unwrap().clone();
         let gated = Parallelism::new(4).with_min_delta(usize::MAX);
-        let (a, sa) = star_under(&[tc_rule()], &db, &init, &gated);
+        let (a, sa) = star_under(&[tc_rule()], &db, &init, None, &gated);
         let (b, sb) = seminaive_star(&[tc_rule()], &db, &init);
         assert_eq!(a.sorted(), b.sorted());
         assert_eq!(sa, sb);
@@ -701,7 +565,7 @@ mod tests {
         let db = chain_db(20);
         let init = db.relation_named("e").unwrap().clone();
         let (seq, seq_stats) = seminaive_star(&rules, &db, &init);
-        let (par, par_stats) = star_under(&rules, &db, &init, &eager(3));
+        let (par, par_stats) = star_under(&rules, &db, &init, None, &eager(3));
         assert_eq!(par.sorted(), seq.sorted());
         assert_eq!(par_stats, seq_stats);
     }

@@ -169,7 +169,7 @@ impl MaintainedView {
         let mut plan = analysis
             .plan_with(db, &seed, model)
             .parallelize(&par, model, db, &seed);
-        let mode = MaintenanceMode::of(&plan.shape());
+        let mode = MaintenanceMode::of(&plan);
         let dec = plan.decision_mut();
         dec.view = def.name.clone();
         dec.maintenance_mode = Some(mode);
@@ -212,7 +212,7 @@ impl MaintainedView {
     /// The label of the plan's incremental form (`Recompute` when
     /// [`Plan::resume`] has none).
     pub fn mode(&self) -> MaintenanceMode {
-        MaintenanceMode::of(&self.plan.shape())
+        MaintenanceMode::of(&self.plan)
     }
 
     /// Materialize the view from scratch on `db` (registration, or the

@@ -65,16 +65,7 @@ fn star_under(
 ) -> (Relation, EvalStats) {
     let mut total = init.clone();
     let delta = init.clone();
-    let stats = seminaive_resume(
-        rules,
-        db,
-        &mut total,
-        delta,
-        None,
-        &mut Indexes::new(),
-        par,
-        None,
-    );
+    let stats = seminaive_resume(rules, db, &mut total, delta, None, &mut Indexes::new(), par);
     (total, stats)
 }
 
@@ -121,7 +112,7 @@ proptest! {
             let mut total = fix.clone();
             total.union_in_place(&delta);
             let stats = seminaive_resume(
-                &rules, &db, &mut total, delta.clone(), cap, &mut Indexes::new(), par, None,
+                &rules, &db, &mut total, delta.clone(), cap, &mut Indexes::new(), par,
             );
             (total, stats)
         };

@@ -471,7 +471,19 @@ impl Session {
     }
 
     fn listing(&self, view: &str, sel: Option<Selection>, limit: usize) -> Reply {
-        match self.service.snapshot().select(view, sel.as_ref(), limit) {
+        let snapshot = self.service.snapshot();
+        // A position past the view's arity matches nothing; on the wire
+        // that is a mistake to report, not an empty answer.
+        if let (Some(sel), Some(info)) = (&sel, snapshot.view(view)) {
+            let arity = info.relation.arity();
+            if let Some(pos) = sel.positions().into_iter().find(|&p| p >= arity) {
+                return Reply::err(
+                    "bad-argument",
+                    format_args!("position {pos} out of range for {view}/{arity}"),
+                );
+            }
+        }
+        match snapshot.select(view, sel.as_ref(), limit) {
             Ok(rows) => {
                 let mut text = String::new();
                 for row in &rows {
@@ -828,6 +840,7 @@ mod tests {
             ("rows", "usage"),
             ("rows tc nope", "bad-argument"),
             ("select tc 0:1", "bad-argument"),
+            ("select tc 5=1", "bad-argument"),
             ("insert e", "usage"),
             ("stats nope", "unknown-view"),
             ("bogus-cmd", "unknown-command"),
@@ -837,6 +850,13 @@ mod tests {
             assert_eq!(toks.next(), Some("err"), "{line} → {text}");
             assert_eq!(toks.next(), Some(code), "{line} → {text}");
         }
+        // A selection past the view's arity names the position, and the
+        // session keeps serving valid selections.
+        assert_eq!(
+            s.handle("select tc 5=1").text,
+            "err bad-argument position 5 out of range for tc/2"
+        );
+        assert!(s.handle("select tc 0=1").text.ends_with("ok 2 rows"));
         // Wrong-arity commit: typed code, batch stays staged.
         s.handle("insert e 1 2 3");
         let text = s.handle("commit").text;

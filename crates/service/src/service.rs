@@ -428,17 +428,10 @@ impl Snapshot {
         let view = self
             .view(name)
             .ok_or_else(|| ServiceError::UnknownView(name.to_owned()))?;
-        let matches = |t: &[Value]| match sel {
-            Some(sel) => sel
-                .bindings()
-                .iter()
-                .all(|&(pos, v)| t.get(pos) == Some(&v)),
-            None => true,
-        };
         Ok(view
             .relation
             .iter()
-            .filter(|t| matches(t))
+            .filter(|t| sel.is_none_or(|sel| sel.matches(t)))
             .take(limit)
             .map(|t| t.to_vec())
             .collect())

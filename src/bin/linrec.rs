@@ -285,6 +285,19 @@ fn run(path: &str, args: &[String]) -> Result<(), String> {
     check_gate(&prog, no_check)?;
     let (sel_args, par) = parse_threads(&args)?;
     let sel = parse_selection(&sel_args)?;
+    // The library's `Selection` matches nothing past the arity; asked for
+    // on the command line that is a mistake, not an empty answer.
+    let arity = prog.init().arity();
+    if let Some(pos) = sel
+        .iter()
+        .flat_map(Selection::positions)
+        .find(|&p| p >= arity)
+    {
+        let pred = prog.rec_pred();
+        return Err(format!(
+            "selection position {pos} is out of range for {pred}/{arity}"
+        ));
+    }
     // Cost-model ranked choice: the program's own data decides among the
     // licensed strategies; the parallelism knob lets large fixpoint rounds
     // shard across the engine pool. The plan's decision record comes back

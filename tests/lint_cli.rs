@@ -155,3 +155,28 @@ fn shipped_example_programs_are_clean() {
         );
     }
 }
+
+#[test]
+fn run_rejects_a_selection_position_past_the_arity() {
+    let f = Fixture::new(
+        "tc.lr",
+        "p(x,y) :- p(x,z), e(z,y).\ne(1,2). e(2,3).\np(1,2).\n",
+    );
+    let run = |sel: &str| {
+        Command::new(env!("CARGO_BIN_EXE_linrec"))
+            .args(["run", f.path(), sel])
+            .output()
+            .expect("spawn linrec")
+    };
+    let out = run("5=1");
+    assert!(!out.status.success(), "{}", stdout(&out));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("error: selection position 5 is out of range for p/2"),
+        "{err}"
+    );
+    // A position inside the arity answers as before.
+    let out = run("0=1");
+    assert!(out.status.success(), "{}", stdout(&out));
+    assert!(stdout(&out).contains("p(1,3)"), "{}", stdout(&out));
+}

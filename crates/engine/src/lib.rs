@@ -9,14 +9,19 @@
 //!    (Theorems 4.1/6.1), uniform boundedness (Lemma 6.2) and recursive
 //!    redundancy (Theorems 6.3/6.4).
 //! 2. [`Analysis::plan`] picks a licensed [`Plan`]: `Direct`, `Naive`,
-//!    `BoundedPrefix`, `Decomposed`, `Separable`, `RedundancyBounded` or a
-//!    `SelectAfter` wrapper. The specialized nodes are *unconstructible*
-//!    without their certificate, and every plan owns the one
-//!    [`PlanDecision`] record of why it was chosen ([`Plan::decision`];
-//!    its `Display` form is the rendered rationale).
+//!    `BoundedPrefix`, `Decomposed`, `Separable`, `RedundancyBounded`,
+//!    `DenseClosure` or a `SelectAfter` wrapper. The specialized nodes are
+//!    *unconstructible* without their certificate, and every plan owns the
+//!    one [`PlanDecision`] record of why it was chosen
+//!    ([`Plan::decision`]; its `Display` form is the rendered rationale).
+//!    Every node lowers to the list of stars it evaluates; a new shape is
+//!    a new lowering.
 //! 3. [`Plan::execute`] evaluates the tree, instrumented with the
 //!    duplicate/derivation counters of Section 3.1 ([`EvalStats`]), and
 //!    returns an [`ExecOutcome`] with a per-phase [`TraceStep`] record.
+//!    Each star runs through `planner/exec.rs`'s `Exec::star` (each exact
+//!    power through `Exec::power`), the one place the sparse, sharded or
+//!    dense backend is chosen — and where a new backend is added.
 //!
 //! # Example: decomposing a commuting recursion
 //!

@@ -25,7 +25,7 @@
 //!
 //! Materialization is this rule from the empty view: with `V = ∅` the
 //! frontier `Δ₀` is the whole seed, and `A*(∅ ∪ seed)` is what
-//! [`Plan::execute`] computes — by the same per-shape code `Plan::resume`
+//! [`Plan::execute`] computes — by the same star list `Plan::resume`
 //! runs, entered with `total = delta = seed`. Both end in the engine's one
 //! semi-naive driver ([`linrec_engine::seminaive::seminaive_resume`]).
 //!

@@ -205,24 +205,20 @@ impl Exec<'_> {
         let phase = spec.phase.as_ref().and_then(|(node, _)| self.begin(node));
         // Squaring computes the closure *of the frontier*, so it stands in
         // for the star only when the frontier is all of `total`.
-        let dense = spec
-            .dense
-            .filter(|_| self.dense_budget_bytes > 0 && delta.len() == total.len())
-            .and_then(|shape| {
-                let budget = self.dense_budget_bytes;
-                Some((
-                    shape,
-                    dense::eval_composition(&shape, self.db, total, budget)?,
-                ))
-            });
-        let (stats, dense_label) = match dense {
+        let budget = self.dense_budget_bytes;
+        let dense = match spec.dense {
+            Some(shape) if budget > 0 && delta.len() == total.len() => {
+                dense::eval_composition(&shape, self.db, total, budget).map(|run| (shape, run))
+            }
+            _ => None,
+        };
+        let (stats, squared) = match dense {
             Some((shape, (closure, stats))) => {
                 *total = closure;
                 if let Some(collect) = collect {
                     collect.union_in_place(total);
                 }
-                let label = format!("dense closure by squaring over '{}'", shape.edge);
-                (stats, Some(label))
+                (stats, Some(shape.edge))
             }
             None => {
                 let seq = Parallelism::sequential();
@@ -240,7 +236,10 @@ impl Exec<'_> {
             }
         };
         if let Some((_, sparse_label)) = &spec.phase {
-            let label = dense_label.unwrap_or_else(|| sparse_label.clone());
+            let label = match squared {
+                Some(edge) => format!("dense closure by squaring over '{edge}'"),
+                None => sparse_label.clone(),
+            };
             self.end(phase, label, stats);
         }
         stats
@@ -290,11 +289,8 @@ impl Exec<'_> {
             // collect for and takes the frontier by value.
             let scratch = delta.len() == total.len();
             let mut frontier = delta;
-            for (i, spec) in earlier.iter().enumerate() {
-                if scratch && i > 0 {
-                    frontier = total.clone();
-                }
-                let start = frontier.clone();
+            for spec in earlier {
+                let start = if scratch { &*total } else { &frontier }.clone();
                 stats += self.star(spec, total, start, (!scratch).then_some(&mut frontier));
             }
             if scratch && !earlier.is_empty() {

@@ -96,8 +96,8 @@ impl Default for CostModel {
 
 impl CostModel {
     /// Fold estimate/actual feedback into the model: each pair is a plan's
-    /// cost estimate ([`PlanDecision::estimate`]) next to the derivation count the
-    /// run actually performed (`EvalStats::derivations`, the unit the
+    /// cost estimate ([`crate::PlanDecision::estimate`]) next to the
+    /// derivation count the run actually performed (`EvalStats::derivations`, the unit the
     /// estimate is denominated in). The geometric mean of the
     /// `actual/estimate` ratios rescales [`CostModel::fanout_scale`], so a
     /// model that was systematically off by a constant factor is corrected

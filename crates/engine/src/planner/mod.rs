@@ -21,21 +21,15 @@
 //!
 //! The paper's strategies are expressions over one primitive:
 //! `(B+C)* = B*C*`, `B*(σC*)`, `Σ_{m<N} Aᵐ` are products of stars. A plan
-//! node *lowers* to the list of stars it evaluates, and everything that
-//! must agree about a plan reads that one list: the executor runs it, the
-//! cost model prices it, [`Plan::parallelize`] asks it whether any round
-//! can shard, [`Plan::resume`] has an incremental form exactly when the
-//! node *is* the product of its stars, and
+//! node *lowers* to the list of stars it evaluates (`plan`), and everything
+//! that must agree about a plan reads that one list: `exec` runs it and
+//! owns the sparse / sharded / dense backend choice, `cost` prices it,
+//! [`Plan::parallelize`] asks it whether any round can shard,
+//! [`Plan::resume`] has an incremental form exactly when the node *is* the
+//! product of its stars, and
 //! [`MaintenanceMode::of`](crate::MaintenanceMode::of) labels that form.
-//!
-//! The four files, and what each may not know:
-//!
-//! * `analysis` — certificates in, a licensed plan out; never evaluates.
-//! * `cost` — cardinality estimates over a plan's stars; never evaluates.
-//! * `plan` — the strategy tree, its constructors and its lowering to
-//!   stars; neither estimates nor evaluates.
-//! * `exec` — runs stars and exact powers over a database, and owns the
-//!   sparse / sharded / dense backend choice; never estimates.
+//! `analysis` turns certificates into the licensed plan; only `exec`
+//! evaluates and only `cost` estimates.
 //!
 //! # Choosing among licensed plans
 //!

@@ -46,7 +46,7 @@ fn e1() {
     let all = vec![up, down];
     let direct_plan = Plan::direct(all.clone());
     let decomposed_plan = Plan::decomposed(
-        CommutativityCert::establish(&all, 0)
+        CommutativityCert::establish(&all)
             .unwrap()
             .expect("up/down commute"),
     );
@@ -172,7 +172,7 @@ fn e5() {
         linrec_datalog::parse_linear_rule("p(x,y,z) :- p(w,y,z), b(x,w).").unwrap(),
         linrec_datalog::parse_linear_rule("p(x,y,z) :- p(x,w,z), c(w,y).").unwrap(),
     ];
-    let cert = CommutativityCert::establish(&ops, 0)
+    let cert = CommutativityCert::establish(&ops)
         .unwrap()
         .expect("mutually commuting");
     println!(

@@ -69,6 +69,11 @@ pub fn torsion_index(
     Ok(None)
 }
 
+/// The `max_power` every shipped caller searches to: the planner's
+/// analysis (boundedness and redundancy certificates), the lint
+/// cross-verifier's missed-boundedness check and `linrec analyze`.
+pub const POWER_SEARCH_BOUND: usize = 8;
+
 /// Search for the least uniform-boundedness witness `Bⁿ ≤ Bᵏ` with
 /// `1 ≤ k < n ≤ max_power`.
 pub fn uniformly_bounded(

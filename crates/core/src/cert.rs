@@ -19,7 +19,7 @@
 //!   naming the theorem and witnesses that justify it.
 
 use crate::bounded::{uniformly_bounded, PowerWitness};
-use crate::decompose::{pair_commutes, plan_decomposition, PairRelation};
+use crate::decompose::{pair_commutes, plan_decomposition};
 use crate::redundancy::{analyze_redundancy, redundancy_decomposition, Decomposition};
 use crate::separability::separability_report;
 use linrec_cq::{compose, linear_equivalent};
@@ -37,20 +37,15 @@ use linrec_datalog::{LinearRule, RuleError, Symbol};
 pub struct CommutativityCert {
     rules: Vec<LinearRule>,
     clusters: Vec<Vec<usize>>,
-    relations: Vec<Vec<PairRelation>>,
     rationale: String,
 }
 
 impl CommutativityCert {
     /// Run the commutativity tests (exact where applicable, by definition
-    /// otherwise; `semi_exp > 0` also searches `CB ≤ BᵏCˡ` witnesses for
-    /// pairs) and certify the cluster decomposition. Returns `None` when
+    /// otherwise) and certify the cluster decomposition. Returns `None` when
     /// everything lands in one cluster — i.e. no decomposition is licensed.
-    pub fn establish(
-        rules: &[LinearRule],
-        semi_exp: usize,
-    ) -> Result<Option<CommutativityCert>, RuleError> {
-        let plan = plan_decomposition(rules, semi_exp)?;
+    pub fn establish(rules: &[LinearRule]) -> Result<Option<CommutativityCert>, RuleError> {
+        let plan = plan_decomposition(rules)?;
         if !plan.is_decomposed() {
             return Ok(None);
         }
@@ -64,7 +59,6 @@ impl CommutativityCert {
         Ok(Some(CommutativityCert {
             rules: rules.to_vec(),
             clusters: plan.clusters,
-            relations: plan.relations,
             rationale,
         }))
     }
@@ -78,11 +72,6 @@ impl CommutativityCert {
     /// cluster, applied right-to-left.
     pub fn clusters(&self) -> &[Vec<usize>] {
         &self.clusters
-    }
-
-    /// How the pair `(i, j)` relates (commute / semi-commute / none).
-    pub fn pair_relation(&self, i: usize, j: usize) -> PairRelation {
-        self.relations[i][j]
     }
 
     /// Why the decomposition is licensed.
@@ -398,9 +387,8 @@ mod tests {
             lr("p(x,y) :- p(x,z), q(z,y)."),
             lr("p(x,y) :- p(w,y), q(x,w)."),
         ];
-        let cert = CommutativityCert::establish(&rules, 0).unwrap().unwrap();
-        assert_eq!(cert.clusters().len(), 2);
-        assert_eq!(cert.pair_relation(0, 1), PairRelation::Commute);
+        let cert = CommutativityCert::establish(&rules).unwrap().unwrap();
+        assert_eq!(cert.clusters(), [[0], [1]]);
         assert!(cert.rationale().contains("Theorem 3.1"));
         assert_eq!(cert.rules(), &rules);
     }
@@ -411,7 +399,7 @@ mod tests {
             lr("p(x,y) :- p(x,z), a(z,y)."),
             lr("p(x,y) :- p(x,z), b(z,y)."),
         ];
-        assert!(CommutativityCert::establish(&rules, 0).unwrap().is_none());
+        assert!(CommutativityCert::establish(&rules).unwrap().is_none());
     }
 
     #[test]

@@ -11,11 +11,11 @@
 //!   graph, so the plan is canonical and always exists (worst case: one
 //!   cluster = no decomposition).
 //!
-//! For two operators the planner also recognizes the one-sided
-//! semi-commutation certificate `CB ≤ BᵏCˡ` (§3, \[13\]), which fixes the
-//! order `B* C*`.
+//! The one-sided semi-commutation condition `CB ≤ BᵏCˡ` (§3, \[13\]),
+//! which would fix the order `B* C*`, lives in
+//! [`algebra::semi_commute`](crate::algebra::semi_commute) as a
+//! stand-alone test; no plan uses it.
 
-use crate::algebra::semi_commute;
 use crate::commutativity::commute_by_definition;
 use crate::exact::{commutes_exact, is_restricted_pair, ExactOutcome};
 use linrec_datalog::{LinearRule, RuleError};
@@ -25,9 +25,6 @@ use linrec_datalog::{LinearRule, RuleError};
 pub enum PairRelation {
     /// They commute (`BC = CB`).
     Commute,
-    /// `CB ≤ BᵏCˡ` for the recorded `(k, l)` — order-constrained
-    /// decomposition (`B` must precede `C`).
-    SemiCommute(usize, usize),
     /// No decomposition certificate found.
     None,
 }
@@ -69,13 +66,9 @@ pub fn pair_commutes(a: &LinearRule, b: &LinearRule) -> Result<bool, RuleError> 
 }
 
 /// Compute a decomposition plan for `rules` (all sharing a consequent after
-/// alignment). `semi_exp` bounds the exponent search for two-operator
-/// semi-commutation certificates (0 disables it).
+/// alignment).
 #[allow(clippy::needless_range_loop)] // pairwise matrix indexing
-pub fn plan_decomposition(
-    rules: &[LinearRule],
-    semi_exp: usize,
-) -> Result<DecompositionPlan, RuleError> {
+pub fn plan_decomposition(rules: &[LinearRule]) -> Result<DecompositionPlan, RuleError> {
     let n = rules.len();
     let head = rules
         .first()
@@ -87,37 +80,15 @@ pub fn plan_decomposition(
         .map(|r| r.align_consequent(&head))
         .collect::<Result<_, _>>()?;
 
-    let mut relations: Vec<Vec<PairRelation>> = vec![vec![PairRelation::None; n]; n];
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let rel = if pair_commutes(&aligned[i], &aligned[j])? {
-                PairRelation::Commute
-            } else if semi_exp > 0 {
-                // Try CB ≤ BᵏCˡ in both roles.
-                if let Some((k, l)) = semi_commute(&aligned[i], &aligned[j], semi_exp)? {
-                    PairRelation::SemiCommute(k, l)
-                } else {
-                    PairRelation::None
-                }
-            } else {
-                PairRelation::None
-            };
-            relations[i][j] = rel;
-            relations[j][i] = match rel {
-                // Semi-commutation is order-directed: record it only at
-                // [i][j] meaning "i before j"; the mirror entry is None.
-                PairRelation::SemiCommute(_, _) => PairRelation::None,
-                other => other,
-            };
-        }
-    }
-
     // Clusters: connected components of the non-commuting graph.
+    let mut relations: Vec<Vec<PairRelation>> = vec![vec![PairRelation::None; n]; n];
     let mut uf = linrec_alpha::UnionFind::new(n);
     for i in 0..n {
         for j in (i + 1)..n {
-            let commuting = relations[i][j] == PairRelation::Commute;
-            if !commuting {
+            if pair_commutes(&aligned[i], &aligned[j])? {
+                relations[i][j] = PairRelation::Commute;
+                relations[j][i] = PairRelation::Commute;
+            } else {
                 uf.union(i, j);
             }
         }
@@ -145,7 +116,7 @@ mod tests {
             lr("p(x,y) :- p(x,z), q(z,y)."),
             lr("p(x,y) :- p(w,y), q(x,w)."),
         ];
-        let plan = plan_decomposition(&rules, 0).unwrap();
+        let plan = plan_decomposition(&rules).unwrap();
         assert!(plan.is_fully_decomposed());
         assert_eq!(plan.relations[0][1], PairRelation::Commute);
     }
@@ -156,7 +127,7 @@ mod tests {
             lr("p(x,y) :- p(x,z), a(z,y)."),
             lr("p(x,y) :- p(x,z), b(z,y)."),
         ];
-        let plan = plan_decomposition(&rules, 0).unwrap();
+        let plan = plan_decomposition(&rules).unwrap();
         assert!(!plan.is_decomposed());
         assert_eq!(plan.clusters, vec![vec![0, 1]]);
     }
@@ -171,7 +142,7 @@ mod tests {
             lr("p(x,y) :- p(x,z), b(z,y)."),
             lr("p(x,y) :- p(w,y), c(x,w)."),
         ];
-        let plan = plan_decomposition(&rules, 0).unwrap();
+        let plan = plan_decomposition(&rules).unwrap();
         assert_eq!(plan.clusters.len(), 2);
         let mut sizes: Vec<usize> = plan.clusters.iter().map(|c| c.len()).collect();
         sizes.sort();
@@ -182,32 +153,19 @@ mod tests {
     }
 
     #[test]
-    fn semi_commutation_is_detected_when_enabled() {
-        // B adds a filter on the *moving* column: B and C do not commute
-        // (the filter lands at different walk depths), but CB ≤ C², so
-        // (B+C)* = B*C* still holds by the generalized condition of [13].
-        let rules = [
-            lr("p(x,y) :- p(x,z), q(z,y), t(y)."),
-            lr("p(x,y) :- p(x,z), q(z,y)."),
-        ];
-        let plan = plan_decomposition(&rules, 2).unwrap();
-        assert_eq!(plan.relations[0][1], PairRelation::SemiCommute(0, 2));
-    }
-
-    #[test]
     fn mutual_commutativity_of_many_filters() {
         let rules = [
             lr("p(x,y,z) :- p(x,y,z), f1(x)."),
             lr("p(x,y,z) :- p(x,y,z), f2(y)."),
             lr("p(x,y,z) :- p(x,y,z), f3(z)."),
         ];
-        let plan = plan_decomposition(&rules, 0).unwrap();
+        let plan = plan_decomposition(&rules).unwrap();
         assert!(plan.is_fully_decomposed());
         assert_eq!(plan.clusters.len(), 3);
     }
 
     #[test]
     fn empty_input_is_an_error() {
-        assert!(plan_decomposition(&[], 0).is_err());
+        assert!(plan_decomposition(&[]).is_err());
     }
 }

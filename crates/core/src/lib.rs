@@ -13,6 +13,10 @@
 //! | uniform boundedness / torsion (§4.2, Lemma 6.2) | [`bounded`] |
 //! | recursive redundancy, Theorems 6.3/6.4 (§4.2, §6.2) | [`redundancy`] |
 //!
+//! This crate decides and certifies; it evaluates nothing. The rewrite
+//! `(ΣAᵢ)* = Π (Σ cluster)*` a [`CommutativityCert`] licenses has one
+//! implementation, the star list of `linrec-engine`'s planner.
+//!
 //! # Quick start
 //!
 //! ```
@@ -36,7 +40,6 @@ pub mod cert;
 pub mod commutativity;
 pub mod decompose;
 pub mod exact;
-pub mod expr;
 pub mod higher_power;
 pub mod redundancy;
 pub mod report;
@@ -44,7 +47,9 @@ pub mod separability;
 pub mod sufficient;
 
 pub use algebra::{identity_operator, lassez_maher_sum_condition, semi_commute, OperatorSum};
-pub use bounded::{search_is_complete, torsion_index, uniformly_bounded, PowerWitness};
+pub use bounded::{
+    search_is_complete, torsion_index, uniformly_bounded, PowerWitness, POWER_SEARCH_BOUND,
+};
 pub use cert::{
     BoundednessCert, CommutativityCert, RedundancyCert, SeparabilityCert, SeparabilityEvidence,
 };
@@ -53,7 +58,6 @@ pub use decompose::{pair_commutes, plan_decomposition, DecompositionPlan, PairRe
 pub use exact::{
     commutes_exact, is_restricted_pair, restricted_class_violations, ExactOutcome, Restriction,
 };
-pub use expr::{decompose_stars, ExprContext, OpExpr};
 pub use higher_power::{powers_commute, PowerCommutation};
 pub use redundancy::{
     analyze_redundancy, decomposition_for_pred, lemma_6_3_exponent, redundancy_decomposition,

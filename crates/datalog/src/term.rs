@@ -86,6 +86,21 @@ impl Value {
     pub fn sym(s: &str) -> Value {
         Value::Sym(Symbol::new(s))
     }
+
+    /// Read one value token as the command line and the wire protocol
+    /// spell it: an integer if it parses as one, a symbolic constant
+    /// otherwise. Surrounding whitespace is ignored; an empty token is no
+    /// value (`None`), not the symbol `""`.
+    pub fn parse_token(tok: &str) -> Option<Value> {
+        let tok = tok.trim();
+        if tok.is_empty() {
+            return None;
+        }
+        Some(match tok.parse::<i64>() {
+            Ok(i) => Value::Int(i),
+            Err(_) => Value::sym(tok),
+        })
+    }
 }
 
 impl fmt::Debug for Value {

@@ -130,13 +130,6 @@ pub fn compose(a: &BitsetRelation, b: &BitsetRelation) -> BitsetRelation {
     out
 }
 
-/// Word-at-a-time union `a ∪= b`; returns the popcount delta (newly set
-/// bits). Thin alias over [`BitsetRelation::or_assign`] so the dense
-/// kernel surface is complete in one module.
-pub fn union_in_place(a: &mut BitsetRelation, b: &BitsetRelation) -> u64 {
-    a.or_assign(b)
-}
-
 /// The boolean matrix square `a ∘ a`.
 pub fn square(a: &BitsetRelation) -> BitsetRelation {
     compose(a, a)

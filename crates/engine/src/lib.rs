@@ -47,7 +47,6 @@
 
 pub mod decision;
 pub mod dense;
-pub mod expr_eval;
 pub mod join;
 pub mod magic;
 pub mod parallel;
@@ -67,13 +66,10 @@ pub use decision::{
     PlanDecision,
 };
 pub use dense::{closure_by_squaring, composition_shape, CompositionShape, CompositionSide};
-pub use expr_eval::eval_expr;
 pub use join::{apply_flat, apply_linear, Indexes};
 pub use magic::{eval_selected_star, magic_applicable};
 pub use parallel::Parallelism;
-pub use planner::{
-    Analysis, AnalysisEffort, CostModel, ExecOutcome, Plan, PlanShape, StrategyError, TraceStep,
-};
+pub use planner::{Analysis, CostModel, ExecOutcome, Plan, PlanShape, StrategyError, TraceStep};
 pub use pool::WorkerPool;
 pub use program::Program;
 pub use provenance::{eval_with_provenance, Provenance, Step};

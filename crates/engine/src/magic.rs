@@ -25,7 +25,7 @@ use crate::join::{apply_flat, apply_linear, Indexes};
 use crate::selection::Selection;
 use crate::stats::EvalStats;
 use linrec_datalog::hash::FastSet;
-use linrec_datalog::{Atom, Database, LinearRule, Relation, Rule, Symbol, Tuple, Var};
+use linrec_datalog::{Atom, Database, LinearRule, Relation, Rule, Tuple, Var};
 
 /// The sorted selected positions of a selection.
 fn sorted_positions(sel: &Selection) -> Vec<usize> {
@@ -185,11 +185,6 @@ pub fn eval_selected_star(
     let result = sel.apply(&total);
     stats.tuples = result.len();
     (result, stats)
-}
-
-/// Expose the magic predicate names for tests and diagnostics.
-pub fn magic_pred() -> Symbol {
-    Symbol::new(MAGIC_PRED)
 }
 
 #[cfg(test)]

@@ -11,28 +11,10 @@ use super::{CostModel, Plan, PlanShape};
 use crate::decision::{CandidateEstimate, DenseVerdict, PickedBy};
 use crate::dense;
 use crate::selection::Selection;
-use linrec_core::{BoundednessCert, CommutativityCert, RedundancyCert, SeparabilityCert};
+use linrec_core::{
+    BoundednessCert, CommutativityCert, RedundancyCert, SeparabilityCert, POWER_SEARCH_BOUND,
+};
 use linrec_datalog::{Database, LinearRule, Relation};
-
-/// Search-depth knobs for [`Analysis`].
-#[derive(Debug, Clone, Copy)]
-pub struct AnalysisEffort {
-    /// Bound for power searches (uniform boundedness, torsion,
-    /// redundancy): `Bⁿ` is explored for `n ≤ max_power`.
-    pub max_power: usize,
-    /// Exponent bound for two-operator semi-commutation certificates
-    /// (`CB ≤ BᵏCˡ`); `0` disables the search.
-    pub semi_exp: usize,
-}
-
-impl Default for AnalysisEffort {
-    fn default() -> AnalysisEffort {
-        AnalysisEffort {
-            max_power: 8,
-            semi_exp: 0,
-        }
-    }
-}
 
 /// The certificates the paper's analyses produced for one rule set (and
 /// optional selection). Feed it to [`Analysis::plan`] to pick a strategy,
@@ -51,17 +33,10 @@ pub struct Analysis {
 }
 
 impl Analysis {
-    /// Analyze `rules` under an optional selection with default effort.
+    /// Analyze `rules` under an optional selection. Power searches
+    /// (uniform boundedness, redundancy) explore `Bⁿ` for
+    /// `n ≤` [`POWER_SEARCH_BOUND`].
     pub fn of(rules: &[LinearRule], selection: Option<&Selection>) -> Analysis {
-        Analysis::with_effort(rules, selection, AnalysisEffort::default())
-    }
-
-    /// Analyze with explicit search bounds.
-    pub fn with_effort(
-        rules: &[LinearRule],
-        selection: Option<&Selection>,
-        effort: AnalysisEffort,
-    ) -> Analysis {
         let mut analysis = Analysis {
             rules: rules.to_vec(),
             selection: selection.cloned(),
@@ -73,14 +48,14 @@ impl Analysis {
         };
 
         if rules.len() == 1 {
-            match BoundednessCert::establish(&rules[0], effort.max_power) {
+            match BoundednessCert::establish(&rules[0], POWER_SEARCH_BOUND) {
                 Ok(cert) => analysis.boundedness = cert,
                 Err(e) => analysis
                     .notes
                     .push(format!("boundedness search failed: {e}")),
             }
             if analysis.boundedness.is_none() {
-                match RedundancyCert::establish_any(&rules[0], effort.max_power) {
+                match RedundancyCert::establish_any(&rules[0], POWER_SEARCH_BOUND) {
                     Ok(cert) => analysis.redundancy = cert,
                     Err(e) => analysis
                         .notes
@@ -90,7 +65,7 @@ impl Analysis {
         }
 
         if rules.len() > 1 {
-            match CommutativityCert::establish(rules, effort.semi_exp) {
+            match CommutativityCert::establish(rules) {
                 Ok(cert) => analysis.commutativity = cert,
                 Err(e) => analysis
                     .notes

@@ -71,7 +71,7 @@ mod cost;
 mod exec;
 mod plan;
 
-pub use analysis::{Analysis, AnalysisEffort};
+pub use analysis::Analysis;
 pub use cost::CostModel;
 pub use exec::{ExecOutcome, TraceStep};
 pub use plan::{Plan, PlanShape};

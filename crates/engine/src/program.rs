@@ -23,7 +23,7 @@
 //! assert_eq!(outcome.relation.len(), 2);
 //! ```
 
-use crate::planner::{Analysis, AnalysisEffort, ExecOutcome, Plan, StrategyError};
+use crate::planner::{Analysis, ExecOutcome, Plan, StrategyError};
 use crate::selection::Selection;
 use linrec_datalog::{parse_program, Clause, Database, LinearRule, Relation, RuleError, Symbol};
 
@@ -118,27 +118,10 @@ impl Program {
         &self.init
     }
 
-    /// Replace the seed relation (e.g. for programmatic workloads).
-    pub fn with_init(mut self, init: Relation) -> Program {
-        self.init = init;
-        self
-    }
-
-    /// Replace an EDB relation.
-    pub fn with_relation(mut self, pred: &str, rel: Relation) -> Program {
-        self.db.set_relation(pred, rel);
-        self
-    }
-
     /// Run the paper's analyses for this program (and optional selection),
     /// collecting the certificates that license specialized strategies.
     pub fn analyze(&self, sel: Option<&Selection>) -> Analysis {
         Analysis::of(&self.rules, sel)
-    }
-
-    /// Analyze with explicit search bounds.
-    pub fn analyze_with_effort(&self, sel: Option<&Selection>, effort: AnalysisEffort) -> Analysis {
-        Analysis::with_effort(&self.rules, sel, effort)
     }
 
     /// Choose an evaluation strategy (certificate-backed) for this program

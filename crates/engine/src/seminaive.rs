@@ -18,12 +18,11 @@
 //! relation each round and serves as the substrate baseline (experiment
 //! E6) and as the tests' reference.
 //!
-//! Three loops elsewhere in the crate stay separate on purpose, because
+//! Two loops elsewhere in the crate stay separate on purpose, because
 //! they iterate a different operator form and folding them in would put a
 //! caller-specific branch into this hot loop: the filtered ascent of
-//! [`crate::magic`] (a per-round membership filter), [`crate::provenance`]
-//! (an extended head carrying the derivation) and [`crate::expr_eval`]
-//! (an operator expression, not a rule sum).
+//! [`crate::magic`] (a per-round membership filter) and
+//! [`crate::provenance`] (an extended head carrying the derivation).
 //!
 //! # Parallel rounds and the shard-by-join-key invariant
 //!

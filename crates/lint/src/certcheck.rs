@@ -26,14 +26,10 @@
 
 use crate::diagnostic::{Code, Diagnostic, Span};
 use linrec_alpha::UnionFind;
-use linrec_core::{Decomposition, PowerWitness, RedundancyCert};
+use linrec_core::{Decomposition, PowerWitness, RedundancyCert, POWER_SEARCH_BOUND};
 use linrec_cq::{compose, linear_contains, linear_equivalent, power_minimized};
 use linrec_datalog::{LinearRule, Symbol};
 use linrec_engine::Analysis;
-
-/// Mirror of `AnalysisEffort::default().max_power`: the bound for the
-/// missed-boundedness search (`C107`).
-const MAX_POWER: usize = 8;
 
 /// The planner's claims, stripped of their certificate wrappers.
 ///
@@ -229,7 +225,7 @@ pub fn cross_verify(rules: &[LinearRule], claims: &CertClaims) -> Vec<Diagnostic
         }
         None => {
             if n == 1 {
-                if let Ok(Some(w)) = search_bounded(&rules[0], MAX_POWER) {
+                if let Ok(Some(w)) = search_bounded(&rules[0], POWER_SEARCH_BOUND) {
                     out.push(Diagnostic::new(
                         Code::MissedBoundedness,
                         Span::rule(0),

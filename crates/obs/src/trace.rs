@@ -258,12 +258,6 @@ static RECORDER: OnceLock<FlightRecorder> = OnceLock::new();
 /// Default ring capacity of the global recorder.
 pub const DEFAULT_RECORDER_CAPACITY: usize = 4096;
 
-/// Size the global flight recorder (effective only before its first
-/// use; later calls are ignored). Returns whether the capacity applied.
-pub fn init_recorder(capacity: usize) -> bool {
-    RECORDER.set(FlightRecorder::new(capacity)).is_ok()
-}
-
 /// The process-wide flight recorder.
 pub fn recorder() -> &'static FlightRecorder {
     RECORDER.get_or_init(|| FlightRecorder::new(DEFAULT_RECORDER_CAPACITY))

@@ -54,7 +54,9 @@
 //! configured threshold ([`crate::service::ServiceLimits::slow_request`])
 //! are counted and logged to stderr with their trace ID.
 //!
-//! Values parse as `i64` when possible and as symbols otherwise.
+//! Values parse as `i64` when possible and as symbols otherwise
+//! ([`Value::parse_token`]); an empty value (`select tc 0=`) is
+//! `bad-argument`, and `ask` with a tuple of the wrong arity is `arity`.
 //!
 //! # Error replies
 //!
@@ -116,11 +118,15 @@ fn fault_injection_enabled() -> bool {
     std::env::var("LINREC_FAULT_INJECTION").as_deref() == Ok("1")
 }
 
-fn parse_value(tok: &str) -> Value {
-    match tok.parse::<i64>() {
-        Ok(i) => Value::Int(i),
-        Err(_) => Value::sym(tok),
-    }
+/// The value spelled by `tok`, or the `bad-argument` reply naming the
+/// argument `arg` it was cut from when it is empty.
+fn parse_value(tok: &str, arg: &str) -> Result<Value, Reply> {
+    Value::parse_token(tok)
+        .ok_or_else(|| Reply::err("bad-argument", format_args!("empty value in {arg:?}")))
+}
+
+fn parse_tuple(toks: &[&str]) -> Result<Vec<Value>, Reply> {
+    toks.iter().map(|t| parse_value(t, t)).collect()
 }
 
 /// One protocol session: a staged insert batch plus a handle to the
@@ -362,10 +368,11 @@ impl Session {
                 format_args!("staged batch full ({max_staged} tuples; `commit` or `clear` first)"),
             );
         }
-        self.pending.push((
-            Symbol::new(pred),
-            values.iter().map(|t| parse_value(t)).collect(),
-        ));
+        let tuple = match parse_tuple(values) {
+            Ok(tuple) => tuple,
+            Err(reply) => return reply,
+        };
+        self.pending.push((Symbol::new(pred), tuple));
         Reply::line(format!("ok staged ({} pending)", self.pending.len()))
     }
 
@@ -418,7 +425,10 @@ impl Session {
         let [view, values @ ..] = rest else {
             return Reply::err("usage", "ask <view> <v> ..");
         };
-        let tuple: Vec<Value> = values.iter().map(|t| parse_value(t)).collect();
+        let tuple = match parse_tuple(values) {
+            Ok(tuple) => tuple,
+            Err(reply) => return reply,
+        };
         match self.service.snapshot().contains(view, &tuple) {
             Ok(found) => Reply::line(format!("ok {found}")),
             Err(e) => Reply::service_err(&e),
@@ -461,7 +471,10 @@ impl Session {
             let Ok(pos) = pos.parse::<usize>() else {
                 return Reply::err("bad-argument", format_args!("bad position in {arg:?}"));
             };
-            let value = parse_value(val);
+            let value = match parse_value(val, arg) {
+                Ok(value) => value,
+                Err(reply) => return reply,
+            };
             sel = Some(match sel {
                 None => Selection::eq(pos, value),
                 Some(s) => s.and(pos, value),
@@ -841,6 +854,7 @@ mod tests {
             ("rows tc nope", "bad-argument"),
             ("select tc 0:1", "bad-argument"),
             ("select tc 5=1", "bad-argument"),
+            ("ask tc 1", "arity"),
             ("insert e", "usage"),
             ("stats nope", "unknown-view"),
             ("bogus-cmd", "unknown-command"),
@@ -857,6 +871,17 @@ mod tests {
             "err bad-argument position 5 out of range for tc/2"
         );
         assert!(s.handle("select tc 0=1").text.ends_with("ok 2 rows"));
+        // An empty value and a tuple of the wrong arity are mistakes to
+        // report, not the symbol "" and a tuple that is not there.
+        assert_eq!(
+            s.handle("select tc 0=").text,
+            "err bad-argument empty value in \"0=\""
+        );
+        assert_eq!(
+            s.handle("ask tc 1 2 3").text,
+            "err arity tc holds 2-tuples, got arity 3"
+        );
+        assert_eq!(s.handle("ask tc 1 2").text, "ok true");
         // Wrong-arity commit: typed code, batch stays staged.
         s.handle("insert e 1 2 3");
         let text = s.handle("commit").text;

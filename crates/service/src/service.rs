@@ -90,9 +90,10 @@ use std::time::{Duration, Instant};
 pub enum ServiceError {
     /// Query or insert referenced an unknown view.
     UnknownView(String),
-    /// An insert's arity disagrees with the predicate's relation.
+    /// An inserted or asked-for tuple's arity disagrees with the
+    /// predicate's relation.
     ArityMismatch {
-        /// The predicate being inserted into.
+        /// The predicate inserted into or asked about.
         pred: Symbol,
         /// Arity of the stored relation.
         expected: usize,
@@ -410,11 +411,20 @@ impl Snapshot {
             .ok_or_else(|| ServiceError::UnknownView(name.to_owned()))
     }
 
-    /// Membership test against a view.
+    /// Membership test against a view. A tuple of the wrong arity is an
+    /// [`ArityMismatch`](ServiceError::ArityMismatch), not an absent one.
     pub fn contains(&self, name: &str, tuple: &[Value]) -> Result<bool, ServiceError> {
-        self.view(name)
-            .map(|v| v.relation.contains(tuple))
-            .ok_or_else(|| ServiceError::UnknownView(name.to_owned()))
+        let view = self
+            .view(name)
+            .ok_or_else(|| ServiceError::UnknownView(name.to_owned()))?;
+        if tuple.len() != view.relation.arity() {
+            return Err(ServiceError::ArityMismatch {
+                pred: Symbol::new(name),
+                expected: view.relation.arity(),
+                got: tuple.len(),
+            });
+        }
+        Ok(view.relation.contains(tuple))
     }
 
     /// Tuples of a view matching a selection (all tuples when `None`),

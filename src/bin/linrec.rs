@@ -68,7 +68,7 @@
 //! up(1,2). down(2,3). p(2,2).
 //! ```
 
-use linrec::core::{pair_report, redundancy_report};
+use linrec::core::{pair_report, redundancy_report, POWER_SEARCH_BOUND};
 use linrec::engine::{Program, Selection};
 use linrec::prelude::*;
 use std::process::ExitCode;
@@ -243,7 +243,7 @@ fn analyze(path: &str) -> Result<(), String> {
     }
     for (i, r) in rules.iter().enumerate() {
         println!("---- redundancy, rule {i} ----");
-        match redundancy_report(r, 8) {
+        match redundancy_report(r, POWER_SEARCH_BOUND) {
             Ok(rep) => println!("{rep}"),
             Err(e) => println!("not analyzable: {e}\n"),
         }
@@ -267,10 +267,7 @@ fn parse_selection(args: &[String]) -> Result<Option<Selection>, String> {
             .trim()
             .parse()
             .map_err(|_| format!("bad position in {a:?}"))?;
-        let value: Value = match value.trim().parse::<i64>() {
-            Ok(i) => Value::Int(i),
-            Err(_) => Value::sym(value.trim()),
-        };
+        let value = Value::parse_token(value).ok_or_else(|| format!("empty value in {a:?}"))?;
         sel = Some(match sel {
             None => Selection::eq(pos, value),
             Some(s) => s.and(pos, value),
@@ -342,11 +339,18 @@ fn explain(path: &str, tuple: &str) -> Result<(), String> {
     let prog = load(path)?;
     let values: Vec<Value> = tuple
         .split(',')
-        .map(|s| match s.trim().parse::<i64>() {
-            Ok(i) => Value::Int(i),
-            Err(_) => Value::sym(s.trim()),
-        })
-        .collect();
+        .map(|s| Value::parse_token(s).ok_or_else(|| format!("empty value in {tuple:?}")))
+        .collect::<Result<_, _>>()?;
+    // A tuple of the wrong arity is a mistake to report, not a tuple that
+    // happens to be absent.
+    let arity = prog.init().arity();
+    if values.len() != arity {
+        return Err(format!(
+            "{} has arity {arity}, got {} value(s)",
+            prog.rec_pred(),
+            values.len()
+        ));
+    }
     let (total, prov) =
         linrec::engine::eval_with_provenance(prog.rules(), prog.database(), prog.init());
     if !total.contains(&values) {

@@ -180,3 +180,34 @@ fn run_rejects_a_selection_position_past_the_arity() {
     assert!(out.status.success(), "{}", stdout(&out));
     assert!(stdout(&out).contains("p(1,3)"), "{}", stdout(&out));
 }
+
+#[test]
+fn explain_and_run_reject_a_short_tuple_and_an_empty_value() {
+    let f = Fixture::new(
+        "tc_values.lr",
+        "p(x,y) :- p(x,z), e(z,y).\ne(1,2). e(2,3).\np(1,2).\n",
+    );
+    let linrec = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_linrec"))
+            .args(args)
+            .output()
+            .expect("spawn linrec")
+    };
+    for (args, message) in [
+        (
+            ["explain", f.path(), "1"],
+            "error: p has arity 2, got 1 value(s)",
+        ),
+        (["explain", f.path(), "1,"], "error: empty value in \"1,\""),
+        (["run", f.path(), "0="], "error: empty value in \"0=\""),
+    ] {
+        let out = linrec(&args);
+        assert!(!out.status.success(), "{args:?}: {}", stdout(&out));
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(message), "{args:?}: {err}");
+    }
+    // A tuple of the right arity is explained as before.
+    let out = linrec(&["explain", f.path(), "1,3"]);
+    assert!(out.status.success(), "{}", stdout(&out));
+    assert!(stdout(&out).contains("[1, 3]"), "{}", stdout(&out));
+}

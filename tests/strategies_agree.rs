@@ -85,9 +85,7 @@ fn decomposed_plans_require_the_certificate() {
     // The certificate (hence the Decomposed node) is only available when
     // the rules actually commute — and carries the clusters it proved.
     let commuting = vec![rules::up_rule(), rules::down_rule()];
-    let cert = CommutativityCert::establish(&commuting, 0)
-        .unwrap()
-        .unwrap();
+    let cert = CommutativityCert::establish(&commuting).unwrap().unwrap();
     assert_eq!(cert.clusters().len(), 2);
     let plan = Plan::decomposed(cert);
     assert!(matches!(plan.shape(), PlanShape::Decomposed { .. }));
@@ -96,9 +94,7 @@ fn decomposed_plans_require_the_certificate() {
         parse_linear_rule("p(x,y) :- p(x,z), a(z,y).").unwrap(),
         parse_linear_rule("p(x,y) :- p(x,z), b(z,y).").unwrap(),
     ];
-    assert!(CommutativityCert::establish(&clashing, 0)
-        .unwrap()
-        .is_none());
+    assert!(CommutativityCert::establish(&clashing).unwrap().is_none());
 }
 
 #[test]

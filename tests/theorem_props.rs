@@ -209,7 +209,7 @@ proptest! {
         let direct = Plan::direct(rules_all.clone()).execute(&db, &init).unwrap();
         // The pair commutes (verified above), so the certificate exists and
         // licenses the decomposed plan.
-        let cert = CommutativityCert::establish(&rules_all, 0).unwrap();
+        let cert = CommutativityCert::establish(&rules_all).unwrap();
         prop_assert!(cert.is_some(), "commuting pair must certify");
         let dec = Plan::decomposed(cert.unwrap()).execute(&db, &init).unwrap();
         prop_assert_eq!(direct.relation.sorted(), dec.relation.sorted());

@@ -424,10 +424,15 @@ impl Relation {
 
     /// Membership test (never allocates).
     pub fn contains(&self, t: &[Value]) -> bool {
+        self.row_of(t).is_some()
+    }
+
+    /// The row `t` is stored at — its insertion rank — when present.
+    pub fn row_of(&self, t: &[Value]) -> Option<usize> {
         if t.len() != self.arity || self.slots.is_empty() {
-            return false;
+            return None;
         }
-        self.probe(hash_row(t), t).is_ok()
+        self.probe(hash_row(t), t).ok().map(|row| row as usize)
     }
 
     /// Iterate over tuples as value slices, in insertion order.
@@ -796,6 +801,10 @@ mod tests {
         assert!(r.contains(&[Value::Int(1), Value::Int(2)]));
         assert!(!r.contains(&[Value::Int(2), Value::Int(1)]));
         assert_eq!(r.len(), 1);
+        assert!(r.insert(vec![Value::Int(2), Value::Int(1)]));
+        assert_eq!(r.row_of(&[Value::Int(2), Value::Int(1)]), Some(1));
+        assert_eq!(r.row_of(&[Value::Int(1), Value::Int(2)]), Some(0));
+        assert_eq!(r.row_of(&[Value::Int(1)]), None);
     }
 
     #[test]

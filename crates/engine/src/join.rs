@@ -453,7 +453,7 @@ impl<'a> JoinRun<'a> {
 /// `first_rel` and the rest resolved in `db`), emitting one head tuple per
 /// complete match. Returns the produced relation and the number of
 /// derivations (successful matches, including duplicates).
-fn join_emit(
+pub(crate) fn join_emit(
     head: &Atom,
     atoms: &[Atom],
     first_rel: &Relation,
@@ -642,8 +642,8 @@ pub fn apply_linear(
     join_emit(rule.head(), &atoms, p_rel, db, indexes)
 }
 
-/// Evaluate a plain nonrecursive rule over `db` (used by the magic phase).
-/// The first body atom's relation is resolved in `db` as well.
+/// Evaluate a plain nonrecursive rule over `db` (used by view maintenance's
+/// delta rules). The first body atom's relation is resolved in `db` as well.
 pub fn apply_flat(
     rule: &linrec_datalog::Rule,
     db: &Database,

@@ -1,39 +1,34 @@
-//! Frontier ("magic") evaluation of `σA* q` (the first loop of the
-//! separable algorithm, Algorithm 4.1).
+//! Selection push-down for `σA* q` as a rule rewrite (the first loop of
+//! the separable algorithm, Algorithm 4.1).
 //!
 //! The separable algorithm's first loop "involves manipulating relations
 //! that are parameters of the various operators": instead of computing
 //! `A* q` and selecting afterwards, the selection constants are propagated
-//! *down* the recursion through the parameter relations. This module
-//! implements that propagation for a single linear rule:
+//! *down* the recursion through the parameter relations. This module does
+//! not evaluate anything. It rewrites one linear rule and a selection into
+//! two linear rules whose stars the caller runs on the semi-naive driver:
 //!
 //! 1. **Binding closure**: starting from the selected head positions, every
 //!    nonrecursive atom sharing a bound variable binds all its variables.
 //!    The rule is *magic-applicable* if the closure binds the recursive
 //!    atom's variables at the same positions.
-//! 2. **Magic fixpoint**: `mag ⊇ σ-seed`,
-//!    `mag(rec_S) :- mag(head_S) ∧ (bound nonrecursive atoms)` — the set of
-//!    relevant binding values, computed with a frontier.
-//! 3. **Filtered ascent**: semi-naive evaluation of `A` seeded with
-//!    `{t ∈ q | t_S ∈ mag}`, keeping only tuples whose selected columns
-//!    stay in `mag`; finally apply `σ`.
+//! 2. **Magic rule**: `·mag(rec_S) :- ·mag(head_S), chain`, where `chain` is
+//!    the closure's atoms. Its star from the one-tuple seed of σ's
+//!    constants is the set of relevant binding values.
+//! 3. **Guarded rule**: `head :- rec, nonrec…, ·mag(head_S)`, the textbook
+//!    magic-sets guard. Its star over the database plus `·mag`, seeded with
+//!    the tuples of `q` the guard admits, is followed by `σ`.
 //!
 //! When the rule is not magic-applicable the caller falls back to
-//! select-after-star.
+//! select-after-star. A constant in the recursive atom at a selected
+//! position counts as not applicable: the magic rule's head would hold a
+//! constant, which no linear rule may.
 
-use crate::join::{apply_flat, apply_linear, Indexes};
 use crate::selection::Selection;
+use crate::seminaive::seminaive_star;
 use crate::stats::EvalStats;
 use linrec_datalog::hash::FastSet;
-use linrec_datalog::{Atom, Database, LinearRule, Relation, Rule, Tuple, Var};
-
-/// The sorted selected positions of a selection.
-fn sorted_positions(sel: &Selection) -> Vec<usize> {
-    let mut p = sel.positions();
-    p.sort_unstable();
-    p.dedup();
-    p
-}
+use linrec_datalog::{Atom, Database, LinearRule, Relation, Rule, Tuple, Value, Var};
 
 /// The nonrecursive atoms reachable from the given seed variables by
 /// shared-variable chaining, in discovery order, together with the final
@@ -63,134 +58,121 @@ fn binding_closure(rule: &LinearRule, seed: &FastSet<Var>) -> (Vec<Atom>, FastSe
     }
 }
 
-/// Can the selection's bindings be pushed through `rule`'s recursion?
-/// True iff the binding closure from the selected head positions binds the
-/// recursive atom's variables at those same positions.
-pub fn magic_applicable(rule: &LinearRule, sel: &Selection) -> bool {
-    if rule.has_repeated_head_vars() {
-        return false;
-    }
-    let positions = sorted_positions(sel);
-    if positions.iter().any(|&p| p >= rule.arity()) {
-        return false;
-    }
-    let seed: FastSet<Var> = positions
-        .iter()
-        .filter_map(|&p| rule.head().terms[p].as_var())
-        .collect();
-    let (_, bound) = binding_closure(rule, &seed);
-    positions
-        .iter()
-        .all(|&p| match rule.rec_atom().terms[p].as_var() {
-            Some(v) => bound.contains(&v),
-            None => true, // a constant is trivially bound
-        })
+const MAGIC_PRED: &str = "\u{b7}mag";
+
+/// A rule rewritten for a selection it absorbs (see the module docs).
+pub(crate) struct MagicRewrite {
+    /// `·mag(rec_S) :- ·mag(head_S), chain`.
+    magic: LinearRule,
+    /// The magic star's seed: σ's constants in position order.
+    seed: Relation,
+    /// `head :- rec, nonrec…, ·mag(head_S)`.
+    guarded: LinearRule,
+    /// The selected positions, sorted.
+    positions: Vec<usize>,
 }
 
-const MAGIC_PRED: &str = "\u{b7}mag";
-const MAGIC_DELTA_PRED: &str = "\u{b7}mag\u{394}";
+impl MagicRewrite {
+    /// The rewrite of `rule` for `sel`, or `None` when the selection cannot
+    /// be pushed through the recursion.
+    pub(crate) fn of(rule: &LinearRule, sel: &Selection) -> Option<MagicRewrite> {
+        if rule.has_repeated_head_vars() {
+            return None;
+        }
+        // The first binding of a position wins; σ rejects a contradicting
+        // one at the end.
+        let mut bindings = sel.bindings().to_vec();
+        bindings.sort_by_key(|&(p, _)| p);
+        bindings.dedup_by_key(|&mut (p, _)| p);
+        let (positions, constants): (Vec<usize>, Vec<Value>) = bindings.into_iter().unzip();
+        let vars_at = |atom: &Atom| -> Option<Vec<Var>> {
+            positions
+                .iter()
+                .map(|&p| atom.terms.get(p)?.as_var())
+                .collect()
+        };
+        let (head_s, rec_s) = (vars_at(rule.head())?, vars_at(rule.rec_atom())?);
+        let (chain, bound) = binding_closure(rule, &head_s.iter().copied().collect());
+        if !rec_s.iter().all(|v| bound.contains(v)) {
+            return None;
+        }
+        let guard = Atom::from_vars(MAGIC_PRED, &head_s);
+        let body = std::iter::once(guard.clone()).chain(chain).collect();
+        let magic = LinearRule::from_rule(&Rule::new(Atom::from_vars(MAGIC_PRED, &rec_s), body));
+        let mut nonrec = rule.nonrec_atoms().to_vec();
+        nonrec.push(guard);
+        let guarded = LinearRule::from_parts(rule.head().clone(), rule.rec_atom().clone(), nonrec);
+        Some(MagicRewrite {
+            magic: magic.ok()?,
+            seed: Relation::from_tuples(positions.len(), [constants]),
+            guarded: guarded.ok()?,
+            positions,
+        })
+    }
 
-/// Compute `σ A* q` with selection push-down. Returns the result relation
-/// and statistics; the derivation counts include the magic phase.
-///
-/// # Panics
-/// If `!magic_applicable(rule, sel)` — callers must check (the planner's
-/// separable node falls back to select-after-star automatically).
+    /// `σ A* init`, each of the two stars run by `star(rule, db, seed)`:
+    /// the magic star over `db`, then the guarded star over `db` plus
+    /// `·mag`, from the tuples of `init` the guard admits.
+    pub(crate) fn eval(
+        &self,
+        db: &Database,
+        init: &Relation,
+        sel: &Selection,
+        mut star: impl FnMut(&LinearRule, &Database, Relation) -> (Relation, EvalStats),
+    ) -> (Relation, EvalStats) {
+        let (mag, mut stats) = star(&self.magic, db, self.seed.clone());
+        let admitted = init.iter().filter(|t| {
+            let key: Option<Tuple> = self.positions.iter().map(|&p| t.get(p).copied()).collect();
+            key.is_some_and(|key| mag.contains(&key))
+        });
+        let admitted = Relation::from_tuples(init.arity(), admitted);
+        let mut guarded_db = db.snapshot();
+        guarded_db.set_relation(MAGIC_PRED, mag);
+        let (total, guarded) = star(&self.guarded, &guarded_db, admitted);
+        stats += guarded;
+        let result = sel.apply(&total);
+        stats.tuples = result.len();
+        (result, stats)
+    }
+}
+
+/// Can the selection's bindings be pushed through `rule`'s recursion?
+/// True iff the recursive atom holds variables at the selected positions
+/// and the binding closure from the selected head positions binds them.
+pub fn magic_applicable(rule: &LinearRule, sel: &Selection) -> bool {
+    MagicRewrite::of(rule, sel).is_some()
+}
+
+/// `σ A* init`, with the selection pushed through `rule` when
+/// [`magic_applicable`] and applied after the star otherwise. This is the
+/// sequential convenience form over the rewrite: two [`seminaive_star`]s
+/// (one when not applicable), the way `seminaive_star` relates to
+/// [`crate::seminaive::seminaive_resume`]. The planner's separable node
+/// runs the same rewrite on its own backend. The derivation counts include
+/// the magic star.
 pub fn eval_selected_star(
     rule: &LinearRule,
     db: &Database,
     init: &Relation,
     sel: &Selection,
 ) -> (Relation, EvalStats) {
-    assert!(
-        magic_applicable(rule, sel),
-        "selection cannot be pushed through {rule}; use select-after-star"
-    );
-    let mut stats = EvalStats::default();
-    let positions = sorted_positions(sel);
-
-    // --- Phase 1: magic fixpoint over the parameter relations. ---
-    let head_s_vars: Vec<Var> = positions
-        .iter()
-        .map(|&p| rule.head().terms[p].as_var().expect("checked"))
-        .collect();
-    let seed_set: FastSet<Var> = head_s_vars.iter().copied().collect();
-    let (chain, _) = binding_closure(rule, &seed_set);
-    let magic_rule = Rule::new(
-        Atom::new(
-            MAGIC_PRED,
-            positions
-                .iter()
-                .map(|&p| rule.rec_atom().terms[p])
-                .collect(),
-        ),
-        {
-            let mut body = Vec::with_capacity(1 + chain.len());
-            body.push(Atom::from_vars(MAGIC_DELTA_PRED, &head_s_vars));
-            body.extend(chain);
-            body
-        },
-    );
-
-    let seed: Tuple = {
-        // Values in sorted-position order.
-        let mut pairs: Vec<(usize, linrec_datalog::Value)> = sel.bindings().to_vec();
-        pairs.sort_by_key(|&(p, _)| p);
-        pairs.dedup_by_key(|&mut (p, _)| p);
-        pairs.into_iter().map(|(_, v)| v).collect()
+    let star = |rule: &LinearRule, db: &Database, seed: Relation| {
+        seminaive_star(std::slice::from_ref(rule), db, &seed)
     };
-    let mut mag = Relation::new(positions.len());
-    mag.insert(seed.clone());
-    let mut mag_delta = mag.clone();
-    let mut magic_db = db.clone();
-    let mut magic_indexes = Indexes::new();
-    while !mag_delta.is_empty() {
-        stats.iterations += 1;
-        magic_db.set_relation(MAGIC_DELTA_PRED, mag_delta.clone());
-        // The delta is the *leading* body atom, which is always scanned, so
-        // the cached EDB indexes stay valid across rounds.
-        let (derived, count) = apply_flat(&magic_rule, &magic_db, &mut magic_indexes);
-        let mut next = Relation::new(positions.len());
-        let new = next.insert_unseen(derived.iter(), &mag);
-        stats.record(count, new);
-        mag.union_in_place(&next);
-        mag_delta = next;
-    }
-
-    // --- Phase 2: filtered semi-naive ascent. ---
-    // Not `seminaive_resume`: each round keeps only the tuples whose
-    // selected columns stay in `mag`, and that filter has no place in the
-    // shared driver's loop.
-    let project =
-        |t: &[linrec_datalog::Value]| -> Tuple { positions.iter().map(|&p| t[p]).collect() };
-    let mut total = Relation::new(rule.arity());
-    for t in init.iter() {
-        if mag.contains(&project(t)) {
-            total.insert(t);
+    match MagicRewrite::of(rule, sel) {
+        Some(magic) => magic.eval(db, init, sel, star),
+        None => {
+            let (full, mut stats) = star(rule, db, init.clone());
+            let result = sel.apply(&full);
+            stats.tuples = result.len();
+            (result, stats)
         }
     }
-    let mut delta = total.clone();
-    let mut indexes = Indexes::new();
-    while !delta.is_empty() {
-        stats.iterations += 1;
-        let (derived, count) = apply_linear(rule, db, &delta, &mut indexes);
-        let mut next = Relation::new(rule.arity());
-        let relevant = derived.iter().filter(|t| mag.contains(&project(t)));
-        let new = next.insert_unseen(relevant, &total);
-        stats.record(count, new);
-        total.union_in_place(&next);
-        delta = next;
-    }
-
-    let result = sel.apply(&total);
-    stats.tuples = result.len();
-    (result, stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::seminaive::seminaive_star;
     use linrec_datalog::parse_linear_rule;
 
     fn left_rule() -> LinearRule {
@@ -211,6 +193,10 @@ mod tests {
         // Unbindable: h(y) = z appears in no nonrecursive atom.
         let blind = parse_linear_rule("p(x,y) :- p(x,z), e(x,y).").unwrap();
         assert!(!magic_applicable(&blind, &Selection::eq(1, 1)));
+        // A constant at the selected recursive position: `·mag(7)` is no
+        // linear rule, so σ is applied after the star.
+        let constant = parse_linear_rule("p(x,y) :- p(x,7), e(7,y).").unwrap();
+        assert!(!magic_applicable(&constant, &Selection::eq(1, 9)));
     }
 
     #[test]
@@ -262,11 +248,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "select-after-star")]
-    fn inapplicable_selection_panics() {
+    fn inapplicable_selection_is_applied_after_the_star() {
         let blind = parse_linear_rule("p(x,y) :- p(x,z), e(x,y).").unwrap();
-        let db = Database::new();
-        let init = Relation::new(2);
-        eval_selected_star(&blind, &db, &init, &Selection::eq(1, 1));
+        let mut db = Database::new();
+        db.set_relation("e", Relation::from_pairs([(1, 1), (1, 2), (3, 1)]));
+        let init = Relation::from_pairs([(1, 5), (3, 3)]);
+        let sel = Selection::eq(1, 1);
+        let (res, stats) = eval_selected_star(&blind, &db, &init, &sel);
+        let (full, _) = seminaive_star(std::slice::from_ref(&blind), &db, &init);
+        assert_eq!(res.sorted(), sel.apply(&full).sorted());
+        assert!(!res.is_empty());
+        assert_eq!(stats.tuples, res.len());
     }
 }

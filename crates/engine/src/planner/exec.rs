@@ -14,7 +14,7 @@ use super::plan::{PlanNode, StarSpec};
 use super::{Plan, StrategyError};
 use crate::dense;
 use crate::join::{apply_linear, Indexes};
-use crate::magic::{eval_selected_star, magic_applicable};
+use crate::magic::MagicRewrite;
 use crate::parallel::Parallelism;
 use crate::selection::Selection;
 use crate::seminaive::{naive_star, seminaive_resume};
@@ -360,11 +360,23 @@ impl Exec<'_> {
         if !sel.commutes_with(cert.outer()) {
             return Err(StrategyError::SelectionDoesNotCommute);
         }
-        let (mut result, mut stats) = if magic_applicable(cert.inner(), sel) {
-            // The magic phase runs over an augmented scratch database, so it
-            // keeps its own internal cache rather than sharing `indexes`.
+        let (mut result, mut stats) = if let Some(magic) = MagicRewrite::of(cert.inner(), sel) {
+            // The magic star runs over `db`, the guarded inner star over
+            // `db` plus `·mag`: both on this execution's backend, cache and
+            // knob.
             let phase = self.begin("separable-inner-magic");
-            let (rel, s) = eval_selected_star(cert.inner(), self.db, init, sel);
+            let (rel, s) = magic.eval(self.db, init, sel, |rule, db, seed| {
+                let mut exec = Exec {
+                    db,
+                    indexes: &mut *self.indexes,
+                    par: self.par,
+                    dense_budget_bytes: self.dense_budget_bytes,
+                    trace: None,
+                };
+                let mut total = seed.clone();
+                let stats = exec.star(&StarSpec::over(vec![rule.clone()]), &mut total, seed, None);
+                (total, stats)
+            });
             let label = "σ-pushed inner star (magic frontier)";
             self.end(phase, label.to_owned(), s);
             (rel, s)

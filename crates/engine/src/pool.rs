@@ -148,8 +148,8 @@ mod tests {
 
     #[test]
     fn panicking_jobs_cost_exactly_their_own_results() {
-        // Protocol sessions and per-view maintenance jobs share a pool
-        // with whatever else is queued: a panicking job must never take a
+        // A protocol session or a shard probe shares its pool with
+        // whatever else is queued: a panicking job must never take a
         // queued good job (or a worker) down with it.
         let pool = WorkerPool::new(2);
         let rxs: Vec<_> = (0..64u32)

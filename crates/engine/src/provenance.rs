@@ -4,15 +4,31 @@
 //! transformation* (after Ramakrishnan–Sagiv–Ullman–Vardi \[19\]): a
 //! derivation of a tuple in `(B+C)*q` is a sequence of operator
 //! applications rooted at a seed tuple, and commuting adjacent applications
-//! reorders the sequence without changing the result. This module records,
-//! for every derived tuple, its *first* derivation (parent tuple + rule
+//! reorders the sequence without changing the result. This module recovers,
+//! for every derived tuple, a *first* derivation (parent tuple + rule
 //! index), from which the whole application sequence can be read back —
 //! and shows that for commuting rules an equivalent canonical-order
 //! derivation exists.
+//!
+//! Nothing is recorded while the fixpoint runs: [`eval_with_provenance`]
+//! is [`seminaive_star`], whose `total` only grows by appending, so a
+//! tuple's row is its derivation order and the rows fall into rounds. A
+//! tuple new in round `k` has a parent new in round `k − 1`, and no parent
+//! older than that (it would have derived the tuple a round earlier). One
+//! step back is one bound-head backward join per rule,
+//! `·why(rec) :- ·t(head), nonrec…, ·total(rec)` with `·t = {t}`, keeping
+//! the parent at the smallest row (ties to the lowest rule index). That
+//! parent is from the previous round, so the walk ends at a seed.
 
-use crate::join::Indexes;
-use linrec_datalog::hash::FastMap;
-use linrec_datalog::{Atom, Database, LinearRule, Relation, Tuple};
+use crate::join::{join_emit, Indexes};
+use crate::seminaive::seminaive_star;
+use linrec_datalog::{Atom, Database, LinearRule, Relation, Rule, Tuple, Value};
+use std::cell::RefCell;
+use std::sync::Arc;
+
+const TUPLE_PRED: &str = "\u{b7}t";
+const TOTAL_PRED: &str = "\u{b7}total";
+const WHY_PRED: &str = "\u{b7}why";
 
 /// One step of a derivation: the rule applied and the parent tuple.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -23,65 +39,67 @@ pub struct Step {
     pub parent: Tuple,
 }
 
-/// First-derivation provenance for a fixpoint computation.
-#[derive(Debug, Clone, Default)]
+/// First-derivation provenance for a fixpoint computation, recovered on
+/// demand by backward joins (see the module docs).
 pub struct Provenance {
-    first: FastMap<Tuple, Step>,
+    rules: Vec<LinearRule>,
+    /// Per rule, `·why(rec) :- ·t(head), nonrec…, ·total(rec)`.
+    backward: Vec<Rule>,
+    /// The fixpoint, seeds first, then each round's new tuples.
+    total: Arc<Relation>,
+    /// How many leading rows of `total` are seeds.
+    seeds: usize,
+    /// The evaluation database plus `·total`.
+    db: Database,
+    /// The backward joins' scan/index cache (`·total` is indexed once).
+    indexes: RefCell<Indexes>,
 }
 
 impl Provenance {
-    /// The first recorded derivation step for `t` (`None` for seeds).
-    pub fn step(&self, t: &[linrec_datalog::Value]) -> Option<&Step> {
-        self.first.get(t)
+    /// The first derivation step of `t`: the rule applied and its parent.
+    /// `None` for seeds and for tuples not in the fixpoint.
+    pub fn step(&self, t: &[Value]) -> Option<Step> {
+        let row = self.total.row_of(t)?;
+        if row < self.seeds {
+            return None;
+        }
+        let this = Relation::from_tuples(t.len(), [t]);
+        let indexes = &mut *self.indexes.borrow_mut();
+        let mut parents = Vec::new();
+        for (rule, back) in self.backward.iter().enumerate() {
+            let (found, _) = join_emit(&back.head, &back.body, &this, &self.db, indexes);
+            let at = |p: &[Value]| Some((self.total.row_of(p)?, rule, Tuple::from_slice(p)));
+            parents.extend(found.iter().filter_map(at));
+        }
+        // Smallest row, then lowest rule index.
+        let (at, rule, parent) = parents.into_iter().min()?;
+        (at < row).then_some(Step { rule, parent })
     }
 
     /// The full derivation of `t`: the sequence of `(rule, parent)` steps
     /// from a seed tuple to `t`, seed first. Empty for seeds; `None` for
     /// tuples that were never derived.
-    pub fn derivation(&self, t: &[linrec_datalog::Value], seeds: &Relation) -> Option<Vec<Step>> {
-        if seeds.contains(t) && !self.first.contains_key(t) {
-            return Some(Vec::new());
-        }
+    pub fn derivation(&self, t: &[Value]) -> Option<Vec<Step>> {
         let mut steps = Vec::new();
         let mut cur = Tuple::from_slice(t);
-        loop {
-            match self.first.get(cur.as_slice()) {
-                Some(step) => {
-                    steps.push(step.clone());
-                    cur = step.parent.clone();
-                    if seeds.contains(&cur) && !self.first.contains_key(cur.as_slice()) {
-                        break;
-                    }
-                    if steps.len() > self.first.len() + 1 {
-                        return None; // cycle guard (cannot happen: first
-                                     // derivations are acyclic by rounds)
-                    }
-                }
-                None => return None,
-            }
+        while self.total.row_of(&cur)? >= self.seeds {
+            let step = self.step(&cur)?;
+            cur = step.parent.clone();
+            steps.push(step);
         }
         steps.reverse();
         Some(steps)
     }
 
     /// The multiset of rule indices along `t`'s derivation.
-    pub fn rule_sequence(
-        &self,
-        t: &[linrec_datalog::Value],
-        seeds: &Relation,
-    ) -> Option<Vec<usize>> {
-        self.derivation(t, seeds)
+    pub fn rule_sequence(&self, t: &[Value]) -> Option<Vec<usize>> {
+        self.derivation(t)
             .map(|steps| steps.iter().map(|s| s.rule).collect())
     }
 
     /// Render a derivation for humans.
-    pub fn explain(
-        &self,
-        t: &[linrec_datalog::Value],
-        seeds: &Relation,
-        rules: &[LinearRule],
-    ) -> Option<String> {
-        let steps = self.derivation(t, seeds)?;
+    pub fn explain(&self, t: &[Value]) -> Option<String> {
+        let steps = self.derivation(t)?;
         let mut out = String::new();
         use std::fmt::Write as _;
         if steps.is_empty() {
@@ -90,57 +108,45 @@ impl Provenance {
         }
         let _ = writeln!(out, "seed {:?}", steps[0].parent);
         for s in &steps {
-            let _ = writeln!(out, "  --[rule {}: {}]-->", s.rule, rules[s.rule]);
+            let _ = writeln!(out, "  --[rule {}: {}]-->", s.rule, self.rules[s.rule]);
         }
         let _ = writeln!(out, "  {t:?}");
         Some(out)
     }
 }
 
-/// Semi-naive evaluation recording first-derivation provenance.
+/// Semi-naive evaluation with first-derivation provenance.
 pub fn eval_with_provenance(
     rules: &[LinearRule],
     db: &Database,
     init: &Relation,
 ) -> (Relation, Provenance) {
-    let mut prov = Provenance::default();
-    let mut indexes = Indexes::new();
-    let mut scratch = db.clone();
-    let mut total = init.clone();
-    let mut delta = init.clone();
-    while !delta.is_empty() {
-        let mut next = Relation::new(total.arity());
-        for (ri, rule) in rules.iter().enumerate() {
-            // Extended-head application: emit (derived, parent) pairs.
-            let mut ext_terms = rule.head().terms.clone();
-            ext_terms.extend(rule.rec_atom().terms.iter().copied());
-            let mut body = vec![Atom::new("\u{b7}pdelta", rule.rec_atom().terms.clone())];
-            body.extend(rule.nonrec_atoms().iter().cloned());
-            let flat = linrec_datalog::Rule::new(Atom::new("\u{b7}ptrace", ext_terms), body);
-            scratch.set_relation("\u{b7}pdelta", delta.clone());
-            let (ext, _) = crate::join::apply_flat(&flat, &scratch, &mut indexes);
-            let arity = rule.arity();
-            for row in ext.iter() {
-                let derived = Tuple::from_slice(&row[..arity]);
-                let parent = Tuple::from_slice(&row[arity..]);
-                if !total.contains(&derived) && !next.contains(&derived) {
-                    prov.first
-                        .insert(derived.clone(), Step { rule: ri, parent });
-                    next.insert(derived);
-                }
-            }
-        }
-        total.union_in_place(&next);
-        delta = next;
-    }
-    (total, prov)
+    let (total, _) = seminaive_star(rules, db, init);
+    let total = Arc::new(total);
+    let mut db = db.snapshot();
+    db.set_relation_arc(TOTAL_PRED, Arc::clone(&total));
+    let backward = |rule: &LinearRule| {
+        let rec = &rule.rec_atom().terms;
+        let mut body = vec![Atom::new(TUPLE_PRED, rule.head().terms.clone())];
+        body.extend(rule.nonrec_atoms().iter().cloned());
+        body.push(Atom::new(TOTAL_PRED, rec.clone()));
+        Rule::new(Atom::new(WHY_PRED, rec.clone()), body)
+    };
+    let prov = Provenance {
+        rules: rules.to_vec(),
+        backward: rules.iter().map(backward).collect(),
+        total: Arc::clone(&total),
+        seeds: init.len(),
+        db,
+        indexes: RefCell::default(),
+    };
+    (Relation::clone(&total), prov)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{rules, workload};
-    use linrec_datalog::Value;
 
     fn int_pair(a: i64, b: i64) -> Tuple {
         Tuple::from_slice(&[Value::Int(a), Value::Int(b)])
@@ -153,7 +159,7 @@ mod tests {
         let (total, prov) = eval_with_provenance(&rs, &db, &init);
         for t in total.iter() {
             let steps = prov
-                .derivation(t, &init)
+                .derivation(t)
                 .unwrap_or_else(|| panic!("no derivation for {t:?}"));
             // Each step's parent differs from the derived tuple by one rule
             // application; the chain starts at a seed.
@@ -172,12 +178,10 @@ mod tests {
         let init = Relation::from_pairs([(0, 1)]);
         let (total, prov) = eval_with_provenance(std::slice::from_ref(&tc), &db, &init);
         assert!(total.contains(&int_pair(0, 3)));
-        let text = prov
-            .explain(&int_pair(0, 3), &init, std::slice::from_ref(&tc))
-            .unwrap();
+        let text = prov.explain(&int_pair(0, 3)).unwrap();
         assert!(text.contains("seed"));
         assert!(text.contains("rule 0"));
-        let seq = prov.rule_sequence(&int_pair(0, 3), &init).unwrap();
+        let seq = prov.rule_sequence(&int_pair(0, 3)).unwrap();
         assert_eq!(seq, vec![0, 0]);
     }
 
@@ -199,12 +203,12 @@ mod tests {
 
         // Every tuple has a derivation that is all-up then all-down.
         for t in full.iter() {
-            let tail = prov_down.derivation(t, &after_up).unwrap();
+            let tail = prov_down.derivation(t).unwrap();
             let mid: Tuple = match tail.first() {
                 Some(s) => s.parent.clone(),
                 None => Tuple::from_slice(t),
             };
-            let head = prov_up.derivation(&mid, &init).unwrap();
+            let head = prov_up.derivation(&mid).unwrap();
             // head uses only rule "up", tail only rule "down".
             assert!(head.iter().all(|s| s.rule == 0)); // index within its call
             assert!(tail.iter().all(|s| s.rule == 0));
@@ -220,7 +224,7 @@ mod tests {
             // A seed may have been re-derived; derivation is then nonempty
             // but must still ground out. Only check the pure-seed case.
             if prov.step(t).is_none() {
-                assert_eq!(prov.derivation(t, &init).unwrap(), Vec::<Step>::new());
+                assert_eq!(prov.derivation(t).unwrap(), Vec::<Step>::new());
             }
         }
     }
@@ -230,6 +234,6 @@ mod tests {
         let (db, init) = workload::up_down(3, 2);
         let rs = [rules::down_rule(), rules::up_rule()];
         let (_, prov) = eval_with_provenance(&rs, &db, &init);
-        assert!(prov.derivation(&int_pair(-5, -6), &init).is_none());
+        assert!(prov.derivation(&int_pair(-5, -6)).is_none());
     }
 }

@@ -18,12 +18,6 @@
 //! relation each round and serves as the substrate baseline (experiment
 //! E6) and as the tests' reference.
 //!
-//! Two loops elsewhere in the crate stay separate on purpose, because
-//! they iterate a different operator form and folding them in would put a
-//! caller-specific branch into this hot loop: the filtered ascent of
-//! [`crate::magic`] (a per-round membership filter) and
-//! [`crate::provenance`] (an extended head carrying the derivation).
-//!
 //! # Parallel rounds and the shard-by-join-key invariant
 //!
 //! Under a parallel [`crate::parallel::Parallelism`] knob the driver runs

@@ -17,7 +17,7 @@
 //! * **`writer`** — one mutex over *everything the write path mutates*:
 //!   the master database, the epoch, each registered view with the state
 //!   it serves, the store and its checkpoint policy, the shared cost
-//!   model, the drift sentinel, the decision log and the view pool.
+//!   model, the drift sentinel and the decision log.
 //!   [`ViewService::apply_batch`] and [`ViewService::register_view`] run
 //!   under it: clone the master database (cheap COW), apply the insert
 //!   batch (copying only the touched relations), maintain every view
@@ -53,19 +53,6 @@
 //! folds the current snapshot into a fresh on-disk generation
 //! (arena snapshot + rotated WAL) while still holding the writer lock —
 //! readers keep serving throughout.
-//!
-//! # Parallel maintenance across views
-//!
-//! When the service's [`Parallelism`] knob is engaged and a batch faces
-//! more than one registered view, maintenance dispatches **one view per
-//! worker** on a service-owned pool (sized like the engine knob). Views
-//! are maintained against the same frozen pre-batch snapshot and the same
-//! delta, and each view's work is exactly what the sequential loop would
-//! do, so reports, stats, and the published snapshot are bit-identical to
-//! sequential maintenance. The per-view jobs keep their *inner* fixpoint
-//! rounds on the engine's shared pool — two pools, no lock-step, no
-//! worker-starvation deadlock (a view job never waits on the pool it runs
-//! on).
 
 use crate::sentinel::{DriftTrip, Sentinel, SentinelConfig};
 use crate::view::{MaintainedView, ViewDef, DELTA_MARKER};
@@ -73,7 +60,6 @@ use linrec_datalog::hash::FastMap;
 use linrec_datalog::{Database, Relation, Symbol, Value};
 use linrec_engine::{
     CostModel, EvalStats, Parallelism, PlanDecision, Selection, StrategyError, TraceStep,
-    WorkerPool,
 };
 use linrec_storage::{
     view_fingerprint, CheckpointPolicy, DecisionLog, SnapshotData, StorageError, Store, Vfs,
@@ -505,8 +491,7 @@ pub struct BatchReport {
 pub struct ServiceConfig {
     /// Handed to every registered view: materialization, recompute
     /// fallbacks and large-delta maintenance rounds fan out on the shared
-    /// engine pool (cost-model gated per round), and batches touching
-    /// several views maintain them concurrently (one view per worker).
+    /// engine pool (cost-model gated per round).
     pub par: Parallelism,
     /// Overload-control knobs.
     pub limits: ServiceLimits,
@@ -562,12 +547,6 @@ struct Writer {
     db: Database,
     views: Vec<Registered>,
     epoch: u64,
-    /// Lazily created pool for fanning one batch's maintenance out across
-    /// views (one view per worker). Deliberately distinct from the
-    /// engine's shared pool: a per-view job blocks on its fixpoint's
-    /// sharded rounds, which run on the engine pool — running both tiers
-    /// on one pool could park every worker on a wait (see module docs).
-    view_pool: Option<Arc<WorkerPool>>,
     durability: Option<Durability>,
     /// The shared cost model every registration plans with; the drift
     /// sentinel recalibrates it from journal feedback.
@@ -691,7 +670,6 @@ impl ViewService {
                 db,
                 views: Vec::new(),
                 epoch,
-                view_pool: None,
                 durability: None,
                 cost_model: config.cost_model.clone(),
                 sentinel: Sentinel::new(config.sentinel.clone()),
@@ -1192,7 +1170,7 @@ impl ViewService {
             deltas.into_iter().map(|(p, r)| (p, Arc::new(r))).collect();
 
         let epoch = writer.epoch + 1;
-        let maintained = writer.maintain_views(&self.config.par, &db, &deltas, epoch)?;
+        let maintained = writer.maintain_views(&db, &deltas, epoch)?;
 
         // Durability barrier: the WAL append + fsync must succeed before
         // the batch commits to the master database, publishes, or is
@@ -1342,10 +1320,9 @@ impl ViewService {
     }
 }
 
-/// One view's maintenance under one batch, timed and traced — the body
-/// both the sequential loop and the pooled fan-out run. Returns the view's
-/// batch report and, when the batch reached it, the state to serve from
-/// `epoch` on.
+/// One view's maintenance under one batch, timed and traced. Returns the
+/// view's batch report and, when the batch reached it, the state to serve
+/// from `epoch` on.
 fn maintain_one(
     registered: &mut Registered,
     db: &Database,
@@ -1401,53 +1378,18 @@ impl Writer {
     }
 
     /// Maintain every registered view against the post-batch database,
-    /// returning one [`Maintained`] per view in registration order.
-    /// One view per worker when the knob is parallel and several views are
-    /// registered; outcomes are identical to the sequential loop either
-    /// way (each view's maintenance is independent: same frozen pre-batch
-    /// relations, same deltas).
+    /// returning one [`Maintained`] per view in registration order. Each
+    /// view's fixpoint rounds shard on the engine pool under its own knob.
     fn maintain_views(
         &mut self,
-        par: &Parallelism,
         db: &Database,
         deltas: &FastMap<Symbol, Arc<Relation>>,
         epoch: u64,
     ) -> Result<Vec<Maintained>, StrategyError> {
-        if !par.is_parallel() || self.views.len() < 2 {
-            return self
-                .views
-                .iter_mut()
-                .map(|registered| maintain_one(registered, db, deltas, epoch))
-                .collect();
-        }
-
-        let pool = Arc::clone(
-            self.view_pool
-                .get_or_insert_with(|| Arc::new(WorkerPool::new(par.threads()))),
-        );
-        let ctx = linrec_obs::trace::context();
-        let receivers: Vec<_> = std::mem::take(&mut self.views)
-            .into_iter()
-            .map(|mut registered| {
-                let db = db.snapshot();
-                let deltas = deltas.clone();
-                pool.submit(move || {
-                    let _g = ctx.enter();
-                    let outcome = maintain_one(&mut registered, &db, &deltas, epoch);
-                    (registered, outcome)
-                })
-            })
-            .collect();
-        // Reassemble the views in dispatch order before surfacing any
-        // error (the first, as the sequential loop would), so a failed
-        // batch cannot drop a registered view.
-        let mut outcomes = Vec::with_capacity(receivers.len());
-        for rx in receivers {
-            let (registered, outcome) = rx.recv().expect("view maintenance worker panicked");
-            self.views.push(registered);
-            outcomes.push(outcome);
-        }
-        outcomes.into_iter().collect()
+        self.views
+            .iter_mut()
+            .map(|registered| maintain_one(registered, db, deltas, epoch))
+            .collect()
     }
 
     /// Per-view drift observation for one committed batch: estimate the
@@ -1756,8 +1698,8 @@ mod tests {
 
     #[test]
     fn multi_view_parallel_maintenance_matches_sequential() {
-        // Several views, one batch: the parallel service dispatches one
-        // view per worker; reports, stats, modes, and snapshot contents
+        // Several views, one batch: the parallel service shards each
+        // view's rounds; reports, stats, modes, and snapshot contents
         // must be bit-identical to the sequential service.
         let mut db = Database::new();
         db.set_relation("e", Relation::from_pairs((0..20).map(|i| (i, i + 1))));
@@ -1818,8 +1760,8 @@ mod tests {
     fn parallel_maintenance_error_keeps_every_view_registered() {
         // A failing batch (wrong arity caught late is impossible — use a
         // reserved-predicate error instead, which fails before dispatch)
-        // and a successful next batch: the fan-out path must never drop a
-        // view from the writer.
+        // and a successful next batch: a parallel service must never drop
+        // a view from the writer.
         let mut db = Database::new();
         db.set_relation("e", Relation::from_pairs([(1, 2)]));
         db.set_relation("f", Relation::from_pairs([(7, 8)]));

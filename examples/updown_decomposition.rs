@@ -61,8 +61,8 @@ fn main() {
     let deepest = total
         .sorted()
         .into_iter()
-        .max_by_key(|t| prov.rule_sequence(t, &init).map_or(0, |s| s.len()))
+        .max_by_key(|t| prov.rule_sequence(t).map_or(0, |s| s.len()))
         .expect("the seed is in the answer");
     println!("\nwhy is {deepest:?} in the answer?");
-    print!("{}", prov.explain(&deepest, &init, &all).unwrap());
+    print!("{}", prov.explain(&deepest).unwrap());
 }

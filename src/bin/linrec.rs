@@ -357,7 +357,7 @@ fn explain(path: &str, tuple: &str) -> Result<(), String> {
         println!("{}({tuple}) is NOT in the answer", prog.rec_pred());
         return Ok(());
     }
-    match prov.explain(&values, prog.init(), prog.rules()) {
+    match prov.explain(&values) {
         Some(text) => print!("{text}"),
         None => println!("{}({tuple}) is a seed tuple", prog.rec_pred()),
     }

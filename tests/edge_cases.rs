@@ -10,7 +10,7 @@ use linrec::core::{
     uniformly_bounded, ExactOutcome, Sufficiency,
 };
 use linrec::cq::{compose, linear_equivalent, minimize_linear, power};
-use linrec::engine::{magic_applicable, rules, workload, Plan, Selection};
+use linrec::engine::{apply_linear, magic_applicable, rules, workload, Indexes, Plan, Selection};
 use linrec::prelude::*;
 
 fn direct(rules: &[LinearRule], db: &Database, init: &Relation) -> (Relation, EvalStats) {
@@ -229,9 +229,28 @@ fn multi_position_selection_pushdown() {
 
 #[test]
 fn selection_on_constant_rec_position() {
-    // Selection on a position whose rec-atom term passes through is fine;
-    // out-of-range positions are rejected by magic_applicable.
-    let r = lr("p(x,y) :- p(x,z), e(z,y).");
+    // The recursive atom holds a constant at the selected position: the
+    // magic rule would be `·mag(7) :- ·mag(y), e(7,y)`, which is no linear
+    // rule, so σ is applied after the star — by the plan and by
+    // `eval_selected_star` alike.
+    let r = lr("p(x,y) :- p(x,7), e(7,y).");
+    let sel = Selection::eq(1, 9);
+    assert!(!magic_applicable(&r, &sel));
+    let mut db = Database::new();
+    db.set_relation("e", Relation::from_pairs([(7, 9), (7, 8), (1, 7)]));
+    let init = Relation::from_pairs([(1, 7), (2, 3)]);
+    let (full, _) = direct(std::slice::from_ref(&r), &db, &init);
+    let expected = sel.apply(&full);
+    assert_eq!(expected.sorted(), Relation::from_pairs([(1, 9)]).sorted());
+    let (fast, _) = linrec::engine::eval_selected_star(&r, &db, &init, &sel);
+    assert_eq!(fast.sorted(), expected.sorted());
+    let up = lr("p(x,y) :- p(w,y), up(x,w).");
+    let cert = SeparabilityCert::establish(&up, &r).unwrap().unwrap();
+    let separable = Plan::separable(cert, Selection::eq(1, 9)).unwrap();
+    let out = separable.execute(&db, &init).unwrap();
+    assert_eq!(out.relation.sorted(), expected.sorted());
+    assert!(out.trace[0].label.contains("push-down not applicable"));
+    // Out-of-range positions are not applicable either.
     assert!(!magic_applicable(&r, &Selection::eq(5, 1)));
 }
 
@@ -292,4 +311,39 @@ fn program_api_applies_selection_on_direct_plans() {
         outcome.relation.sorted(),
         vec![vec![Value::Int(0), Value::Int(3)]]
     );
+}
+
+// --- provenance -----------------------------------------------------------
+
+#[test]
+fn explained_derivations_replay_to_their_tuples() {
+    // Every derived tuple of the shipped programs: the first parent is a
+    // seed, each step's rule applied to its parent yields the next step's
+    // parent, and the last step yields the tuple itself.
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/programs");
+    let (mut programs, mut derived) = (0, 0);
+    for entry in std::fs::read_dir(&dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.extension().is_none_or(|ext| ext != "lr") {
+            continue;
+        }
+        let prog = Program::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        let (rules, db, init) = (prog.rules(), prog.database(), prog.init());
+        let (total, prov) = linrec::engine::eval_with_provenance(rules, db, init);
+        for t in total.iter().filter(|t| !init.contains(t)) {
+            let what = format!("{} {t:?}", path.display());
+            let steps = prov.derivation(t).unwrap_or_else(|| panic!("{what}"));
+            assert!(init.contains(&steps.first().expect(&what).parent), "{what}");
+            for (i, step) in steps.iter().enumerate() {
+                let next = steps.get(i + 1).map_or(t, |s| s.parent.as_slice());
+                let parent = Relation::from_tuples(step.parent.len(), [&step.parent]);
+                let (image, _) = apply_linear(&rules[step.rule], db, &parent, &mut Indexes::new());
+                assert!(image.contains(next), "{what}: step {i} does not replay");
+            }
+            derived += 1;
+        }
+        programs += 1;
+    }
+    assert_eq!(programs, 4);
+    assert!(derived > 0);
 }

@@ -6,8 +6,9 @@
 //! **bit-identical results and statistics** to the sequential one — for the
 //! from-scratch star, for the resumed fixpoint behind incremental view
 //! maintenance (`Plan::resume` driven through the service under insert
-//! batches), and for whole planner-chosen plans under
-//! `Plan::with_parallelism`. All of them are the one driver,
+//! batches), for whole planner-chosen plans under
+//! `Plan::with_parallelism`, and for separable plans whose selection is
+//! pushed through the magic rewrite. All of them are the one driver,
 //! `seminaive_resume`, under different knobs.
 //!
 //! The knobs force `min_delta = 1` so even the tiny random deltas exercise
@@ -23,7 +24,8 @@
 mod common;
 
 use common::rule_set;
-use linrec::engine::{seminaive::seminaive_resume, seminaive_star, workload, EvalStats, Indexes};
+use linrec::engine::seminaive::{naive_star, seminaive_resume};
+use linrec::engine::{magic_applicable, seminaive_star, workload, EvalStats, Indexes};
 use linrec::prelude::*;
 use linrec::service::{ViewDef, ViewService};
 use proptest::collection::vec;
@@ -205,6 +207,41 @@ proptest! {
             prop_assert_eq!(par.relation.sorted(), seq.relation.sorted(), "case {} k {}", case, k);
             prop_assert_eq!(par.stats, seq.stats, "case {} k {}", case, k);
         }
+    }
+
+    /// Separable plans with σ pushed into the inner rule: the magic star
+    /// and the guarded inner star shard like every other star, and the
+    /// answer is σ of the naive reference, with the sequential plan's
+    /// statistics.
+    #[test]
+    fn parallel_separable_equals_selected_naive(case in 0u64..10_000, value in 0i64..8) {
+        let rules = rule_set(case);
+        prop_assume!(rules.as_ref().is_some_and(|rules| rules.len() == 2));
+        let rules = rules.unwrap();
+        let (db, init) = base_db(&rules, case);
+        let (reference, _) = naive_star(&rules, &db, &init);
+        let mut pushed = 0;
+        for (outer, inner) in [(0, 1), (1, 0)] {
+            let Ok(Some(cert)) = SeparabilityCert::establish(&rules[outer], &rules[inner]) else {
+                continue;
+            };
+            for pos in 0..2 {
+                let sel = Selection::eq(pos, value);
+                if !magic_applicable(&rules[inner], &sel) {
+                    continue;
+                }
+                let Ok(plan) = Plan::separable(cert.clone(), sel.clone()) else {
+                    continue;
+                };
+                let seq = plan.execute(&db, &init).expect("sequential execution");
+                let par = plan.with_parallelism(eager(3)).execute(&db, &init).expect("sharded");
+                let expected = sel.apply(&reference).sorted();
+                prop_assert_eq!(par.relation.sorted(), expected, "case {} σ {:?}", case, sel);
+                prop_assert_eq!(par.stats, seq.stats, "case {} σ {:?}", case, sel);
+                pushed += 1;
+            }
+        }
+        prop_assume!(pushed > 0);
     }
 }
 

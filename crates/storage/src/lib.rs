@@ -20,8 +20,10 @@
 //!   where portable), variable-length strings concentrated in one
 //!   length-prefixed table. Designed so a future `mmap` loader can read
 //!   arenas in place.
-//! * [`wal`] — CRC-framed insert batches, fsynced before acknowledgement;
-//!   torn tails are detected and truncated, corruption is a typed error.
+//! * `framelog` — the one CRC frame log under both logs below: prefix
+//!   scan, torn-tail cut, rollback of a failed append, `write` vs `sync`.
+//! * [`wal`] — insert batches as frames, fsynced before acknowledgement.
+//! * [`decisions`] — `decisions.log`: plan-decision records as frames.
 //! * [`store`] — the data directory: `open` → `recover` →
 //!   `append_batch`/`checkpoint`, with atomic checkpoint publication
 //!   (temp + rename + manifest swap) and pruning of superseded
@@ -68,7 +70,7 @@
 mod crc;
 pub mod decisions;
 pub mod error;
-mod frame;
+mod framelog;
 pub mod profile;
 pub mod snapshot;
 pub mod store;
@@ -76,7 +78,7 @@ pub mod vfs;
 pub mod wal;
 
 pub use crc::crc32;
-pub use decisions::{read_decision_log, DecisionLog, DECISIONS_FILE};
+pub use decisions::{read_decision_log, DecisionLog};
 pub use error::StorageError;
 pub use snapshot::{
     decode_snapshot, encode_snapshot, view_fingerprint, SnapshotData, ViewSnapshot,

@@ -61,8 +61,8 @@ pub(crate) const SNAP_MAGIC: [u8; 8] = *b"LINRSNP1";
 pub const SNAPSHOT_FORMAT_VERSION: u32 = 1;
 
 const HEADER_LEN: usize = 64;
-const TAG_INT: u64 = 0;
-const TAG_SYM: u64 = 1;
+pub(crate) const TAG_INT: u64 = 0;
+pub(crate) const TAG_SYM: u64 = 1;
 /// Relation flag: the cached hash/row-id table follows the cells.
 const REL_FLAG_TABLE: u64 = 1;
 /// Relation flag: every value is an `Int`, stored as raw 8-byte cells.
@@ -155,9 +155,12 @@ impl<'a> ByteReader<'a> {
         self.buf.len() - self.pos
     }
 
+    pub(crate) fn u32(&mut self) -> Option<u32> {
+        self.take(4)?.try_into().ok().map(u32::from_le_bytes)
+    }
+
     pub(crate) fn u64(&mut self) -> Option<u64> {
-        let b = self.take(8)?;
-        Some(u64::from_le_bytes(b.try_into().unwrap()))
+        self.take(8)?.try_into().ok().map(u64::from_le_bytes)
     }
 
     pub(crate) fn take(&mut self, n: usize) -> Option<&'a [u8]> {

@@ -34,7 +34,7 @@
 
 use crate::crc::crc32;
 use crate::error::StorageError;
-use crate::snapshot::{decode_snapshot, encode_snapshot, SnapshotData};
+use crate::snapshot::{decode_snapshot, encode_snapshot, ByteReader, ByteWriter, SnapshotData};
 use crate::vfs::{StdVfs, Vfs};
 use crate::wal::{Batch, Wal};
 use linrec_datalog::{Symbol, Value};
@@ -211,14 +211,11 @@ impl Store {
         } else {
             None
         };
-        let mut wal = Wal::open_or_create(&self.vfs, &self.wal_path(self.generation))?;
-        let batches = wal.replay_and_truncate()?;
         // The manifest's floor keeps sequence numbers globally monotone
         // even when the live WAL is empty (rotated at the last checkpoint,
         // then restarted).
-        if wal.next_seq() < self.manifest_seq {
-            wal.set_next_seq(self.manifest_seq);
-        }
+        let wal_path = self.wal_path(self.generation);
+        let (wal, batches) = Wal::open(&*self.vfs, &wal_path, self.manifest_seq)?;
         self.wal_batches = batches.len() as u64;
         self.wal = Some(wal);
         if let Some(t0) = t0 {
@@ -238,7 +235,7 @@ impl Store {
     /// next attempt — retrying this call is always safe.
     pub fn append_batch(&mut self, inserts: &[(Symbol, Vec<Value>)]) -> Result<u64, StorageError> {
         let wal = self.wal.as_mut().ok_or(StorageError::NotRecovered)?;
-        let (seq, _bytes) = wal.append(inserts)?;
+        let seq = wal.append(inserts)?;
         self.wal_batches += 1;
         Ok(seq)
     }
@@ -263,35 +260,21 @@ impl Store {
         let gen = self.generation + 1;
 
         // 1. Snapshot: temp + fsync + rename + dir fsync.
-        let snap_path = self.snapshot_path(gen);
-        let tmp_path = self.dir.join(format!("snapshot-{gen}.tmp"));
-        let bytes = encode_snapshot(data);
-        {
-            let mut f = self
-                .vfs
-                .create(&tmp_path)
-                .map_err(|e| StorageError::io(&tmp_path, e))?;
-            f.write_all(&bytes)
-                .and_then(|_| f.sync_all())
-                .map_err(|e| StorageError::io(&tmp_path, e))?;
-        }
-        self.vfs
-            .rename(&tmp_path, &snap_path)
-            .map_err(|e| StorageError::io(&snap_path, e))?;
-        sync_dir(&*self.vfs, &self.dir)?;
+        let tmp = self.dir.join(format!("snapshot-{gen}.tmp"));
+        self.publish(&tmp, &self.snapshot_path(gen), &encode_snapshot(data))?;
 
         // 2. Fresh WAL for the new generation; global seq numbering
         //    continues across the rotation.
         let wal_path = self.wal_path(gen);
         let _ = self.vfs.remove_file(&wal_path); // stale orphan from a crashed checkpoint
-        let mut wal = Wal::open_or_create(&self.vfs, &wal_path)?;
-        wal.set_next_seq(old_wal_seq);
+        let wal = Wal::create(&*self.vfs, &wal_path, old_wal_seq)?;
 
         // 3. Manifest swap: after this rename (plus dir fsync) the new
         //    generation is the one recovery will trust. The sequence floor
         //    rides along so batch numbering survives the rotation across
         //    restarts.
-        write_manifest(&*self.vfs, &self.dir, gen, data.epoch, old_wal_seq)?;
+        let (tmp, path) = (self.dir.join("MANIFEST.tmp"), self.dir.join("MANIFEST"));
+        self.publish(&tmp, &path, &encode_manifest(gen, data.epoch, old_wal_seq))?;
 
         // 4. Prune the generation just superseded — best-effort: a
         //    leftover file is disk waste, not a correctness problem, and
@@ -312,6 +295,21 @@ impl Store {
             sp.attr("generation", gen);
         }
         Ok(gen)
+    }
+
+    /// Make `bytes` the contents of `path` atomically: write and fsync
+    /// `tmp`, rename it over `path`, then fsync the data directory.
+    fn publish(&self, tmp: &Path, path: &Path, bytes: &[u8]) -> Result<(), StorageError> {
+        let mut f = self.vfs.create(tmp).map_err(|e| StorageError::io(tmp, e))?;
+        f.write_all(bytes)
+            .and_then(|()| f.sync_all())
+            .map_err(|e| StorageError::io(tmp, e))?;
+        drop(f);
+        let dir = &self.dir;
+        self.vfs
+            .rename(tmp, path)
+            .map_err(|e| StorageError::io(path, e))?;
+        self.vfs.sync_dir(dir).map_err(|e| StorageError::io(dir, e))
     }
 }
 
@@ -373,61 +371,41 @@ fn sweep_stale(vfs: &dyn Vfs, dir: &Path, live_gen: u64) {
     }
 }
 
-fn sync_dir(vfs: &dyn Vfs, dir: &Path) -> Result<(), StorageError> {
-    vfs.sync_dir(dir).map_err(|e| StorageError::io(dir, e))
+fn encode_manifest(generation: u64, epoch: u64, next_seq: u64) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    w.bytes(&MANIFEST_MAGIC);
+    w.u32(MANIFEST_FORMAT_VERSION);
+    w.u32(0);
+    w.u64(generation);
+    w.u64(epoch);
+    w.u64(next_seq);
+    let crc = crc32(&w.buf);
+    w.u32(crc);
+    w.u32(0);
+    w.buf
 }
 
-fn write_manifest(
-    vfs: &dyn Vfs,
-    dir: &Path,
-    generation: u64,
-    epoch: u64,
-    next_seq: u64,
-) -> Result<(), StorageError> {
-    let mut bytes = Vec::with_capacity(MANIFEST_LEN);
-    bytes.extend_from_slice(&MANIFEST_MAGIC);
-    bytes.extend_from_slice(&MANIFEST_FORMAT_VERSION.to_le_bytes());
-    bytes.extend_from_slice(&0u32.to_le_bytes());
-    bytes.extend_from_slice(&generation.to_le_bytes());
-    bytes.extend_from_slice(&epoch.to_le_bytes());
-    bytes.extend_from_slice(&next_seq.to_le_bytes());
-    let crc = crc32(&bytes);
-    bytes.extend_from_slice(&crc.to_le_bytes());
-    bytes.extend_from_slice(&0u32.to_le_bytes());
-    debug_assert_eq!(bytes.len(), MANIFEST_LEN);
-
-    let tmp = dir.join("MANIFEST.tmp");
-    let path = dir.join("MANIFEST");
-    {
-        let mut f = vfs.create(&tmp).map_err(|e| StorageError::io(&tmp, e))?;
-        f.write_all(&bytes)
-            .and_then(|_| f.sync_all())
-            .map_err(|e| StorageError::io(&tmp, e))?;
-    }
-    vfs.rename(&tmp, &path)
-        .map_err(|e| StorageError::io(&path, e))?;
-    sync_dir(vfs, dir)
-}
-
+/// `(generation, epoch, next_seq)` from a manifest file's bytes.
 fn read_manifest(bytes: &[u8], path: &Path) -> Result<(u64, u64, u64), StorageError> {
-    if bytes.len() != MANIFEST_LEN || bytes[..8] != MANIFEST_MAGIC {
+    let mut r = ByteReader::new(bytes);
+    let fields = (|| {
+        r.take(8)
+            .filter(|magic| *magic == MANIFEST_MAGIC && bytes.len() == MANIFEST_LEN)?;
+        Some((r.u32()?, r.u32()?, r.u64()?, r.u64()?, r.u64()?, r.u32()?))
+    })();
+    let Some((version, _reserved, generation, epoch, next_seq, crc)) = fields else {
         return Err(StorageError::corrupt(path, "bad manifest"));
-    }
-    let crc = u32::from_le_bytes(bytes[40..44].try_into().unwrap());
+    };
     if crc32(&bytes[..40]) != crc {
         return Err(StorageError::corrupt(path, "manifest checksum mismatch"));
     }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
     if version != MANIFEST_FORMAT_VERSION {
         return Err(StorageError::UnsupportedVersion {
             file: path.display().to_string(),
             found: version,
         });
     }
-    let generation = u64::from_le_bytes(bytes[16..24].try_into().unwrap());
-    let epoch = u64::from_le_bytes(bytes[24..32].try_into().unwrap());
-    let next_seq = u64::from_le_bytes(bytes[32..40].try_into().unwrap()).max(1);
-    Ok((generation, epoch, next_seq))
+    Ok((generation, epoch, next_seq.max(1)))
 }
 
 #[cfg(test)]
@@ -694,5 +672,51 @@ mod tests {
         assert!(!p.should_checkpoint(3, 999));
         assert!(p.should_checkpoint(4, 0));
         assert!(p.should_checkpoint(0, 1000));
+    }
+
+    #[test]
+    fn recover_append_and_checkpoint_keep_their_op_counts() {
+        // Per-op totals of a fixed script: fresh recover, two appends, a
+        // checkpoint, a torn WAL tail, then recover and checkpoint again.
+        // A change to these numbers changes which operation every
+        // `fail_nth` schedule in the fault suites hits.
+        const OPS: [FaultOp; 6] = [
+            FaultOp::Write,
+            FaultOp::Sync,
+            FaultOp::Read,
+            FaultOp::Open,
+            FaultOp::Rename,
+            FaultOp::Remove,
+        ];
+        let dir = tmpdir("opcounts");
+        let fault = FaultVfs::new(FaultPlan::none());
+        let counts = || OPS.map(|op| fault.op_count(op));
+        let mut store = Store::open_with(&dir, fault.clone()).unwrap();
+        store.recover().unwrap();
+        store.append_batch(&pair_batch(1)).unwrap();
+        let before = counts();
+        store.append_batch(&pair_batch(2)).unwrap();
+        let after = counts();
+        let append: Vec<u64> = (0..OPS.len()).map(|i| after[i] - before[i]).collect();
+        assert_eq!(
+            append,
+            [1, 1, 0, 0, 0, 0],
+            "a WAL append is one write and one sync"
+        );
+        store.checkpoint(&state(2, &[(1, 2), (2, 3)])).unwrap();
+        store.append_batch(&pair_batch(3)).unwrap();
+        drop(store);
+        let mut wal = std::fs::OpenOptions::new()
+            .append(true)
+            .open(dir.join("wal-1.log"))
+            .unwrap();
+        std::io::Write::write_all(&mut wal, b"torn").unwrap();
+        let mut store = Store::open_with(&dir, fault.clone()).unwrap();
+        assert_eq!(store.recover().unwrap().batches.len(), 1);
+        store
+            .checkpoint(&state(3, &[(1, 2), (2, 3), (3, 4)]))
+            .unwrap();
+        assert_eq!(counts(), [11, 15, 12, 8, 4, 6]);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -303,15 +303,10 @@ struct FaultState {
 }
 
 impl FaultState {
-    fn op_index(op: FaultOp) -> usize {
-        ALL_OPS.iter().position(|&o| o == op).expect("op in table")
-    }
-
     /// Advance the op counter and decide whether this occurrence faults.
     fn decide(&mut self, op: FaultOp, path: &Path) -> Option<FaultKind> {
-        let idx = Self::op_index(op);
-        self.counts[idx] += 1;
-        let nth = self.counts[idx];
+        self.counts[op as usize] += 1;
+        let nth = self.counts[op as usize];
         let mut hit = self
             .plan
             .triggers
@@ -361,49 +356,23 @@ struct Shared {
 }
 
 impl Shared {
-    /// Decide whether this op faults; `Slow` sleeps here and reports no
-    /// fault to the caller.
-    fn check(&self, op: FaultOp, path: &Path) -> io::Result<()> {
-        let kind = self.state.lock().expect("fault state").decide(op, path);
+    /// The fault this op draws, if any. `Slow` sleeps here and draws none.
+    fn fault(&self, op: FaultOp, path: &Path) -> Option<FaultKind> {
+        let kind = self.state.lock().expect("fault state").decide(op, path)?;
+        self.injected.fetch_add(1, Ordering::Relaxed);
         match kind {
-            None => Ok(()),
-            Some(FaultKind::Slow(d)) => {
-                self.injected.fetch_add(1, Ordering::Relaxed);
+            FaultKind::Slow(d) => {
                 std::thread::sleep(d);
-                Ok(())
+                None
             }
-            Some(kind) => {
-                self.injected.fetch_add(1, Ordering::Relaxed);
-                Err(kind.error(op))
-            }
+            kind => Some(kind),
         }
     }
 
-    /// Like [`Shared::check`] for writes, distinguishing short writes,
-    /// which the caller must partially perform: `Ok(true)` means "write a
-    /// prefix, then fail".
-    fn check_write(&self, path: &Path) -> io::Result<bool> {
-        let kind = self
-            .state
-            .lock()
-            .expect("fault state")
-            .decide(FaultOp::Write, path);
-        match kind {
-            None => Ok(false),
-            Some(FaultKind::Slow(d)) => {
-                self.injected.fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(d);
-                Ok(false)
-            }
-            Some(FaultKind::ShortWrite) => {
-                self.injected.fetch_add(1, Ordering::Relaxed);
-                Ok(true)
-            }
-            Some(kind) => {
-                self.injected.fetch_add(1, Ordering::Relaxed);
-                Err(kind.error(FaultOp::Write))
-            }
-        }
+    /// [`Shared::fault`] as the error the op returns.
+    fn check(&self, op: FaultOp, path: &Path) -> io::Result<()> {
+        self.fault(op, path)
+            .map_or(Ok(()), |kind| Err(kind.error(op)))
     }
 }
 
@@ -463,7 +432,7 @@ impl FaultVfs {
     /// `fail_nth(op, vfs.op_count(op) + 1, kind)`.
     pub fn op_count(&self, op: FaultOp) -> u64 {
         let st = self.shared.state.lock().expect("fault state");
-        st.counts[FaultState::op_index(op)]
+        st.counts[op as usize]
     }
 }
 
@@ -477,13 +446,16 @@ struct FaultFile {
 
 impl VfsFile for FaultFile {
     fn write_all(&mut self, buf: &[u8]) -> io::Result<()> {
-        if self.shared.check_write(&self.path)? {
-            // Short write: half the frame really lands — a torn tail.
-            self.inner.write_all(&buf[..buf.len() / 2])?;
-            let _ = self.inner.sync_data();
-            return Err(FaultKind::ShortWrite.error(FaultOp::Write));
+        match self.shared.fault(FaultOp::Write, &self.path) {
+            None => self.inner.write_all(buf),
+            Some(FaultKind::ShortWrite) => {
+                // Half the frame really lands — a torn tail.
+                self.inner.write_all(&buf[..buf.len() / 2])?;
+                let _ = self.inner.sync_data();
+                Err(FaultKind::ShortWrite.error(FaultOp::Write))
+            }
+            Some(kind) => Err(kind.error(FaultOp::Write)),
         }
-        self.inner.write_all(buf)
     }
 
     fn sync_data(&mut self) -> io::Result<()> {

@@ -19,7 +19,7 @@
 use crate::planner::PlanShape;
 use crate::stats::EvalStats;
 use linrec_datalog::Symbol;
-use linrec_obs::trace::json_escape;
+use linrec_obs::json;
 use std::fmt;
 
 /// How the winning shape was picked.
@@ -287,71 +287,50 @@ impl PlanDecision {
 
     /// Serialize the record as a JSON object.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256);
-        out.push('{');
-        push_str_field(&mut out, "view", &self.view);
-        push_str_field(&mut out, "winner", self.winner.label());
-        push_str_field(&mut out, "picked_by", self.picked_by.label());
-        out.push_str("\"candidates\":[");
-        for (i, c) in self.candidates.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        json::object(|o| {
+            o.str("view", &self.view);
+            o.str("winner", self.winner.label());
+            o.str("picked_by", self.picked_by.label());
+            o.array("candidates", |a| {
+                for c in &self.candidates {
+                    a.object(|o| {
+                        o.str("name", c.shape.label());
+                        o.f64("cost", c.cost);
+                    });
+                }
+            });
+            o.array("certificates", |a| {
+                for (kind, text) in &self.certificates {
+                    a.str(&format!("{}: {text}", kind.label()));
+                }
+            });
+            match &self.dense {
+                Some(d) => o.object("dense", |o| {
+                    o.bool("chosen", d.chosen());
+                    o.str("detail", &d.to_string());
+                }),
+                None => o.raw("dense", "null"),
             }
-            out.push_str(&format!(
-                "{{\"name\":\"{}\",\"cost\":{}}}",
-                c.shape.label(),
-                json_f64(c.cost)
-            ));
-        }
-        out.push_str("],\"certificates\":[");
-        for (i, (kind, text)) in self.certificates.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+            match &self.parallel {
+                Some(p) => o.object("parallel", |o| {
+                    o.bool("engaged", p.engaged);
+                    o.u64("threads", p.threads as u64);
+                    o.f64("est_peak_delta", p.est_peak_delta);
+                    o.str("detail", &p.to_string());
+                }),
+                None => o.raw("parallel", "null"),
             }
-            out.push_str(&format!("\"{}: {}\"", kind.label(), json_escape(text)));
-        }
-        out.push_str("],");
-        match &self.dense {
-            Some(d) => out.push_str(&format!(
-                "\"dense\":{{\"chosen\":{},\"detail\":\"{}\"}},",
-                d.chosen(),
-                json_escape(&d.to_string())
-            )),
-            None => out.push_str("\"dense\":null,"),
-        }
-        match &self.parallel {
-            Some(p) => out.push_str(&format!(
-                "\"parallel\":{{\"engaged\":{},\"threads\":{},\"est_peak_delta\":{},\
-                 \"detail\":\"{}\"}},",
-                p.engaged,
-                p.threads,
-                json_f64(p.est_peak_delta),
-                json_escape(&p.to_string())
-            )),
-            None => out.push_str("\"parallel\":null,"),
-        }
-        match &self.maintenance_mode {
-            Some(mode) => out.push_str(&format!("\"maintenance_mode\":\"{}\",", mode.label())),
-            None => out.push_str("\"maintenance_mode\":null,"),
-        }
-        match self.estimate {
-            Some(est) => out.push_str(&format!("\"estimate\":{},", json_f64(est))),
-            None => out.push_str("\"estimate\":null,"),
-        }
-        match &self.actual {
-            Some(s) => out.push_str(&format!(
-                "\"actual\":{{\"tuples\":{},\"derivations\":{},\"duplicates\":{},\
-                 \"iterations\":{},\"applications\":{}}},",
-                s.tuples, s.derivations, s.duplicates, s.iterations, s.applications
-            )),
-            None => out.push_str("\"actual\":null,"),
-        }
-        match self.ratio() {
-            Some(r) => out.push_str(&format!("\"estimate_actual_ratio\":{}", json_f64(r))),
-            None => out.push_str("\"estimate_actual_ratio\":null"),
-        }
-        out.push('}');
-        out
+            match self.maintenance_mode {
+                Some(mode) => o.str("maintenance_mode", mode.label()),
+                None => o.raw("maintenance_mode", "null"),
+            }
+            o.f64("estimate", self.estimate);
+            match &self.actual {
+                Some(stats) => o.object("actual", |o| stats.write_json(o)),
+                None => o.raw("actual", "null"),
+            }
+            o.f64("estimate_actual_ratio", self.ratio());
+        })
     }
 }
 
@@ -403,19 +382,6 @@ impl fmt::Display for PlanDecision {
             ),
             (None, None) => Ok(()),
         }
-    }
-}
-
-fn push_str_field(out: &mut String, key: &str, value: &str) {
-    out.push_str(&format!("\"{key}\":\"{}\",", json_escape(value)));
-}
-
-/// JSON-safe float: finite values verbatim, NaN/∞ become `null`.
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
     }
 }
 
@@ -624,5 +590,103 @@ mod tests {
             json.contains("\"parallel\":{\"engaged\":false,\"threads\":4,\"est_peak_delta\":6,"),
             "{json}"
         );
+    }
+
+    /// A record with every `Option` empty and one with every `Option` set
+    /// (plus an infinite candidate cost) are each one valid object whose
+    /// top-level members read back as written.
+    #[test]
+    fn every_json_shape_reads_back() {
+        let bare = constructed(PlanShape::Direct, &[]);
+        let full = PlanDecision {
+            view: "tc".into(),
+            picked_by: PickedBy::CostModel,
+            candidates: vec![
+                CandidateEstimate {
+                    shape: PlanShape::Direct,
+                    cost: f64::INFINITY,
+                },
+                CandidateEstimate {
+                    shape: PlanShape::DenseClosure,
+                    cost: 510.0,
+                },
+            ],
+            dense: Some(DenseVerdict::Chosen {
+                edge: Symbol::new("e"),
+                domain: 200.0,
+                density: 0.5,
+                cost: 510.0,
+            }),
+            parallel: Some(ParallelVerdict {
+                engaged: true,
+                threads: 4,
+                est_peak_delta: 400.0,
+                cutover: Some(43),
+            }),
+            maintenance_mode: Some(MaintenanceMode::Incremental),
+            estimate: Some(510.0),
+            actual: Some(stats()),
+            ..constructed(
+                PlanShape::DenseClosure,
+                &[(CertKind::CompositionShape, "over \"e\"")],
+            )
+        };
+        let cases: Vec<(PlanDecision, Vec<(&str, &str)>)> = vec![
+            (
+                bare,
+                vec![
+                    ("view", "\"\""),
+                    ("winner", "\"Direct\""),
+                    ("picked_by", "\"constructed\""),
+                    ("candidates", "[]"),
+                    ("certificates", "[]"),
+                    ("dense", "null"),
+                    ("parallel", "null"),
+                    ("maintenance_mode", "null"),
+                    ("estimate", "null"),
+                    ("actual", "null"),
+                    ("estimate_actual_ratio", "null"),
+                ],
+            ),
+            (
+                full,
+                vec![
+                    ("view", "\"tc\""),
+                    ("winner", "\"DenseClosure\""),
+                    ("picked_by", "\"cost-model\""),
+                    (
+                        "candidates",
+                        "[{\"name\":\"Direct\",\"cost\":null},\
+                         {\"name\":\"DenseClosure\",\"cost\":510}]",
+                    ),
+                    ("certificates", "[\"composition shape: over \\\"e\\\"\"]"),
+                    (
+                        "dense",
+                        "{\"chosen\":true,\"detail\":\"closure by squaring over 'e' \
+                         (domain ≈ 200, est. density 0.50) ≈ 5.100e2\"}",
+                    ),
+                    (
+                        "parallel",
+                        "{\"engaged\":true,\"threads\":4,\"est_peak_delta\":400,\
+                         \"detail\":\"up to 4-way sharded rounds when |Δ| ≥ 43 \
+                         (est. peak |Δ| ≈ 400)\"}",
+                    ),
+                    ("maintenance_mode", "\"incremental\""),
+                    ("estimate", "510"),
+                    (
+                        "actual",
+                        "{\"tuples\":988,\"derivations\":1000,\"duplicates\":12,\
+                         \"iterations\":4,\"applications\":8}",
+                    ),
+                    ("estimate_actual_ratio", "0.51"),
+                ],
+            ),
+        ];
+        for (decision, expected) in cases {
+            let text = decision.to_json();
+            let members = json::members(&text).unwrap_or_else(|| panic!("invalid: {text}"));
+            let got: Vec<(&str, &str)> = members.iter().map(|(k, v)| (k.as_str(), *v)).collect();
+            assert_eq!(got, expected, "{text}");
+        }
     }
 }

@@ -6,6 +6,7 @@
 //! (derivations minus distinct new tuples) alongside iteration counts —
 //! these are the tractable cost measures Theorem 3.1 compares.
 
+use linrec_obs::json;
 use std::fmt;
 use std::ops::AddAssign;
 
@@ -39,6 +40,16 @@ impl EvalStats {
         self.applications += 1;
         self.derivations += derived;
         self.duplicates += derived.saturating_sub(new);
+    }
+
+    /// Write the five counters as JSON members, in their `Display` order:
+    /// a decision's `actual` object and each `explain` node carry them.
+    pub fn write_json(&self, o: &mut json::Object<'_>) {
+        o.u64("tuples", self.tuples as u64);
+        o.u64("derivations", self.derivations);
+        o.u64("duplicates", self.duplicates);
+        o.u64("iterations", self.iterations as u64);
+        o.u64("applications", self.applications);
     }
 }
 

@@ -6,7 +6,7 @@
 //! [`Span`] locating the finding, a message, and an optional fix hint.
 
 use linrec_datalog::Symbol;
-pub use linrec_obs::trace::json_escape;
+use linrec_obs::json;
 use std::fmt;
 
 /// How serious a finding is.
@@ -241,21 +241,20 @@ impl Diagnostic {
 
     /// Render as one JSON object (the schema documented in the README).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!("\"code\":\"{}\"", self.code));
-        out.push_str(&format!(",\"severity\":\"{}\"", self.severity.label()));
-        if let Some(r) = self.span.rule {
-            out.push_str(&format!(",\"rule\":{r}"));
-        }
-        if let Some(p) = self.span.pred {
-            out.push_str(&format!(",\"pred\":\"{}\"", json_escape(p.as_str())));
-        }
-        out.push_str(&format!(",\"message\":\"{}\"", json_escape(&self.message)));
-        if let Some(h) = &self.help {
-            out.push_str(&format!(",\"help\":\"{}\"", json_escape(h)));
-        }
-        out.push('}');
-        out
+        json::object(|o| {
+            o.str("code", self.code.as_str());
+            o.str("severity", self.severity.label());
+            if let Some(r) = self.span.rule {
+                o.u64("rule", r as u64);
+            }
+            if let Some(p) = self.span.pred {
+                o.str("pred", p.as_str());
+            }
+            o.str("message", &self.message);
+            if let Some(h) = &self.help {
+                o.str("help", h);
+            }
+        })
     }
 }
 
@@ -291,11 +290,6 @@ mod tests {
     }
 
     #[test]
-    fn json_escapes_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-    }
-
-    #[test]
     fn display_and_json_round_out() {
         let d = Diagnostic::new(Code::UnsafeRule, Span::rule(2), "y is unbound")
             .with_help("bind y in the body");
@@ -307,5 +301,40 @@ mod tests {
         assert!(json.contains("\"rule\":2"));
         assert!(json.contains("\"help\":\"bind y in the body\""));
         assert_eq!(d.protocol_line(), "L001 rule 2: y is unbound");
+    }
+
+    /// A finding with and without `rule` / `pred` / `help` is one valid
+    /// object whose top-level members read back as written.
+    #[test]
+    fn every_json_shape_reads_back() {
+        let p = Symbol::new("edge");
+        let cases: Vec<(Diagnostic, Vec<(&str, &str)>)> = vec![
+            (
+                Diagnostic::new(Code::EmptySeed, Span::none(), "seed \"p\" is empty"),
+                vec![
+                    ("code", "\"L007\""),
+                    ("severity", "\"warning\""),
+                    ("message", "\"seed \\\"p\\\" is empty\""),
+                ],
+            ),
+            (
+                Diagnostic::new(Code::DeadRule, Span::rule_pred(3, p), "never fires")
+                    .with_help("add edge facts\nor drop the rule"),
+                vec![
+                    ("code", "\"L004\""),
+                    ("severity", "\"warning\""),
+                    ("rule", "3"),
+                    ("pred", "\"edge\""),
+                    ("message", "\"never fires\""),
+                    ("help", "\"add edge facts\\nor drop the rule\""),
+                ],
+            ),
+        ];
+        for (diagnostic, expected) in cases {
+            let text = diagnostic.to_json();
+            let members = json::members(&text).unwrap_or_else(|| panic!("invalid: {text}"));
+            let got: Vec<(&str, &str)> = members.iter().map(|(k, v)| (k.as_str(), *v)).collect();
+            assert_eq!(got, expected, "{text}");
+        }
     }
 }

@@ -34,7 +34,7 @@ pub mod plan;
 pub mod program;
 
 pub use certcheck::{cross_verify, CertClaims};
-pub use diagnostic::{json_escape, Code, Diagnostic, Severity, Span};
+pub use diagnostic::{Code, Diagnostic, Severity, Span};
 pub use plan::plan_lints;
 pub use program::program_lints;
 
@@ -93,8 +93,11 @@ impl LintReport {
     /// JSON renderer: the diagnostics as a JSON array (schema in the
     /// README's "Static analysis" section).
     pub fn render_json(&self) -> String {
-        let items: Vec<String> = self.diagnostics.iter().map(|d| d.to_json()).collect();
-        format!("[{}]", items.join(","))
+        linrec_obs::json::array(|a| {
+            for d in &self.diagnostics {
+                a.raw(&d.to_json());
+            }
+        })
     }
 }
 

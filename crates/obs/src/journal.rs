@@ -3,23 +3,23 @@
 //! The engine's planner and the service's maintenance loop produce
 //! structured decision records — which plan candidates were considered,
 //! what each was estimated to cost, which won, and (after execution) what
-//! it actually cost. This module keeps the last [`Journal::capacity`] of
-//! those records in a ring so operators can ask "what did the planner just
+//! it actually cost. This module keeps the last few hundred of those
+//! records in a ring so operators can ask "what did the planner just
 //! decide, and was it right?" without trawling logs, and so the service's
 //! drift sentinel can hand `CostModel::calibrate` a window of recent
 //! (estimate, actual) pairs.
 //!
-//! The journal is deliberately tiny and std-only: a mutex-guarded
-//! `VecDeque` with a monotonically increasing sequence number. Entries
+//! The journal is deliberately tiny and std-only: the crate's bounded
+//! ring, with a monotonically increasing sequence number. Entries
 //! carry the full decision JSON (opaque to this crate) plus a few typed
 //! fields that the sentinel and the `decisions` protocol command need
 //! without re-parsing JSON.
 
-use std::collections::VecDeque;
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 use std::time::{SystemTime, UNIX_EPOCH};
 
-use crate::trace::json_escape;
+use crate::json;
+use crate::ring::Ring;
 
 /// One recorded decision or decision-feedback event.
 #[derive(Debug, Clone)]
@@ -52,64 +52,38 @@ impl JournalEntry {
     /// record (already JSON) is inlined under `"decision"`, or `null`
     /// when absent.
     pub fn to_json(&self) -> String {
-        let decision = if self.json.is_empty() {
-            "null".to_string()
-        } else {
-            self.json.clone()
-        };
-        format!(
-            "{{\"seq\":{},\"unix_ms\":{},\"kind\":\"{}\",\"view\":\"{}\",\"shape\":\"{}\",\
-             \"estimate\":{},\"actual\":{},\"nanos\":{},\"decision\":{}}}",
-            self.seq,
-            self.unix_ms,
-            json_escape(self.kind),
-            json_escape(&self.view),
-            json_escape(&self.shape),
-            fmt_f64(self.estimate),
-            self.actual,
-            self.nanos,
-            decision,
-        )
+        json::object(|o| {
+            o.u64("seq", self.seq);
+            o.u64("unix_ms", self.unix_ms);
+            o.str("kind", self.kind);
+            o.str("view", &self.view);
+            o.str("shape", &self.shape);
+            o.f64("estimate", self.estimate);
+            o.u64("actual", self.actual);
+            o.u64("nanos", self.nanos);
+            o.raw(
+                "decision",
+                if self.json.is_empty() {
+                    "null"
+                } else {
+                    &self.json
+                },
+            );
+        })
     }
-}
-
-/// Format a float for JSON: finite values verbatim, everything else `0`.
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".to_string()
-    }
-}
-
-struct State {
-    entries: VecDeque<JournalEntry>,
-    next_seq: u64,
-    dropped: u64,
 }
 
 /// A bounded ring of [`JournalEntry`] records.
 pub struct Journal {
-    inner: Mutex<State>,
-    capacity: usize,
+    ring: Ring<JournalEntry>,
 }
 
 impl Journal {
     /// Create a journal keeping at most `capacity` entries (min 1).
     pub fn new(capacity: usize) -> Journal {
         Journal {
-            inner: Mutex::new(State {
-                entries: VecDeque::new(),
-                next_seq: 1,
-                dropped: 0,
-            }),
-            capacity: capacity.max(1),
+            ring: Ring::new(capacity),
         }
-    }
-
-    /// Maximum number of entries retained.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Append an entry; the oldest entry is dropped when full. Returns
@@ -129,15 +103,8 @@ impl Journal {
             .duration_since(UNIX_EPOCH)
             .map(|d| d.as_millis() as u64)
             .unwrap_or(0);
-        let mut state = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let seq = state.next_seq;
-        state.next_seq += 1;
-        if state.entries.len() == self.capacity {
-            state.entries.pop_front();
-            state.dropped += 1;
-        }
-        state.entries.push_back(JournalEntry {
-            seq,
+        let entry = |ordinal: u64| JournalEntry {
+            seq: ordinal + 1,
             unix_ms,
             kind,
             view: view.to_string(),
@@ -146,15 +113,16 @@ impl Journal {
             actual,
             nanos,
             json,
-        });
-        seq
+        };
+        self.ring.push(entry) + 1
     }
 
     /// The newest `n` entries, oldest first.
     pub fn recent(&self, n: usize) -> Vec<JournalEntry> {
-        let state = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let skip = state.entries.len().saturating_sub(n);
-        state.entries.iter().skip(skip).cloned().collect()
+        self.ring.read(|entries, _| {
+            let skip = entries.len().saturating_sub(n);
+            entries.iter().skip(skip).cloned().collect()
+        })
     }
 
     /// Recent `(estimate, actual)` pairs suitable for
@@ -162,54 +130,25 @@ impl Journal {
     /// a positive estimate and a nonzero actual, newest `n`, optionally
     /// restricted to one view and to entries recorded after `since_seq`.
     pub fn recent_pairs(&self, view: Option<&str>, n: usize, since_seq: u64) -> Vec<(f64, u64)> {
-        let state = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let mut pairs: Vec<(f64, u64)> = state
-            .entries
-            .iter()
-            .rev()
-            .filter(|e| e.seq > since_seq)
-            .filter(|e| matches!(e.kind, "plan" | "maintain"))
-            .filter(|e| e.estimate > 0.0 && e.actual > 0)
-            .filter(|e| view.is_none_or(|v| e.view == v))
-            .take(n)
-            .map(|e| (e.estimate, e.actual))
-            .collect();
+        let mut pairs: Vec<(f64, u64)> = self.ring.read(|entries, _| {
+            entries
+                .iter()
+                .rev()
+                .filter(|e| e.seq > since_seq)
+                .filter(|e| matches!(e.kind, "plan" | "maintain"))
+                .filter(|e| e.estimate > 0.0 && e.actual > 0)
+                .filter(|e| view.is_none_or(|v| e.view == v))
+                .take(n)
+                .map(|e| (e.estimate, e.actual))
+                .collect()
+        });
         pairs.reverse();
         pairs
     }
 
-    /// Number of entries currently retained.
-    pub fn len(&self) -> usize {
-        self.inner
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .entries
-            .len()
-    }
-
-    /// True when the journal holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Entries evicted so far to stay within capacity.
     pub fn dropped(&self) -> u64 {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner()).dropped
-    }
-
-    /// Discard all retained entries (sequence numbers keep increasing).
-    pub fn clear(&self) {
-        let mut state = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        state.entries.clear();
-    }
-
-    /// Highest sequence number assigned so far (0 before any record).
-    pub fn last_seq(&self) -> u64 {
-        self.inner
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .next_seq
-            - 1
+        self.ring.read(|_, dropped| dropped)
     }
 }
 
@@ -237,13 +176,11 @@ mod tests {
                 String::new(),
             );
         }
-        assert_eq!(j.len(), 3);
         assert_eq!(j.dropped(), 2);
         let recent = j.recent(10);
         assert_eq!(recent.len(), 3);
         assert_eq!(recent[0].seq, 3);
         assert_eq!(recent[2].seq, 5);
-        assert_eq!(j.last_seq(), 5);
     }
 
     #[test]
@@ -265,7 +202,7 @@ mod tests {
     }
 
     #[test]
-    fn entry_json_escapes_and_inlines_decision() {
+    fn entry_escapes_and_inlines_decision() {
         let e = JournalEntry {
             seq: 7,
             unix_ms: 1,
@@ -285,5 +222,21 @@ mod tests {
             ..e
         };
         assert!(bare.to_json().contains("\"decision\":null"));
+    }
+
+    #[test]
+    fn a_non_finite_estimate_renders_null() {
+        let e = JournalEntry {
+            seq: 1,
+            unix_ms: 2,
+            kind: "maintain",
+            view: "v".to_string(),
+            shape: "Direct".to_string(),
+            estimate: f64::INFINITY,
+            actual: 3,
+            nanos: 4,
+            json: String::new(),
+        };
+        assert!(e.to_json().contains("\"estimate\":null"), "{}", e.to_json());
     }
 }

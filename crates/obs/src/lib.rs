@@ -1,6 +1,6 @@
 //! Std-only observability layer for the linrec workspace.
 //!
-//! Three pillars, all dependency-free and cheap enough to leave on:
+//! Six modules, all dependency-free and cheap enough to leave on:
 //!
 //! * [`metrics`] — a process-wide lock-free registry of atomic
 //!   [`Counter`]s, [`Gauge`]s, and log-bucketed [`Histogram`]s with
@@ -23,6 +23,13 @@
 //! * [`journal`] — a bounded ring of structured plan-decision records
 //!   fed by the engine's planner and the service's maintenance loop; the
 //!   `decisions` protocol command and the drift sentinel read from it.
+//!   It and the flight recorder share one private bounded ring.
+//! * [`kv`] — the [`KvLine`] builder of `prefix key=value …` lines, the
+//!   one grammar of the protocol's `health` and `metrics` replies.
+//! * [`json`] — the one JSON writer (a streaming object/array builder;
+//!   non-finite floats render as `null`) and the one validating reader
+//!   (top-level members of an object, string unescaping). Every JSON
+//!   record the workspace emits is written with it.
 //!
 //! The whole layer sits behind a process-wide switch: [`set_enabled`]
 //! (default **on**). Instrumentation sites in the engine/storage/service
@@ -36,8 +43,10 @@
 
 pub mod expose;
 pub mod journal;
+pub mod json;
 pub mod kv;
 pub mod metrics;
+mod ring;
 pub mod trace;
 
 pub use expose::serve_metrics;
@@ -82,4 +91,109 @@ pub fn histogram(name: &'static str) -> Histogram {
 /// Open a span in the global flight recorder (no-op when disabled).
 pub fn span(name: &'static str) -> Span {
     trace::span(name)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every JSON shape this crate emits is one valid object whose
+    /// top-level members read back as written.
+    #[test]
+    fn every_json_shape_reads_back() {
+        let span = SpanRecord {
+            trace: 0x2a,
+            span: 7,
+            parent: 3,
+            name: "wal.fsync",
+            start_us: 5,
+            dur_ns: 9,
+            attrs: vec![
+                ("msg", "a\"b\\c\nd\u{1}".to_string()),
+                ("view", "ünï".to_string()),
+            ],
+        };
+        let full = FlightRecorder::new(3);
+        for i in 1..=5 {
+            full.record(SpanRecord {
+                span: i,
+                attrs: vec![],
+                ..span.clone()
+            });
+        }
+        let bare = |i: u64| {
+            format!(
+                "{{\"trace\":\"t-0000002a\",\"span\":{i},\"parent\":3,\"name\":\"wal.fsync\",\
+                 \"start_us\":5,\"dur_ns\":9}}"
+            )
+        };
+        let spans = format!("[{},{},{}]", bare(3), bare(4), bare(5));
+        let entry = JournalEntry {
+            seq: 7,
+            unix_ms: 1,
+            kind: "plan",
+            view: "v\"1".to_string(),
+            shape: "Direct".to_string(),
+            estimate: 2.5,
+            actual: 3,
+            nanos: 9,
+            json: "{\"winner\":\"Direct\",\"actual\":{\"tuples\":1}}".to_string(),
+        };
+        let entry_members = |decision| {
+            vec![
+                ("seq", "7"),
+                ("unix_ms", "1"),
+                ("kind", "\"plan\""),
+                ("view", "\"v\\\"1\""),
+                ("shape", "\"Direct\""),
+                ("estimate", "2.5"),
+                ("actual", "3"),
+                ("nanos", "9"),
+                ("decision", decision),
+            ]
+        };
+        let cases: Vec<(String, Vec<(&str, &str)>)> = vec![
+            (
+                span.to_json(),
+                vec![
+                    ("trace", "\"t-0000002a\""),
+                    ("span", "7"),
+                    ("parent", "3"),
+                    ("name", "\"wal.fsync\""),
+                    ("start_us", "5"),
+                    ("dur_ns", "9"),
+                    (
+                        "attrs",
+                        "{\"msg\":\"a\\\"b\\\\c\\nd\\u0001\",\"view\":\"ünï\"}",
+                    ),
+                ],
+            ),
+            (
+                FlightRecorder::new(3).dump_json(),
+                vec![("dropped", "0"), ("spans", "[]")],
+            ),
+            (full.dump_json(), vec![("dropped", "2"), ("spans", &spans)]),
+            (
+                entry.to_json(),
+                entry_members("{\"winner\":\"Direct\",\"actual\":{\"tuples\":1}}"),
+            ),
+            (
+                JournalEntry {
+                    json: String::new(),
+                    ..entry.clone()
+                }
+                .to_json(),
+                entry_members("null"),
+            ),
+        ];
+        for (text, expected) in cases {
+            let members = json::members(&text).unwrap_or_else(|| panic!("invalid: {text}"));
+            let got: Vec<(&str, &str)> = members.iter().map(|(k, v)| (k.as_str(), *v)).collect();
+            assert_eq!(got, expected, "{text}");
+        }
+        let span_json = span.to_json();
+        let attrs = json::members(&span_json).unwrap()[6].1;
+        let msg = json::members(attrs).unwrap()[0].1;
+        assert_eq!(json::unescape(msg).as_deref(), Some("a\"b\\c\nd\u{1}"));
+    }
 }

@@ -17,10 +17,12 @@
 //! `linrec serve --trace-json FILE`.
 
 use std::cell::Cell;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 use std::time::Instant;
+
+use crate::json;
+use crate::ring::Ring;
 
 /// Identifier correlating all spans of one request/batch. Nonzero;
 /// renders as `t-<hex>`.
@@ -118,138 +120,66 @@ pub struct SpanRecord {
     pub attrs: Vec<(&'static str, String)>,
 }
 
-/// Escape a string for inclusion in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl SpanRecord {
     /// Render as one JSON object.
     pub fn to_json(&self) -> String {
-        let mut s = format!(
-            "{{\"trace\":\"t-{:08x}\",\"span\":{},\"parent\":{},\"name\":\"{}\",\"start_us\":{},\"dur_ns\":{}",
-            self.trace,
-            self.span,
-            self.parent,
-            json_escape(self.name),
-            self.start_us,
-            self.dur_ns
-        );
-        if !self.attrs.is_empty() {
-            s.push_str(",\"attrs\":{");
-            for (i, (k, v)) in self.attrs.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                let _ = write!(s, "\"{}\":\"{}\"", json_escape(k), json_escape(v));
+        json::object(|o| {
+            o.str("trace", &TraceId(self.trace).to_string());
+            o.u64("span", self.span);
+            o.u64("parent", self.parent);
+            o.str("name", self.name);
+            o.u64("start_us", self.start_us);
+            o.u64("dur_ns", self.dur_ns);
+            if !self.attrs.is_empty() {
+                o.object("attrs", |o| {
+                    for (k, v) in &self.attrs {
+                        o.str(k, v);
+                    }
+                });
             }
-            s.push('}');
-        }
-        s.push('}');
-        s
+        })
     }
-}
-
-struct Ring {
-    buf: Vec<Option<SpanRecord>>,
-    next: usize,
-    total: u64,
 }
 
 /// Fixed-size ring buffer of completed spans. One mutex lock per span
 /// completion; overwrites oldest entries when full and counts drops.
 pub struct FlightRecorder {
-    inner: Mutex<Ring>,
-    capacity: usize,
+    ring: Ring<SpanRecord>,
 }
 
 impl FlightRecorder {
     /// A recorder holding at most `capacity` spans (min 1).
     pub fn new(capacity: usize) -> FlightRecorder {
-        let capacity = capacity.max(1);
         FlightRecorder {
-            inner: Mutex::new(Ring {
-                buf: vec![None; capacity],
-                next: 0,
-                total: 0,
-            }),
-            capacity,
+            ring: Ring::new(capacity),
         }
     }
 
     /// Ring capacity.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.ring.capacity()
     }
 
     /// Append a completed span, overwriting the oldest if full.
     pub fn record(&self, rec: SpanRecord) {
-        let mut ring = self.inner.lock().unwrap();
-        let next = ring.next;
-        ring.buf[next] = Some(rec);
-        ring.next = (next + 1) % self.capacity;
-        ring.total += 1;
+        self.ring.push(|_| rec);
     }
 
     /// `(spans oldest-first, dropped-count)` at this instant.
     pub fn snapshot(&self) -> (Vec<SpanRecord>, u64) {
-        let ring = self.inner.lock().unwrap();
-        let dropped = ring.total.saturating_sub(self.capacity as u64);
-        let mut out = Vec::with_capacity(self.capacity.min(ring.total as usize));
-        for i in 0..self.capacity {
-            let idx = (ring.next + i) % self.capacity;
-            if let Some(rec) = &ring.buf[idx] {
-                out.push(rec.clone());
-            }
-        }
-        (out, dropped)
-    }
-
-    /// Spans currently held.
-    pub fn len(&self) -> usize {
-        let ring = self.inner.lock().unwrap();
-        (ring.total as usize).min(self.capacity)
-    }
-
-    /// True when no span has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.inner.lock().unwrap().total == 0
-    }
-
-    /// Discard all held spans and the drop count.
-    pub fn clear(&self) {
-        let mut ring = self.inner.lock().unwrap();
-        ring.buf.iter_mut().for_each(|s| *s = None);
-        ring.next = 0;
-        ring.total = 0;
+        self.ring
+            .read(|spans, dropped| (spans.iter().cloned().collect(), dropped))
     }
 
     /// Dump the ring as `{"dropped":N,"spans":[...]}`, oldest-first.
     pub fn dump_json(&self) -> String {
         let (spans, dropped) = self.snapshot();
-        let mut s = format!("{{\"dropped\":{dropped},\"spans\":[");
-        for (i, rec) in spans.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&rec.to_json());
-        }
-        s.push_str("]}");
-        s
+        json::object(|o| {
+            o.u64("dropped", dropped);
+            o.array("spans", |a| {
+                spans.iter().for_each(|rec| a.raw(&rec.to_json()))
+            });
+        })
     }
 }
 
@@ -368,10 +298,6 @@ mod tests {
         // Oldest-first: spans 13..=20 survive.
         let ids: Vec<u64> = spans.iter().map(|s| s.span).collect();
         assert_eq!(ids, (13..=20).collect::<Vec<_>>());
-        assert_eq!(rec.len(), 8);
-        rec.clear();
-        assert!(rec.is_empty());
-        assert_eq!(rec.snapshot().1, 0);
     }
 
     #[test]

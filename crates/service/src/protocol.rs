@@ -623,37 +623,23 @@ impl Session {
 /// by the protocol's `explain … json` reply and `linrec explain --format
 /// json`.
 pub fn explain_json(report: &crate::service::ExplainReport) -> String {
-    use linrec_obs::trace::json_escape;
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\"view\":\"{}\",\"mode\":\"{}\",\"analyzed\":{},\"tree\":\"{}\",\"decision\":{}",
-        json_escape(&report.view),
-        json_escape(report.mode),
-        report.analyzed,
-        json_escape(&report.tree),
-        report.decision.to_json(),
-    );
-    let _ = write!(out, ",\"total_nanos\":{},\"nodes\":[", report.total_nanos);
-    for (i, node) in report.nodes.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"label\":\"{}\",\"nanos\":{},\"tuples\":{},\"derivations\":{},\
-             \"duplicates\":{},\"iterations\":{},\"applications\":{}}}",
-            json_escape(&node.label),
-            node.nanos,
-            node.stats.tuples,
-            node.stats.derivations,
-            node.stats.duplicates,
-            node.stats.iterations,
-            node.stats.applications,
-        );
-    }
-    out.push_str("]}");
-    out
+    linrec_obs::json::object(|o| {
+        o.str("view", &report.view);
+        o.str("mode", report.mode);
+        o.bool("analyzed", report.analyzed);
+        o.str("tree", &report.tree);
+        o.raw("decision", &report.decision.to_json());
+        o.u64("total_nanos", report.total_nanos);
+        o.array("nodes", |a| {
+            for node in &report.nodes {
+                a.object(|o| {
+                    o.str("label", &node.label);
+                    o.u64("nanos", node.nanos);
+                    node.stats.write_json(o);
+                });
+            }
+        });
+    })
 }
 
 /// Run a session over arbitrary buffered line I/O (stdin REPL, test
@@ -1140,5 +1126,85 @@ mod tests {
         assert_eq!(s.handle("count tc").text, "ok count 3");
         s.handle("insert e 3 4");
         assert!(s.handle("commit").text.starts_with("ok epoch 2"));
+    }
+
+    /// `explain … json` (with nodes) and the drift and calibrate events are
+    /// each one valid object whose top-level members read back as written.
+    #[test]
+    fn every_json_shape_reads_back() {
+        use crate::sentinel::DriftTrip;
+        use crate::service::{calibrate_event, drift_event, ExplainReport};
+        use linrec_engine::{EvalStats, TraceStep};
+
+        let decision = tc_service().explain("tc", false).unwrap().decision;
+        let stats = EvalStats {
+            iterations: 2,
+            applications: 3,
+            derivations: 4,
+            duplicates: 1,
+            tuples: 3,
+        };
+        let step = |label: &str, nanos| TraceStep {
+            label: label.into(),
+            stats,
+            nanos,
+        };
+        let report = ExplainReport {
+            view: "t\"c".into(),
+            mode: "incremental",
+            tree: "star\n  e".into(),
+            decision: Arc::clone(&decision),
+            nodes: vec![step("seed", 5), step("σ ∘ e*", 7)],
+            total_nanos: 12,
+            analyzed: true,
+        };
+        let node = |label: &str, nanos: u64| {
+            format!(
+                "{{\"label\":\"{label}\",\"nanos\":{nanos},\"tuples\":3,\"derivations\":4,\
+                 \"duplicates\":1,\"iterations\":2,\"applications\":3}}"
+            )
+        };
+        let nodes = format!("[{},{}]", node("seed", 5), node("σ ∘ e*", 7));
+        let decision_json = decision.to_json();
+        let trip = DriftTrip::Ratio { ewma_ratio: 600.0 };
+        let cases: Vec<(String, Vec<(&str, &str)>)> = vec![
+            (
+                explain_json(&report),
+                vec![
+                    ("view", "\"t\\\"c\""),
+                    ("mode", "\"incremental\""),
+                    ("analyzed", "true"),
+                    ("tree", "\"star\\n  e\""),
+                    ("decision", &decision_json),
+                    ("total_nanos", "12"),
+                    ("nodes", &nodes),
+                ],
+            ),
+            (
+                drift_event("tc", &trip, "t-00000001"),
+                vec![
+                    ("event", "\"plan-drift\""),
+                    ("view", "\"tc\""),
+                    ("kind", "\"ratio\""),
+                    ("detail", "\"estimate/actual EWMA drifted to 600.000\""),
+                    ("trace", "\"t-00000001\""),
+                ],
+            ),
+            (
+                calibrate_event("tc", 12, 0.25),
+                vec![
+                    ("event", "\"calibrate\""),
+                    ("view", "\"tc\""),
+                    ("pairs", "12"),
+                    ("fanout_scale", "0.25"),
+                ],
+            ),
+        ];
+        for (text, expected) in cases {
+            let members =
+                linrec_obs::json::members(&text).unwrap_or_else(|| panic!("invalid: {text}"));
+            let got: Vec<(&str, &str)> = members.iter().map(|(k, v)| (k.as_str(), *v)).collect();
+            assert_eq!(got, expected, "{text}");
+        }
     }
 }

@@ -1377,6 +1377,14 @@ impl Writer {
         }
     }
 
+    /// Journal a drift or calibration event and append the same record to
+    /// the decision log. Returns the journal sequence number.
+    fn record_event(&mut self, kind: &'static str, view: &str, shape: &str, json: String) -> u64 {
+        let seq = linrec_obs::journal::journal().record(kind, view, shape, 0.0, 0, 0, json.clone());
+        self.log_decision(&json);
+        seq
+    }
+
     /// Maintain every registered view against the post-batch database,
     /// returning one [`Maintained`] per view in registration order. Each
     /// view's fixpoint rounds shard on the engine pool under its own knob.
@@ -1453,15 +1461,7 @@ impl Writer {
             "linrec: plan-drift on view '{view}' ({}) trace={trace}",
             trip.describe()
         );
-        let drift_json = format!(
-            "{{\"event\":\"plan-drift\",\"view\":\"{}\",\"kind\":\"{}\",\
-             \"detail\":\"{}\",\"trace\":\"{trace}\"}}",
-            linrec_obs::trace::json_escape(view),
-            trip.kind(),
-            linrec_obs::trace::json_escape(&trip.describe()),
-        );
-        journal.record("drift", view, shape, 0.0, 0, 0, drift_json.clone());
-        self.log_decision(&drift_json);
+        self.record_event("drift", view, shape, drift_event(view, trip, &trace));
         let cfg = self.sentinel.config();
         if !cfg.auto_calibrate || !matches!(trip, DriftTrip::Ratio { .. }) {
             return;
@@ -1473,13 +1473,8 @@ impl Writer {
         }
         self.cost_model.calibrate(&pairs);
         let scale = self.cost_model.fanout_scale;
-        let calib_json = format!(
-            "{{\"event\":\"calibrate\",\"view\":\"{}\",\"pairs\":{},\"fanout_scale\":{scale}}}",
-            linrec_obs::trace::json_escape(view),
-            pairs.len()
-        );
-        let seq = journal.record("calibrate", view, shape, 0.0, 0, 0, calib_json.clone());
-        self.log_decision(&calib_json);
+        let event = calibrate_event(view, pairs.len(), scale);
+        let seq = self.record_event("calibrate", view, shape, event);
         self.sentinel.note_calibrated(view, seq);
         eprintln!(
             "linrec: recalibrated cost model from {} journal pairs for view '{view}' \
@@ -1487,6 +1482,28 @@ impl Writer {
             pairs.len()
         );
     }
+}
+
+/// The `plan-drift` record a sentinel trip journals and logs.
+pub(crate) fn drift_event(view: &str, trip: &DriftTrip, trace: &str) -> String {
+    linrec_obs::json::object(|o| {
+        o.str("event", "plan-drift");
+        o.str("view", view);
+        o.str("kind", trip.kind());
+        o.str("detail", &trip.describe());
+        o.str("trace", trace);
+    })
+}
+
+/// The `calibrate` record a recalibration from `pairs` journal pairs
+/// journals and logs.
+pub(crate) fn calibrate_event(view: &str, pairs: usize, fanout_scale: f64) -> String {
+    linrec_obs::json::object(|o| {
+        o.str("event", "calibrate");
+        o.str("view", view);
+        o.u64("pairs", pairs as u64);
+        o.f64("fanout_scale", fanout_scale);
+    })
 }
 
 /// Start a background recovery probe: every `interval`, a degraded

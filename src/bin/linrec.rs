@@ -172,11 +172,10 @@ fn check_cmd(args: &[String]) -> ExitCode {
         };
         findings |= report.has_findings();
         if json {
-            json_files.push(format!(
-                "{{\"file\":\"{}\",\"diagnostics\":{}}}",
-                linrec::lint::json_escape(file),
-                report.render_json(),
-            ));
+            json_files.push(linrec::obs::json::object(|o| {
+                o.str("file", file);
+                o.raw("diagnostics", &report.render_json());
+            }));
         } else if report.diagnostics.is_empty() {
             println!("{file}: clean");
         } else {
@@ -186,7 +185,10 @@ fn check_cmd(args: &[String]) -> ExitCode {
         }
     }
     if json {
-        println!("[{}]", json_files.join(","));
+        println!(
+            "{}",
+            linrec::obs::json::array(|a| json_files.iter().for_each(|f| a.raw(f)))
+        );
     }
     if findings {
         ExitCode::FAILURE
@@ -465,21 +467,6 @@ fn top_request(
     }
 }
 
-/// Pull one string field (`"key":"value"`) out of a JSON line without a
-/// JSON parser — good enough for the journal's known-shape records.
-fn json_str_field(json: &str, key: &str) -> Option<String> {
-    let tag = format!("\"{key}\":\"");
-    let rest = &json[json.find(&tag)? + tag.len()..];
-    Some(rest.split('"').next().unwrap_or("").to_owned())
-}
-
-/// Pull one numeric field (`"key":123`) out of a JSON line.
-fn json_num_field(json: &str, key: &str) -> Option<f64> {
-    let tag = format!("\"{key}\":");
-    let rest = &json[json.find(&tag)? + tag.len()..];
-    rest.split([',', '}']).next()?.parse().ok()
-}
-
 /// `linrec top <addr> [--once] [--interval-ms N] [-n N]`: a refresh-loop
 /// dashboard over a serving instance's protocol port. Each refresh opens
 /// a connection, issues `health`, `metrics`, and `decisions`, and renders
@@ -487,6 +474,8 @@ fn json_num_field(json: &str, key: &str) -> Option<f64> {
 /// (derived from successive samples), WAL pressure, and the newest plan
 /// decisions.
 fn top(args: &[String]) -> Result<(), String> {
+    use linrec::obs::json;
+
     let (args, once) = strip_flag(args, "--once");
     let mut addr: Option<String> = None;
     let mut interval_ms = 2000u64;
@@ -586,12 +575,17 @@ fn top(args: &[String]) -> Result<(), String> {
         println!("decisions (newest last):");
         let mut shown = false;
         for line in &journal {
-            let Some(json) = line.strip_prefix("decision ") else {
+            let Some(record) = line.strip_prefix("decision ") else {
                 continue;
             };
             shown = true;
-            let est = json_num_field(json, "estimate").unwrap_or(0.0);
-            let actual = json_num_field(json, "actual").unwrap_or(0.0);
+            let members = json::members(record).unwrap_or_default();
+            let field = |key: &str| members.iter().find(|(k, _)| k == key).map(|(_, v)| *v);
+            // A missing or `null` number reads as 0.
+            let num = |key| field(key).and_then(|v| v.parse().ok()).unwrap_or(0.0);
+            let text = |key| field(key).and_then(json::unescape).unwrap_or_default();
+            let est = num("estimate");
+            let actual = num("actual");
             let ratio = if est > 0.0 && actual > 0.0 {
                 format!("{:.2}", est / actual)
             } else {
@@ -599,10 +593,10 @@ fn top(args: &[String]) -> Result<(), String> {
             };
             println!(
                 "  #{:<6} {:<9} view={} shape={} est={est:.1} actual={actual} est/actual={ratio}",
-                json_num_field(json, "seq").unwrap_or(0.0),
-                json_str_field(json, "kind").unwrap_or_default(),
-                json_str_field(json, "view").unwrap_or_default(),
-                json_str_field(json, "shape").unwrap_or_default(),
+                num("seq"),
+                text("kind"),
+                text("view"),
+                text("shape"),
             );
         }
         if !shown {

@@ -135,6 +135,48 @@ fn json_format_carries_the_same_codes() {
     assert!(json.contains("\"severity\":\"error\""), "{json}");
 }
 
+/// Two files, one clean and one failing: the output is one valid JSON
+/// array of per-file objects, each reading back its file name and the
+/// same diagnostics the library renders.
+#[test]
+fn json_format_over_two_files_reads_back() {
+    use linrec::obs::json;
+    let clean_src = "p(x,y) :- p(x,z), e(z,y).\ne(1,2). e(2,3).\np(1,1).\n";
+    let failing_src = "q(x,w) :- q(x,z), up(z,x).\nup(1,2). q(1,1).\n";
+    let clean = Fixture::new("clean-two.lr", clean_src);
+    let failing = Fixture::new("unsafe-two.lr", failing_src);
+    let out = check(&[clean.path(), failing.path(), "--format", "json"]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let text = stdout(&out);
+    // The reader takes objects: wrap the array so it scans all of it.
+    let wrapped = format!("{{\"files\":{}}}", text.trim_end());
+    let files = json::members(&wrapped).unwrap_or_else(|| panic!("invalid: {text}"));
+    let mut objects = Vec::new();
+    for (fixture, src) in [(&clean, clean_src), (&failing, failing_src)] {
+        let prog = linrec::engine::Program::parse(src).unwrap();
+        let report = linrec::lint::check_program(prog.rules(), prog.database(), prog.init(), None);
+        let object = json::object(|o| {
+            o.str("file", fixture.path());
+            o.raw("diagnostics", &report.render_json());
+        });
+        let members = json::members(&object).unwrap();
+        assert_eq!(members.len(), 2, "{object}");
+        assert_eq!(members[0].0, "file");
+        assert_eq!(
+            json::unescape(members[0].1).as_deref(),
+            Some(fixture.path())
+        );
+        assert_eq!(
+            members[1],
+            ("diagnostics".to_owned(), &*report.render_json())
+        );
+        assert_eq!(report.has_errors(), src == failing_src, "{object}");
+        objects.push(object);
+    }
+    assert_eq!(files.len(), 1);
+    assert_eq!(files[0].1, format!("[{}]", objects.join(",")), "{text}");
+}
+
 #[test]
 fn shipped_example_programs_are_clean() {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("examples/programs");

@@ -225,13 +225,6 @@ impl BridgeDecomposition {
             nodes,
         }
     }
-
-    /// All augmented bridges.
-    pub fn augmented_all(&self, graph: &AlphaGraph) -> Vec<AugmentedBridge> {
-        (0..self.bridges.len())
-            .map(|i| self.augmented(graph, i))
-            .collect()
-    }
 }
 
 #[cfg(test)]

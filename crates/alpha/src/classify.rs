@@ -38,14 +38,6 @@ impl PersistenceClass {
         self == PersistenceClass::LinkPersistent(1)
     }
 
-    /// True iff persistent (free or link) of any cardinality.
-    pub fn is_persistent(self) -> bool {
-        matches!(
-            self,
-            PersistenceClass::FreePersistent(_) | PersistenceClass::LinkPersistent(_)
-        )
-    }
-
     /// The cycle length for persistent classes.
     pub fn persistence(self) -> Option<usize> {
         match self {
@@ -171,15 +163,6 @@ impl Classification {
     /// Iterate `(variable, class)` in consequent order.
     pub fn iter(&self) -> impl Iterator<Item = (Var, PersistenceClass)> + '_ {
         self.order.iter().map(move |&v| (v, self.classes[&v]))
-    }
-
-    /// All link-persistent variables (any cardinality).
-    pub fn link_persistent_vars(&self) -> Vec<Var> {
-        self.order
-            .iter()
-            .copied()
-            .filter(|&v| matches!(self.classes[&v], PersistenceClass::LinkPersistent(_)))
-            .collect()
     }
 
     /// All link 1-persistent variables.

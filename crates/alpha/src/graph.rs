@@ -173,11 +173,6 @@ impl AlphaGraph {
         &self.atom_arcs[i]
     }
 
-    /// Total number of edges.
-    pub fn num_edges(&self) -> usize {
-        self.static_arcs.len() + self.dynamic_arcs.len()
-    }
-
     /// The two endpoints of an edge.
     pub fn endpoints(&self, e: EdgeRef) -> (Var, Var) {
         match e {
@@ -281,7 +276,6 @@ mod tests {
     #[test]
     fn endpoints_and_edge_iteration() {
         let g = graph("p(x,y) :- p(x,z), e(z,y).");
-        assert_eq!(g.num_edges(), 3);
         let edges: Vec<EdgeRef> = g.edges().collect();
         assert_eq!(edges.len(), 3);
         let (a, b) = g.endpoints(EdgeRef::Static(0));

@@ -146,26 +146,9 @@ impl BitsetRelation {
         &self.domain
     }
 
-    /// Words per adjacency row.
-    pub fn words_per_row(&self) -> usize {
-        self.words
-    }
-
     /// Total words in the matrix.
     pub fn total_words(&self) -> usize {
         self.bits.len()
-    }
-
-    /// The adjacency words of dense row `i`.
-    #[inline]
-    pub fn row_words(&self, i: u32) -> &[u64] {
-        let i = i as usize;
-        debug_assert!(
-            i < self.domain.len(),
-            "row {i} out of bounds for domain of {}",
-            self.domain.len()
-        );
-        &self.bits[i * self.words..(i + 1) * self.words]
     }
 
     /// Set the bit for the dense pair `(i, j)`.

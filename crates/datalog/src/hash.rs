@@ -81,16 +81,6 @@ pub type FastMap<K, V> = HashMap<K, V, FxBuildHasher>;
 /// A `HashSet` keyed with the fast hasher.
 pub type FastSet<T> = HashSet<T, FxBuildHasher>;
 
-/// Construct an empty [`FastMap`].
-pub fn fast_map<K, V>() -> FastMap<K, V> {
-    FastMap::default()
-}
-
-/// Construct an empty [`FastSet`].
-pub fn fast_set<T>() -> FastSet<T> {
-    FastSet::default()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,17 +111,6 @@ mod tests {
         a.write(b"ab");
         b.write(b"ab\0");
         assert_ne!(a.finish(), b.finish());
-    }
-
-    #[test]
-    fn map_and_set_work() {
-        let mut m: FastMap<u32, &str> = fast_map();
-        m.insert(7, "seven");
-        assert_eq!(m.get(&7), Some(&"seven"));
-        let mut s: FastSet<(u32, u32)> = fast_set();
-        s.insert((1, 2));
-        assert!(s.contains(&(1, 2)));
-        assert!(!s.contains(&(2, 1)));
     }
 
     #[test]

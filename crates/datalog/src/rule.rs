@@ -13,7 +13,7 @@
 //! Theorem 5.2, plus the normalizations the paper assumes (repeated head
 //! variables → equality atoms; equality elimination).
 
-use crate::atom::{Atom, EQ_PRED};
+use crate::atom::Atom;
 use crate::error::RuleError;
 use crate::hash::{FastMap, FastSet};
 use crate::symbol::Symbol;
@@ -281,31 +281,6 @@ impl LinearRule {
             && self.nonrec.iter().all(|a| !a.is_eq())
     }
 
-    /// Replace repeated consequent variables by fresh ones, adding `=` atoms
-    /// to the antecedent (paper, Section 5 preliminaries).
-    pub fn normalize_head(&self) -> LinearRule {
-        let mut seen: FastSet<Var> = FastSet::default();
-        let mut head_terms = Vec::with_capacity(self.head.arity());
-        let mut extra_eqs = Vec::new();
-        for t in &self.head.terms {
-            match t.as_var() {
-                Some(v) if !seen.insert(v) => {
-                    let fresh = Var::fresh_named(v.name());
-                    extra_eqs.push(Atom::from_vars(EQ_PRED, &[fresh, v]));
-                    head_terms.push(Term::Var(fresh));
-                }
-                _ => head_terms.push(*t),
-            }
-        }
-        let mut nonrec = self.nonrec.clone();
-        nonrec.extend(extra_eqs);
-        LinearRule {
-            head: Atom::new(self.head.pred, head_terms),
-            rec: self.rec.clone(),
-            nonrec,
-        }
-    }
-
     /// Eliminate all `=` atoms by unifying their arguments throughout the
     /// rule. Distinguished variables are kept as representatives where
     /// possible. Fails if two distinct constants are equated.
@@ -456,12 +431,6 @@ impl LinearRule {
         }
         counts
     }
-
-    /// Total number of argument positions in the antecedent (the size
-    /// parameter `a` of Theorem 5.3) plus the consequent's.
-    pub fn argument_positions(&self) -> usize {
-        self.head.arity() + self.rec.arity() + self.nonrec.iter().map(|a| a.arity()).sum::<usize>()
-    }
 }
 
 impl fmt::Debug for LinearRule {
@@ -528,19 +497,6 @@ mod tests {
     }
 
     #[test]
-    fn normalize_head_introduces_equalities() {
-        let r = parse_linear_rule("p(x,x) :- p(x,y), e(y,x).").unwrap();
-        assert!(r.has_repeated_head_vars());
-        let n = r.normalize_head();
-        assert!(!n.has_repeated_head_vars());
-        let eqs: Vec<&Atom> = n.nonrec_atoms().iter().filter(|a| a.is_eq()).collect();
-        assert_eq!(eqs.len(), 1);
-        // Round-trip: eliminating the equalities recovers an equivalent shape.
-        let back = n.eliminate_equalities().unwrap();
-        assert!(back.has_repeated_head_vars());
-    }
-
-    #[test]
     fn eliminate_equalities_unifies() {
         let r = parse_linear_rule("p(x,y) :- p(x,z), e(z,w), =(w,y).").unwrap();
         let e = r.eliminate_equalities().unwrap();
@@ -582,11 +538,5 @@ mod tests {
         let c = r.occurrence_counts();
         assert_eq!(c[&Var::new("x")], 3);
         assert_eq!(c[&Var::new("y")], 2);
-    }
-
-    #[test]
-    fn argument_positions_counts_all_atoms() {
-        let r = parse_linear_rule("p(x,y) :- p(x,z), e(z,y).").unwrap();
-        assert_eq!(r.argument_positions(), 6);
     }
 }

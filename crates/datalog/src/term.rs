@@ -25,14 +25,8 @@ impl Var {
     }
 
     /// A globally fresh variable, guaranteed distinct from every variable
-    /// created before it (its name starts with `#`, which the parser rejects
-    /// in user input).
-    pub fn fresh() -> Var {
-        let n = FRESH_COUNTER.fetch_add(1, Ordering::Relaxed);
-        Var(Symbol::new(&format!("#{n}")))
-    }
-
-    /// A fresh variable whose name hints at its origin (e.g. `#x.3`).
+    /// created before it, whose name hints at its origin (e.g. `#x.3`; the
+    /// parser rejects `#` in user input).
     pub fn fresh_named(hint: &str) -> Var {
         let n = FRESH_COUNTER.fetch_add(1, Ordering::Relaxed);
         Var(Symbol::new(&format!("#{hint}.{n}")))
@@ -142,14 +136,6 @@ impl Term {
         }
     }
 
-    /// The constant inside, if any.
-    pub fn as_const(self) -> Option<Value> {
-        match self {
-            Term::Var(_) => None,
-            Term::Const(c) => Some(c),
-        }
-    }
-
     /// True iff this term is a variable.
     pub fn is_var(self) -> bool {
         matches!(self, Term::Var(_))
@@ -200,17 +186,11 @@ mod tests {
     }
 
     #[test]
-    fn fresh_vars_are_unique() {
-        let a = Var::fresh();
-        let b = Var::fresh();
+    fn fresh_vars_are_unique_and_embed_the_hint() {
+        let a = Var::fresh_named("z");
+        let b = Var::fresh_named("z");
         assert_ne!(a, b);
-        assert!(a.name().starts_with('#'));
-    }
-
-    #[test]
-    fn fresh_named_embeds_hint() {
-        let v = Var::fresh_named("z");
-        assert!(v.name().starts_with("#z."));
+        assert!(a.name().starts_with("#z."));
     }
 
     #[test]
@@ -218,11 +198,9 @@ mod tests {
         let t: Term = Var::new("x").into();
         assert!(t.is_var());
         assert_eq!(t.as_var(), Some(Var::new("x")));
-        assert_eq!(t.as_const(), None);
 
         let c: Term = Value::int(3).into();
         assert!(!c.is_var());
-        assert_eq!(c.as_const(), Some(Value::Int(3)));
     }
 
     #[test]

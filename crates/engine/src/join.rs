@@ -25,8 +25,7 @@
 //! any row is served. Relations untouched by a batch keep their cache —
 //! that is the point of sharing the cache across batches. Versions are
 //! globally unique per mutation, so revalidation is a single integer
-//! compare and can never serve stale rows. [`Indexes::invalidate`] drops
-//! one predicate's entry explicitly.
+//! compare and can never serve stale rows.
 //!
 //! Column indexes are only built for columns that can ever hold a bound
 //! value when the atom is matched: a column whose term is a variable that
@@ -184,14 +183,6 @@ impl Indexes {
     /// Fresh empty cache (start of a fixpoint).
     pub fn new() -> Indexes {
         Indexes::default()
-    }
-
-    /// Drop the cached scan/indexes for `pred`, forcing a rebuild on the
-    /// next application that touches it. Rarely needed — version
-    /// revalidation already catches every mutation — but available for
-    /// callers that want to bound the cache's memory between batches.
-    pub fn invalidate(&mut self, pred: Symbol) {
-        self.cache.remove(&pred);
     }
 
     /// Materialize `atom`'s relation from `db`, revalidating an existing
@@ -853,21 +844,6 @@ mod tests {
             plan_gen(&idx, &r2) > g2,
             "r2's plan kept stale statistics after the shared scan rebuilt"
         );
-    }
-
-    #[test]
-    fn invalidate_drops_the_cached_scan() {
-        let r = parse_linear_rule("p(x,y) :- p(x,z), e(z,y).").unwrap();
-        let mut db = Database::new();
-        db.set_relation("e", Relation::from_pairs([(1, 2)]));
-        let p = Relation::from_pairs([(0, 1)]);
-        let mut idx = Indexes::new();
-        apply_linear(&r, &db, &p, &mut idx);
-        idx.invalidate(Symbol::new("e"));
-        assert!(!idx.cache.contains_key(&Symbol::new("e")));
-        // The next application rebuilds transparently.
-        let (out, _) = apply_linear(&r, &db, &p, &mut idx);
-        assert_eq!(out.sorted(), Relation::from_pairs([(0, 2)]).sorted());
     }
 
     #[test]

@@ -92,7 +92,7 @@ pub fn same_generation() -> LinearRule {
     rule("sg(x,y) :- up(x,u), sg(u,v), down(v,y).")
 }
 
-/// All paper rules, with labels (used by the figures binary).
+/// All paper rules, with labels (used by the `figures` example).
 pub fn paper_rules() -> Vec<(&'static str, LinearRule)> {
     vec![
         ("figure-1 (Example 5.1)", figure_1()),

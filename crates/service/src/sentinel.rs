@@ -8,15 +8,19 @@
 //! over- *and* under-estimation both mean the cost model no longer
 //! describes the data), or a batch's latency spikes past
 //! [`SentinelConfig::latency_tolerance`] × its EWMA baseline, the service
-//! emits a typed `plan-drift` event and — when
-//! [`SentinelConfig::auto_calibrate`] is on — recalibrates its shared
-//! `CostModel` from the journal's recent (estimate, actual) pairs,
-//! closing the feedback loop that `CostModel::calibrate` opened.
+//! emits a typed `plan-drift` event and, on ratio drift, recalibrates
+//! its shared `CostModel` from the journal's recent (estimate, actual)
+//! pairs, closing the feedback loop that `CostModel::calibrate` opened.
 //!
 //! The log-domain EWMA makes the ratio test symmetric: estimate/actual
 //! of 100× and 1/100× are equally far from calibrated.
 
 use linrec_datalog::hash::FastMap;
+
+/// EWMA weight of the newest sample.
+const EWMA_ALPHA: f64 = 0.5;
+/// Maximum journal pairs fed to one recalibration.
+pub(crate) const CALIBRATION_WINDOW: usize = 64;
 
 /// Knobs for the drift sentinel (see
 /// [`ServiceConfig::sentinel`](crate::ServiceConfig::sentinel)).
@@ -34,15 +38,8 @@ pub struct SentinelConfig {
     /// microsecond-scale maintenance jitters by ×10 on scheduler noise
     /// alone and is not worth an alert.
     pub latency_floor_nanos: u64,
-    /// EWMA weight of the newest sample (0 < alpha ≤ 1).
-    pub alpha: f64,
     /// Batches observed per view before the sentinel may trip (warm-up).
     pub min_batches: u64,
-    /// Recalibrate the service's shared `CostModel` from the journal's
-    /// recent pairs when the ratio test trips.
-    pub auto_calibrate: bool,
-    /// Maximum journal pairs fed to one recalibration.
-    pub calibration_window: usize,
 }
 
 impl Default for SentinelConfig {
@@ -51,10 +48,7 @@ impl Default for SentinelConfig {
             ratio_tolerance: 512.0,
             latency_tolerance: 16.0,
             latency_floor_nanos: 5_000_000,
-            alpha: 0.5,
             min_batches: 3,
-            auto_calibrate: true,
-            calibration_window: 64,
         }
     }
 }
@@ -127,10 +121,6 @@ impl Sentinel {
         }
     }
 
-    pub(crate) fn config(&self) -> &SentinelConfig {
-        &self.cfg
-    }
-
     /// Feed one maintenance sample; `Some` when drift trips. The ratio
     /// test has priority over the latency test (miscalibration explains
     /// latency surprises, not vice versa).
@@ -141,7 +131,6 @@ impl Sentinel {
         actual_derivations: u64,
         nanos: u64,
     ) -> Option<DriftTrip> {
-        let alpha = self.cfg.alpha.clamp(0.0, 1.0);
         let state = self.views.entry(view.to_owned()).or_default();
         state.batches += 1;
 
@@ -149,7 +138,7 @@ impl Sentinel {
             if est > 0.0 && actual_derivations > 0 {
                 let log_ratio = (est / actual_derivations as f64).ln();
                 let ewma = match state.ewma_log_ratio {
-                    Some(prev) => alpha * log_ratio + (1.0 - alpha) * prev,
+                    Some(prev) => EWMA_ALPHA * log_ratio + (1.0 - EWMA_ALPHA) * prev,
                     None => log_ratio,
                 };
                 state.ewma_log_ratio = Some(ewma);
@@ -161,7 +150,7 @@ impl Sentinel {
         let prev_nanos = state.ewma_nanos;
         let sample = nanos as f64;
         state.ewma_nanos = Some(match prev_nanos {
-            Some(prev) => alpha * sample + (1.0 - alpha) * prev,
+            Some(prev) => EWMA_ALPHA * sample + (1.0 - EWMA_ALPHA) * prev,
             None => sample,
         });
 
@@ -268,7 +257,6 @@ mod tests {
             latency_tolerance: 8.0,
             latency_floor_nanos: 1_000_000,
             min_batches: 2,
-            ..SentinelConfig::default()
         });
         // Sub-floor spikes are ignored no matter the multiple.
         assert!(s.observe("v", None, 10, 1_000).is_none());

@@ -54,7 +54,7 @@
 //! (arena snapshot + rotated WAL) while still holding the writer lock —
 //! readers keep serving throughout.
 
-use crate::sentinel::{DriftTrip, Sentinel, SentinelConfig};
+use crate::sentinel::{DriftTrip, Sentinel, SentinelConfig, CALIBRATION_WINDOW};
 use crate::view::{MaintainedView, ViewDef, DELTA_MARKER};
 use linrec_datalog::hash::FastMap;
 use linrec_datalog::{Database, Relation, Symbol, Value};
@@ -216,6 +216,11 @@ impl fmt::Display for ServiceMode {
     }
 }
 
+/// Sleep before the first write-path retry; doubles per retry.
+const RETRY_INITIAL_BACKOFF: Duration = Duration::from_millis(2);
+/// Write-path retry backoff cap.
+const RETRY_MAX_BACKOFF: Duration = Duration::from_millis(50);
+
 /// Bounded retry with exponential backoff for the durable write path.
 /// Any I/O failure is retried (the WAL rolls partial appends back, so a
 /// retry is always safe); format-level errors (corruption, version skew)
@@ -224,19 +229,11 @@ impl fmt::Display for ServiceMode {
 pub struct RetryPolicy {
     /// Total attempts (1 = no retry).
     pub attempts: u32,
-    /// Sleep before the first retry; doubles per retry.
-    pub initial_backoff: Duration,
-    /// Backoff cap.
-    pub max_backoff: Duration,
 }
 
 impl Default for RetryPolicy {
     fn default() -> RetryPolicy {
-        RetryPolicy {
-            attempts: 3,
-            initial_backoff: Duration::from_millis(2),
-            max_backoff: Duration::from_millis(50),
-        }
+        RetryPolicy { attempts: 3 }
     }
 }
 
@@ -244,15 +241,12 @@ impl RetryPolicy {
     /// No retries at all (fail on the first fault) — chaos tests use this
     /// to make every injected fault observable.
     pub fn none() -> RetryPolicy {
-        RetryPolicy {
-            attempts: 1,
-            ..RetryPolicy::default()
-        }
+        RetryPolicy { attempts: 1 }
     }
 
     /// Run `f`, retrying I/O failures up to the policy's attempt budget.
     fn run<T>(&self, mut f: impl FnMut() -> Result<T, StorageError>) -> Result<T, StorageError> {
-        let mut backoff = self.initial_backoff;
+        let mut backoff = RETRY_INITIAL_BACKOFF;
         let mut attempt = 1;
         loop {
             match f() {
@@ -263,7 +257,7 @@ impl RetryPolicy {
                         crate::profile::service().storage_retries.inc();
                     }
                     std::thread::sleep(backoff);
-                    backoff = (backoff * 2).min(self.max_backoff);
+                    backoff = (backoff * 2).min(RETRY_MAX_BACKOFF);
                     attempt += 1;
                 }
                 Err(e) => return Err(e),
@@ -271,6 +265,11 @@ impl RetryPolicy {
         }
     }
 }
+
+/// Interval between recovery probes of a degraded service: a write
+/// arriving in degraded mode retries the store at most this often, and
+/// the background probe ([`spawn_degraded_probe`]) ticks at it.
+const PROBE_INTERVAL: Duration = Duration::from_millis(500);
 
 /// Overload-control knobs for the write path.
 #[derive(Debug, Clone, Copy)]
@@ -284,10 +283,6 @@ pub struct ServiceLimits {
     /// Tuples a protocol session may stage before `insert` answers
     /// [`ServiceError::Busy`] (0 = unbounded).
     pub max_staged: usize,
-    /// Minimum interval between *inline* recovery probes: a write
-    /// arriving in degraded mode retries the store this often (the
-    /// background probe, if any, runs on its own cadence).
-    pub probe_interval: Duration,
     /// Protocol requests slower than this are counted in
     /// `linrec_service_slow_requests_total` and logged to stderr with
     /// their trace ID (`None` disables the slow-request log).
@@ -300,7 +295,6 @@ impl Default for ServiceLimits {
             max_queue: 64,
             request_timeout: None,
             max_staged: 1 << 20,
-            probe_interval: Duration::from_millis(500),
             slow_request: None,
         }
     }
@@ -922,7 +916,7 @@ impl ViewService {
         let (kind, reason, probe_due) = {
             let status = self.status();
             let due = match status.last_probe {
-                Some(at) => at.elapsed() >= self.config.limits.probe_interval,
+                Some(at) => at.elapsed() >= PROBE_INTERVAL,
                 None => true,
             };
             (status.kind, status.reason.clone(), due)
@@ -1445,9 +1439,9 @@ impl Writer {
 
     /// A drift trip: emit the typed `plan-drift` event (counter +
     /// flight-recorder span + stderr line with the trace id + journal and
-    /// decision-log records), then — for ratio drift with auto-calibrate
-    /// on — recalibrate the shared cost model from the journal's recent
-    /// (estimate, actual) pairs and restart the view's drift window.
+    /// decision-log records), then — for ratio drift — recalibrate the
+    /// shared cost model from the journal's recent (estimate, actual)
+    /// pairs and restart the view's drift window.
     fn handle_drift(&mut self, view: &str, shape: &'static str, trip: &DriftTrip) {
         let journal = linrec_obs::journal::journal();
         crate::profile::service().plan_drift.inc();
@@ -1462,12 +1456,11 @@ impl Writer {
             trip.describe()
         );
         self.record_event("drift", view, shape, drift_event(view, trip, &trace));
-        let cfg = self.sentinel.config();
-        if !cfg.auto_calibrate || !matches!(trip, DriftTrip::Ratio { .. }) {
+        if !matches!(trip, DriftTrip::Ratio { .. }) {
             return;
         }
         let since = self.sentinel.last_calibrate_seq(view);
-        let pairs = journal.recent_pairs(Some(view), cfg.calibration_window, since);
+        let pairs = journal.recent_pairs(Some(view), CALIBRATION_WINDOW, since);
         if pairs.is_empty() {
             return;
         }
@@ -1506,21 +1499,18 @@ pub(crate) fn calibrate_event(view: &str, pairs: usize, fanout_scale: f64) -> St
     })
 }
 
-/// Start a background recovery probe: every `interval`, a degraded
+/// Start a background recovery probe: every [`PROBE_INTERVAL`], a degraded
 /// service gets one [`ViewService::try_restore`] attempt, so the service
 /// heals as soon as the fault clears even with zero write traffic. The
 /// thread holds only a weak reference and exits when the service is
 /// dropped; probe failures are recorded in [`ViewService::health`] and
 /// otherwise ignored (the next tick retries).
-pub fn spawn_degraded_probe(
-    service: &Arc<ViewService>,
-    interval: Duration,
-) -> std::thread::JoinHandle<()> {
+pub fn spawn_degraded_probe(service: &Arc<ViewService>) -> std::thread::JoinHandle<()> {
     let weak = Arc::downgrade(service);
     std::thread::Builder::new()
         .name("linrec-degraded-probe".to_owned())
         .spawn(move || loop {
-            std::thread::sleep(interval);
+            std::thread::sleep(PROBE_INTERVAL);
             let Some(svc) = weak.upgrade() else { break };
             if svc.mode().0 == ServiceMode::Degraded {
                 let _ = svc.try_restore();

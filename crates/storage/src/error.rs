@@ -67,16 +67,6 @@ impl StorageError {
             detail: detail.into(),
         }
     }
-
-    /// True when the error came from the OS and retrying in place could
-    /// plausibly succeed (interrupted syscall, timeout). Format-level
-    /// errors (corruption, version skew, stray state) are never transient.
-    pub fn is_transient(&self) -> bool {
-        match self {
-            StorageError::Io { source, .. } => crate::vfs::is_transient_io(source),
-            _ => false,
-        }
-    }
 }
 
 impl fmt::Display for StorageError {

@@ -13,12 +13,13 @@
 //! misbehaving disk would leave — the recovery code is exercised against
 //! genuine torn tails and orphaned generations, not mocks.
 //!
-//! Faults are classified *transient* or *persistent* via
-//! [`is_transient_io`]: the write path retries transients with bounded
-//! backoff and treats everything else as grounds for degraded mode (see
-//! `linrec-service`). Clearing the plan ([`FaultVfs::clear`]) models the
-//! operator fixing the disk; the service's recovery probe then re-opens
-//! the store through the same `Vfs` handle.
+//! [`is_transient_io`] classifies a fault as *transient* or *persistent*.
+//! The service's write path does not consult it: it retries every I/O
+//! failure a bounded number of times with backoff, and a failure that
+//! outlasts the retries degrades the service (see `linrec-service`).
+//! Clearing the plan ([`FaultVfs::clear`]) models the operator fixing the
+//! disk; the service's recovery probe then re-opens the store through the
+//! same `Vfs` handle.
 
 use std::io;
 use std::path::Path;

@@ -57,7 +57,6 @@
 //!                                       recorder to FILE on shutdown, and
 //!                                       --slow-ms logs requests slower than
 //!                                       N ms with their trace IDs.
-//! linrec figures [--dot]                regenerate the paper's figures
 //! ```
 //!
 //! Program files use the paper's notation, e.g.
@@ -84,7 +83,6 @@ fn usage() -> ExitCode {
     eprintln!("                    [--checkpoint-batches N] [--checkpoint-bytes B] [--no-check]");
     eprintln!("                    [--read-only] [--max-queue N] [--request-timeout-ms N]");
     eprintln!("                    [--metrics ADDR] [--trace-json FILE] [--slow-ms N]");
-    eprintln!("       linrec figures [--dot]");
     eprintln!();
     eprintln!("  --threads N   engine threads for parallel fixpoint rounds (and,");
     eprintln!("                for serve, the connection pool size); defaults to");
@@ -757,7 +755,7 @@ fn serve(path: &str, args: &[String]) -> Result<(), String> {
     // A durable service heals itself: if a storage fault degrades it to
     // read-only, this probe re-opens the store once the fault clears (a
     // write arriving in the meantime probes inline, too).
-    let _probe = spawn_degraded_probe(&service, limits.probe_interval);
+    let _probe = spawn_degraded_probe(&service);
     let snapshot = service.snapshot();
     let info = snapshot.view(&name).expect("view just registered");
     eprintln!(
@@ -797,21 +795,6 @@ fn serve(path: &str, args: &[String]) -> Result<(), String> {
     served
 }
 
-fn figures(dot: bool) {
-    use linrec::alpha::{summary, to_dot, AlphaGraph, BridgeDecomposition, Classification};
-    for (name, rule) in linrec::engine::rules::paper_rules() {
-        println!("==== {name} ====");
-        let graph = AlphaGraph::new(&rule).expect("paper rules are analyzable");
-        let classes = Classification::classify(&rule).expect("classifiable");
-        if dot {
-            println!("{}", to_dot(&graph, &classes));
-        } else {
-            let bridges = BridgeDecomposition::wrt_link1(&graph, &classes);
-            println!("{}", summary(&graph, &classes, Some(&bridges)));
-        }
-    }
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
@@ -828,10 +811,6 @@ fn main() -> ExitCode {
         Some("explain") if args.len() >= 2 => explain_plan(&args[1], &args[2..]),
         Some("top") if args.len() >= 2 => top(&args[1..]),
         Some("serve") if args.len() >= 2 => serve(&args[1], &args[2..]),
-        Some("figures") => {
-            figures(args.iter().any(|a| a == "--dot"));
-            Ok(())
-        }
         _ => return usage(),
     };
     match result {

@@ -156,7 +156,6 @@ fn forced_miscalibration_trips_the_sentinel_and_recalibrates_from_the_journal() 
             sentinel: SentinelConfig {
                 ratio_tolerance: 4.0,
                 min_batches: 2,
-                auto_calibrate: true,
                 ..SentinelConfig::default()
             },
             ..ServiceConfig::default()

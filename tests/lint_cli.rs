@@ -253,3 +253,16 @@ fn explain_and_run_reject_a_short_tuple_and_an_empty_value() {
     assert!(out.status.success(), "{}", stdout(&out));
     assert!(stdout(&out).contains("[1, 3]"), "{}", stdout(&out));
 }
+
+#[test]
+fn figures_is_not_a_subcommand() {
+    // The paper's figures come from `cargo run --example figures`.
+    let out = Command::new(env!("CARGO_BIN_EXE_linrec"))
+        .arg("figures")
+        .output()
+        .expect("spawn linrec");
+    assert!(!out.status.success(), "{}", stdout(&out));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.starts_with("usage: linrec analyze <file>"), "{err}");
+    assert!(!err.contains("figures"), "{err}");
+}

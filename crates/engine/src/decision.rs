@@ -28,9 +28,9 @@ pub enum PickedBy {
     /// Candidates were compared by cost estimate
     /// ([`Analysis::plan_with`](crate::Analysis::plan_with)).
     CostModel,
-    /// The paper's fixed preference order decided: every pick of
-    /// [`Analysis::plan`](crate::Analysis::plan), and the boundedness /
-    /// separability short-circuits of `plan_with`.
+    /// The paper's fixed preference order decided, skipping the cost
+    /// competition: the boundedness / separability short-circuits of
+    /// [`Analysis::plan_with`](crate::Analysis::plan_with).
     FixedPriority,
     /// The plan was built by hand through a `Plan::*` constructor.
     Constructed,
@@ -432,9 +432,12 @@ mod tests {
             (
                 PlanDecision {
                     picked_by: PickedBy::FixedPriority,
-                    ..constructed(PlanShape::Naive, &[])
+                    ..constructed(
+                        PlanShape::BoundedPrefix { applications: 1 },
+                        &[(CertKind::Boundedness, "B")],
+                    )
                 },
-                "picked Naive (fixed-priority); needs no certificate",
+                "picked BoundedPrefix (fixed-priority); boundedness: B",
             ),
             (
                 constructed(
@@ -533,10 +536,13 @@ mod tests {
                         est_peak_delta: 0.0,
                         cutover: None,
                     }),
-                    ..constructed(PlanShape::Naive, &[])
+                    ..constructed(
+                        PlanShape::BoundedPrefix { applications: 1 },
+                        &[(CertKind::Boundedness, "B")],
+                    )
                 },
-                "picked Naive (constructed); needs no certificate; parallel declined: plan shape \
-                 has no shardable semi-naive rounds",
+                "picked BoundedPrefix (constructed); boundedness: B; parallel declined: plan \
+                 shape has no shardable semi-naive rounds",
             ),
         ];
         for (decision, expected) in table {

@@ -8,9 +8,11 @@
 //!    commutativity clusters (Theorems 5.1–5.3), separability premises
 //!    (Theorems 4.1/6.1), uniform boundedness (Lemma 6.2) and recursive
 //!    redundancy (Theorems 6.3/6.4).
-//! 2. [`Analysis::plan`] picks a licensed [`Plan`]: `Direct`, `Naive`,
-//!    `BoundedPrefix`, `Decomposed`, `Separable`, `RedundancyBounded`,
-//!    `DenseClosure` or a `SelectAfter` wrapper. The specialized nodes are
+//! 2. [`Analysis::plan_for`] picks a licensed [`Plan`] for the data:
+//!    `Direct`, `BoundedPrefix`, `Decomposed`, `Separable`,
+//!    `RedundancyBounded`, `DenseClosure` or a `SelectAfter` wrapper. It is
+//!    the one chooser; a caller that wants one certified shape builds it
+//!    from the certificate (`Plan::decomposed`, …). The specialized nodes are
 //!    *unconstructible* without their certificate, and every plan owns the
 //!    one [`PlanDecision`] record of why it was chosen
 //!    ([`Plan::decision`]; its `Display` form is the rendered rationale).
@@ -32,7 +34,7 @@
 //! let rules = vec![rules::up_rule(), rules::down_rule()];
 //!
 //! // Analysis finds the Theorem 5.2 commutativity certificate…
-//! let plan = Analysis::of(&rules, None).plan();
+//! let plan = Analysis::of(&rules, None).plan_for(&db, &init);
 //! assert_eq!(plan.decision().certificates[0].0, CertKind::Commutativity);
 //!
 //! // …and the decomposed plan `up* down*` produces the same relation as

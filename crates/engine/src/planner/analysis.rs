@@ -2,9 +2,10 @@
 //! the plans their certificates license.
 //!
 //! This file owns **which plans are licensed and which one wins**: the
-//! fixed preference order, and the cost competition that asks `cost.rs`
-//! for each candidate's estimate. It builds plans only through
-//! [`Plan`]'s certificate-gated constructors and never evaluates one.
+//! boundedness / separability short-circuits, and the cost competition
+//! that asks `cost.rs` for each candidate's estimate. It builds plans only
+//! through [`Plan`]'s certificate-gated constructors and never evaluates
+//! one.
 
 use super::cost::Estimator;
 use super::{CostModel, Plan, PlanShape};
@@ -17,8 +18,8 @@ use linrec_core::{
 use linrec_datalog::{Database, LinearRule, Relation};
 
 /// The certificates the paper's analyses produced for one rule set (and
-/// optional selection). Feed it to [`Analysis::plan`] to pick a strategy,
-/// or inspect the individual certificates (e.g. `linrec analyze`).
+/// optional selection). Feed it to [`Analysis::plan_for`] to pick a
+/// strategy, or inspect the individual certificates (e.g. `linrec analyze`).
 #[derive(Debug, Clone)]
 pub struct Analysis {
     rules: Vec<LinearRule>,
@@ -150,29 +151,11 @@ impl Analysis {
         Plan::separable(cert.clone(), sel.clone()).ok()
     }
 
-    /// Pick the best licensed strategy, mirroring the paper's preference
-    /// order: exhaust a bounded recursion, run the separable algorithm for
-    /// selections, decompose commuting clusters, bound a redundant factor,
-    /// and fall back to semi-naive over the rule sum.
-    pub fn plan(&self) -> Plan {
-        let plan = self.fixed_priority().unwrap_or_else(|| {
-            self.wrap_selection(if let Some(cert) = &self.commutativity {
-                Plan::decomposed(cert.clone())
-            } else if let Some(cert) = &self.redundancy {
-                Plan::redundancy_bounded(cert.clone())
-            } else {
-                Plan::direct(self.rules.clone())
-            })
-        });
-        plan.picked_by(PickedBy::FixedPriority)
-    }
-
     /// Pick the cheapest licensed plan for a *concrete* database and seed,
-    /// using the default [`CostModel`]. Unlike [`Analysis::plan`], which
-    /// ranks strategies by the paper's fixed preference order, this method
-    /// estimates each licensed candidate from relation cardinalities and
-    /// picks the minimum — so a certificate is used only when it is
-    /// predicted to pay off on the data at hand.
+    /// using the default [`CostModel`]: each licensed candidate is
+    /// estimated from relation cardinalities and the minimum wins — so a
+    /// certificate is used only when it is predicted to pay off on the
+    /// data at hand.
     pub fn plan_for(&self, db: &Database, init: &Relation) -> Plan {
         self.plan_with(db, init, &CostModel::default())
     }
@@ -310,18 +293,18 @@ mod tests {
     fn analysis_licenses_decomposition_for_up_down() {
         let rules = updown();
         let analysis = Analysis::of(&rules, None);
-        let plan = analysis.plan();
+        let (db, init) = workload::up_down(5, 3);
+        let plan = analysis.plan_for(&db, &init);
         assert!(matches!(plan.shape(), PlanShape::Decomposed { .. }));
         let dec = plan.decision();
         assert_eq!(dec.winner, plan.shape());
-        assert_eq!(dec.picked_by, PickedBy::FixedPriority);
+        assert_eq!(dec.picked_by, PickedBy::CostModel);
         let cert = analysis.commutativity().unwrap();
         assert_eq!(
             dec.certificates,
             [(CertKind::Commutativity, cert.rationale().to_owned())]
         );
 
-        let (db, init) = workload::up_down(5, 3);
         let planned = plan.execute(&db, &init).unwrap();
         let direct = Plan::direct(rules).execute(&db, &init).unwrap();
         assert_eq!(planned.relation.sorted(), direct.relation.sorted());
@@ -334,10 +317,11 @@ mod tests {
         let rules = updown();
         let sel = Selection::eq(1, (1i64 << 6) + 1);
         let analysis = Analysis::of(&rules, Some(&sel));
-        let plan = analysis.plan();
-        assert_eq!(plan.shape(), PlanShape::Separable);
-
         let (db, init) = workload::up_down(5, 3);
+        let plan = analysis.plan_for(&db, &init);
+        assert_eq!(plan.shape(), PlanShape::Separable);
+        assert_eq!(plan.decision().picked_by, PickedBy::FixedPriority);
+
         let fast = plan.execute(&db, &init).unwrap();
         let slow = Plan::select_after(Plan::direct(rules), sel)
             .execute(&db, &init)
@@ -349,12 +333,13 @@ mod tests {
     fn analysis_detects_bounded_recursion() {
         let rule = parse_linear_rule("p(x,y) :- p(x,y), mark(x).").unwrap();
         let analysis = Analysis::of(std::slice::from_ref(&rule), None);
-        let plan = analysis.plan();
-        assert_eq!(plan.shape(), PlanShape::BoundedPrefix { applications: 1 });
-
         let mut db = Database::new();
         db.set_relation("mark", Relation::from_tuples(1, [vec![Value::Int(1)]]));
         let init = Relation::from_pairs([(1, 5), (2, 6)]);
+        let plan = analysis.plan_for(&db, &init);
+        assert_eq!(plan.shape(), PlanShape::BoundedPrefix { applications: 1 });
+        assert_eq!(plan.decision().picked_by, PickedBy::FixedPriority);
+
         let outcome = plan.execute(&db, &init).unwrap();
         assert_eq!(outcome.relation.len(), 2);
         assert!(outcome.stats.iterations <= 1);
@@ -364,8 +349,7 @@ mod tests {
     fn analysis_licenses_redundancy_bounded_for_shopping() {
         let rule = rules::shopping_rule();
         let analysis = Analysis::of(std::slice::from_ref(&rule), None);
-        assert!(analysis.redundancy().is_some());
-        let plan = analysis.plan();
+        let plan = Plan::redundancy_bounded(analysis.redundancy().unwrap().clone());
         assert_eq!(plan.shape(), PlanShape::RedundancyBounded);
 
         let (db, init) = workload::shopping(40, 10, 3, 5);
@@ -380,14 +364,18 @@ mod tests {
             parse_linear_rule("p(x,y) :- p(x,z), a(z,y).").unwrap(),
             parse_linear_rule("p(x,y) :- p(x,z), b(z,y).").unwrap(),
         ];
+        let mut db = Database::new();
+        db.set_relation("a", Relation::from_pairs([(1, 2)]));
+        db.set_relation("b", Relation::from_pairs([(2, 3)]));
+        let init = Relation::from_pairs([(0, 1)]);
         let analysis = Analysis::of(&rules, None);
         assert!(analysis.has_no_certificates());
-        assert_eq!(analysis.plan().shape(), PlanShape::Direct);
+        assert_eq!(analysis.plan_for(&db, &init).shape(), PlanShape::Direct);
 
         let sel = Selection::eq(0, 1);
         let analysis = Analysis::of(&rules, Some(&sel));
         assert_eq!(
-            analysis.plan().shape(),
+            analysis.plan_for(&db, &init).shape(),
             PlanShape::SelectAfter(Box::new(PlanShape::Direct))
         );
     }
@@ -398,12 +386,12 @@ mod tests {
         let rule = rules::tc_right();
         let analysis = Analysis::of(std::slice::from_ref(&rule), None);
         assert!(analysis.has_no_certificates());
-        let plan = analysis.plan();
-        assert_eq!(plan.shape(), PlanShape::Direct);
-        let edges = workload::chain(10);
-        let db = workload::graph_db("q", edges.clone());
-        let outcome = plan.execute(&db, &edges).unwrap();
-        assert_eq!(outcome.relation.len(), 55);
+        let db = workload::graph_db("q", workload::chain(10));
+        let init = Relation::from_pairs([(0, 1)]);
+        let plan = analysis.plan_for(&db, &init);
+        assert_eq!(plan.shape(), PlanShape::Direct, "{}", plan.decision());
+        let outcome = plan.execute(&db, &init).unwrap();
+        assert_eq!(outcome.relation.len(), 10);
     }
 
     #[test]
@@ -411,11 +399,9 @@ mod tests {
         // The PR 1 regression: RedundancyBounded does fewer derivations on
         // the shopping workload but loses wall-clock to Direct (many small
         // phases over small, dense relations). The cost model must side
-        // with Direct here, while the fixed preference order still
-        // showcases the certificate.
+        // with Direct here.
         let rules = vec![rules::shopping_rule()];
         let analysis = Analysis::of(&rules, None);
-        assert_eq!(analysis.plan().shape(), PlanShape::RedundancyBounded);
         let (db, init) = workload::shopping(100, 30, 4, 99);
         let plan = analysis.plan_for(&db, &init);
         assert_eq!(plan.shape(), PlanShape::Direct);
@@ -427,40 +413,9 @@ mod tests {
         assert!(dec.certificates.is_empty(), "Direct leans on none");
         // Both evaluate to the same relation regardless of the choice.
         let a = plan.execute(&db, &init).unwrap();
-        let b = analysis.plan().execute(&db, &init).unwrap();
+        let bounded = Plan::redundancy_bounded(analysis.redundancy().unwrap().clone());
+        let b = bounded.execute(&db, &init).unwrap();
         assert_eq!(a.relation.sorted(), b.relation.sorted());
-    }
-
-    #[test]
-    fn cost_model_keeps_decomposition_on_up_down() {
-        let rules = updown();
-        let analysis = Analysis::of(&rules, None);
-        let (db, init) = workload::up_down(6, 7);
-        let plan = analysis.plan_for(&db, &init);
-        assert!(matches!(plan.shape(), PlanShape::Decomposed { .. }));
-        let planned = plan.execute(&db, &init).unwrap();
-        let direct = Plan::direct(rules).execute(&db, &init).unwrap();
-        assert_eq!(planned.relation.sorted(), direct.relation.sorted());
-    }
-
-    #[test]
-    fn plan_for_respects_selection_and_boundedness_preferences() {
-        // Boundedness: provably minimal applications — cost model bypassed.
-        let rule = parse_linear_rule("p(x,y) :- p(x,y), mark(x).").unwrap();
-        let analysis = Analysis::of(std::slice::from_ref(&rule), None);
-        let db = Database::new();
-        let init = Relation::new(2);
-        assert_eq!(
-            analysis.plan_for(&db, &init).shape(),
-            PlanShape::BoundedPrefix { applications: 1 }
-        );
-
-        // Separable stays preferred for selection queries.
-        let rules = updown();
-        let sel = Selection::eq(1, (1i64 << 6) + 1);
-        let analysis = Analysis::of(&rules, Some(&sel));
-        let (db, init) = workload::up_down(5, 3);
-        assert_eq!(analysis.plan_for(&db, &init).shape(), PlanShape::Separable);
     }
 
     #[test]

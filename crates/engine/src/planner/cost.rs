@@ -5,7 +5,7 @@
 //! the dense gate and the parallel cutover. A plan that is a product of
 //! stars is priced star by star off the same list the executor runs
 //! (`PlanNode::lower`); only the shapes with algebra of their own
-//! (`Naive`, `BoundedPrefix`, `Separable`, `RedundancyBounded`) carry an
+//! (`BoundedPrefix`, `Separable`, `RedundancyBounded`) carry an
 //! estimate arm. Nothing here evaluates a rule: estimates read row counts
 //! and per-column distinct counts, never a join.
 
@@ -468,15 +468,6 @@ impl<'a> Estimator<'a> {
             }
         }
         match node {
-            PlanNode::Naive { rules } => {
-                // Re-joins the whole accumulated relation every round:
-                // charge the star as if each round's delta were the total.
-                let (derivs, total, _) = self.star(rules, seed, seed_doms);
-                let f: f64 = rules.iter().map(|r| self.fanout(r)).sum();
-                derivs
-                    + self.per_deriv() * total * f * self.model.horizon as f64
-                    + self.phase_charge(rules, seed)
-            }
             PlanNode::BoundedPrefix { cert } => {
                 let rules = std::slice::from_ref(cert.rule());
                 let (derivs, _) =
@@ -571,24 +562,6 @@ mod tests {
     use super::*;
     use crate::{rules, workload};
     use linrec_datalog::parse_linear_rule;
-
-    fn updown() -> Vec<LinearRule> {
-        vec![rules::down_rule(), rules::up_rule()]
-    }
-
-    #[test]
-    fn cost_model_orders_naive_above_direct() {
-        let rules = updown();
-        let (db, init) = workload::up_down(5, 3);
-        let model = CostModel::default();
-        let direct = model.estimate(&Plan::direct(rules.clone()), &db, &init);
-        let naive = model.estimate(&Plan::naive(rules), &db, &init);
-        assert!(direct.is_finite() && naive.is_finite());
-        assert!(
-            naive > direct,
-            "naive ({naive:.3e}) must cost more than direct ({direct:.3e})"
-        );
-    }
 
     #[test]
     fn cost_model_survives_predicates_used_at_two_arities() {

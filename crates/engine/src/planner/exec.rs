@@ -17,7 +17,7 @@ use crate::join::{apply_linear, Indexes};
 use crate::magic::MagicRewrite;
 use crate::parallel::Parallelism;
 use crate::selection::Selection;
-use crate::seminaive::{naive_star, seminaive_resume};
+use crate::seminaive::seminaive_resume;
 use crate::stats::EvalStats;
 use linrec_core::{RedundancyCert, SeparabilityCert};
 use linrec_datalog::{Database, LinearRule, Relation};
@@ -113,10 +113,10 @@ impl Plan {
     /// [`Plan::execute`] runs the same star list from `total = delta =
     /// init`.
     ///
-    /// A plan resumes exactly when it is a product of stars: `Direct`,
-    /// `Naive` and `DenseClosure` over the rule sum (always sound; a
-    /// dense-planned view is maintained sparsely), `BoundedPrefix` under
-    /// the certified round cap, `Decomposed` cluster by cluster.
+    /// A plan resumes exactly when it is a product of stars: `Direct` and
+    /// `DenseClosure` over the rule sum (always sound; a dense-planned view
+    /// is maintained sparsely), `BoundedPrefix` under the certified round
+    /// cap, `Decomposed` cluster by cluster.
     /// `Separable`, `RedundancyBounded` and `SelectAfter` are not, and
     /// have no incremental form: `None`, with `total` untouched — the
     /// caller re-executes the plan.
@@ -309,13 +309,6 @@ impl Exec<'_> {
         init: &Relation,
     ) -> Result<(Relation, EvalStats), StrategyError> {
         match node {
-            PlanNode::Naive { rules } => {
-                let phase = self.begin("naive");
-                let (rel, stats) = naive_star(rules, self.db, init);
-                let label = format!("naive fixpoint over {} rule(s)", rules.len());
-                self.end(phase, label, stats);
-                Ok((rel, stats))
-            }
             PlanNode::Separable { cert, sel } => {
                 self.separable(cert, sel, &node.lower().stars, init)
             }
@@ -475,20 +468,6 @@ mod tests {
     use super::*;
     use crate::{rules, workload};
     use linrec_datalog::{parse_linear_rule, Symbol};
-
-    fn updown() -> Vec<LinearRule> {
-        vec![rules::down_rule(), rules::up_rule()]
-    }
-
-    #[test]
-    fn naive_plan_agrees_with_direct() {
-        let rules = updown();
-        let (db, init) = workload::up_down(4, 9);
-        let a = Plan::direct(rules.clone()).execute(&db, &init).unwrap();
-        let b = Plan::naive(rules).execute(&db, &init).unwrap();
-        assert_eq!(a.relation.sorted(), b.relation.sorted());
-        assert!(b.stats.duplicates >= a.stats.duplicates);
-    }
 
     #[test]
     fn outcome_trace_and_describe_are_informative() {

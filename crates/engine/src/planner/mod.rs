@@ -10,8 +10,8 @@
 //! 2. **[`Plan`]** is a composable strategy tree. The specialized nodes —
 //!    `Decomposed`, `Separable`, `RedundancyBounded`, `BoundedPrefix`,
 //!    `DenseClosure` — can **only** be built from the corresponding
-//!    certificate, so an unlicensed plan is unrepresentable; `Direct`,
-//!    `Naive` and `SelectAfter` need no premise and are always available.
+//!    certificate, so an unlicensed plan is unrepresentable; `Direct` and
+//!    `SelectAfter` need no premise and are always available.
 //! 3. **[`Plan::execute`]** runs the tree over a database and seed
 //!    relation, returning an [`ExecOutcome`] with the result relation, the
 //!    paper's duplicate/derivation statistics, and a per-phase trace. One
@@ -33,18 +33,16 @@
 //!
 //! # Choosing among licensed plans
 //!
-//! Two selectors are provided. [`Analysis::plan`] uses the paper's fixed
-//! preference order (bounded, then separable, then decomposed, then
-//! redundancy-bounded, then direct) and needs no data — useful for
-//! inspection and for showcasing a certificate.
-//! [`Analysis::plan_for`] additionally takes the concrete
-//! database and seed relation and ranks the licensed candidates with a
-//! [`CostModel`]: boundedness and separability keep their fixed priority
-//! (provably minimal applications, and selection push-down, respectively),
-//! while `Decomposed`, `RedundancyBounded`, and `Direct` compete on
-//! estimated cost — so a certificate is exploited only where the data says
+//! One chooser picks the plan that runs: [`Analysis::plan_for`] (and
+//! [`Analysis::plan_with`] under an explicit [`CostModel`]) takes the
+//! concrete database and seed relation. Boundedness and separability win
+//! without a competition (provably minimal applications, and selection
+//! push-down, respectively); `Decomposed`, `RedundancyBounded` and `Direct`
+//! compete on estimated cost, and the dense gate may pre-empt them with
+//! `DenseClosure` — so a certificate is exploited only where the data says
 //! it pays (a redundancy certificate that *loses* wall-clock on a small
-//! dense database no longer gets picked).
+//! dense database is not picked). To run one certified shape regardless of
+//! cost, build it from its certificate (`Plan::decomposed(cert)`, …).
 //!
 //! # Why this plan
 //!
@@ -60,7 +58,7 @@
 //!
 //! let (db, init) = workload::up_down(5, 42);
 //! let analysis = Analysis::of(&[rules::up_rule(), rules::down_rule()], None);
-//! let plan = analysis.plan();          // picks Decomposed, certificate-backed
+//! let plan = analysis.plan_for(&db, &init); // picks Decomposed, certificate-backed
 //! let outcome = plan.execute(&db, &init).unwrap();
 //! assert_eq!(plan.decision().certificates[0].0, CertKind::Commutativity);
 //! assert_eq!(outcome.relation.len(), outcome.stats.tuples);

@@ -43,9 +43,6 @@ pub(super) enum PlanNode {
     Direct {
         rules: Vec<LinearRule>,
     },
-    Naive {
-        rules: Vec<LinearRule>,
-    },
     BoundedPrefix {
         cert: BoundednessCert,
     },
@@ -141,8 +138,6 @@ impl Lowered {
 pub enum PlanShape {
     /// Semi-naive over the rule sum.
     Direct,
-    /// Naive fixpoint (baseline).
-    Naive,
     /// `A* = Σ_{m<N} Aᵐ` with the certified application count.
     BoundedPrefix {
         /// Number of operator applications (`N − 1`).
@@ -172,7 +167,6 @@ impl PlanShape {
     pub fn label(&self) -> &'static str {
         match self {
             PlanShape::Direct => "Direct",
-            PlanShape::Naive => "Naive",
             PlanShape::BoundedPrefix { .. } => "BoundedPrefix",
             PlanShape::Decomposed { .. } => "Decomposed",
             PlanShape::Separable => "Separable",
@@ -204,16 +198,6 @@ impl Plan {
     pub fn direct(rules: impl Into<Vec<LinearRule>>) -> Plan {
         Plan::make(
             PlanNode::Direct {
-                rules: rules.into(),
-            },
-            Vec::new(),
-        )
-    }
-
-    /// Naive fixpoint — always licensed (substrate baseline).
-    pub fn naive(rules: impl Into<Vec<LinearRule>>) -> Plan {
-        Plan::make(
-            PlanNode::Naive {
                 rules: rules.into(),
             },
             Vec::new(),
@@ -334,9 +318,8 @@ impl Plan {
     /// estimated, is read off the plan's star list — the one the executor
     /// runs: `Direct`, `Decomposed` clusters and `Separable`'s stars
     /// shard; the capped stars of `BoundedPrefix`/`RedundancyBounded` run
-    /// over images the certificates already bound to few applications, the
-    /// naive baseline has no delta rounds, and `DenseClosure` runs the
-    /// squaring kernel.
+    /// over images the certificates already bound to few applications, and
+    /// `DenseClosure` runs the squaring kernel.
     pub fn parallelize(
         mut self,
         par: &Parallelism,
@@ -435,9 +418,6 @@ impl PlanNode {
         let one = |rule: &LinearRule| StarSpec::over(vec![rule.clone()]);
         let (stars, product) = match self {
             PlanNode::Direct { rules } => (vec![rule_sum(rules)], true),
-            // From scratch the baseline re-joins the whole total every
-            // round; its incremental form is the rule-sum star.
-            PlanNode::Naive { rules } => (vec![rule_sum(rules).sequential()], true),
             PlanNode::BoundedPrefix { cert } => {
                 let cap = cert.applications();
                 let label = format!("bounded prefix (≤ {cap} applications)");
@@ -493,7 +473,6 @@ impl PlanNode {
     pub(super) fn shape(&self) -> PlanShape {
         match self {
             PlanNode::Direct { .. } => PlanShape::Direct,
-            PlanNode::Naive { .. } => PlanShape::Naive,
             PlanNode::BoundedPrefix { cert } => PlanShape::BoundedPrefix {
                 applications: cert.applications(),
             },
@@ -512,9 +491,6 @@ impl PlanNode {
         match self {
             PlanNode::Direct { rules } => {
                 out.push_str(&format!("{pad}Direct ({} rules)\n", rules.len()));
-            }
-            PlanNode::Naive { rules } => {
-                out.push_str(&format!("{pad}Naive ({} rules)\n", rules.len()));
             }
             PlanNode::BoundedPrefix { cert } => {
                 out.push_str(&format!(
@@ -582,22 +558,41 @@ mod tests {
         vec![rules::down_rule(), rules::up_rule()]
     }
 
+    // The certified shapes, each built from its certificate.
+    fn decomposed() -> Plan {
+        let analysis = Analysis::of(&updown(), None);
+        Plan::decomposed(analysis.commutativity().unwrap().clone())
+    }
+
+    fn bounded() -> Plan {
+        let rule = parse_linear_rule("p(x,y) :- p(x,y), mark(x).").unwrap();
+        Plan::bounded_prefix(Analysis::of(&[rule], None).boundedness().unwrap().clone())
+    }
+
+    fn redundancy_bounded() -> Plan {
+        let analysis = Analysis::of(&[rules::shopping_rule()], None);
+        Plan::redundancy_bounded(analysis.redundancy().unwrap().clone())
+    }
+
+    fn separable(sel: &Selection) -> Plan {
+        let analysis = Analysis::of(&updown(), Some(sel));
+        Plan::separable(analysis.separability()[0].2.clone(), sel.clone()).unwrap()
+    }
+
     #[test]
     fn resume_has_a_form_exactly_where_the_maintenance_label_says_so() {
         // `MaintenanceMode::of` labels what `Plan::resume` does, and both
         // read the one star list, so they agree on which shapes have no
         // incremental form by construction; this pins that it stays so.
         let sel = Selection::eq(1, (1i64 << 6) + 1);
-        let bounded = parse_linear_rule("p(x,y) :- p(x,y), mark(x).").unwrap();
         let plans = vec![
             Plan::direct(updown()),
-            Plan::naive(updown()),
-            Analysis::of(&updown(), None).plan(),
-            Analysis::of(&[bounded], None).plan(),
+            decomposed(),
+            bounded(),
             Plan::dense_closure(rules::tc_right(), dense::DEFAULT_DENSE_BUDGET_BYTES).unwrap(),
-            Analysis::of(&[rules::shopping_rule()], None).plan(),
-            Analysis::of(&updown(), Some(&sel)).plan(),
-            Plan::select_after(Analysis::of(&updown(), None).plan(), sel.clone()),
+            redundancy_bounded(),
+            separable(&sel),
+            Plan::select_after(decomposed(), sel.clone()),
             Plan::select_after(Plan::direct(updown()), sel),
         ];
         for plan in plans {
@@ -695,15 +690,12 @@ mod tests {
         // BoundedPrefix and RedundancyBounded execute through exact-power
         // chains that never consult the knob — the record must not claim
         // parallel rounds for them.
-        let rule = rules::shopping_rule();
-        let analysis = Analysis::of(std::slice::from_ref(&rule), None);
         let (db, init) = workload::shopping(200, 30, 4, 99);
         let model = CostModel {
             per_shard_setup: 0.01,
             ..CostModel::default()
         };
-        let plan = Plan::redundancy_bounded(analysis.redundancy().expect("licensed").clone())
-            .parallelize(&Parallelism::new(4), &model, &db, &init);
+        let plan = redundancy_bounded().parallelize(&Parallelism::new(4), &model, &db, &init);
         assert_eq!(
             plan.decision().parallel,
             Some(ParallelVerdict {
@@ -727,16 +719,14 @@ mod tests {
 
     #[test]
     fn parallelize_reaches_through_select_after() {
-        let rules = updown();
         let (db, init) = workload::up_down(6, 7);
         let sel = Selection::eq(0, 1);
-        let analysis = Analysis::of(&rules, None);
-        let plan = Plan::select_after(analysis.plan(), sel)
+        let plan = Plan::select_after(decomposed(), sel)
             .with_parallelism(Parallelism::new(2).with_min_delta(1));
         // The wrapper and the wrapped plan both carry the knob.
         assert!(plan.parallelism().is_parallel());
         let out = plan.execute(&db, &init).unwrap();
-        let seq = Plan::select_after(analysis.plan(), Selection::eq(0, 1))
+        let seq = Plan::select_after(decomposed(), Selection::eq(0, 1))
             .execute(&db, &init)
             .unwrap();
         assert_eq!(out.relation.sorted(), seq.relation.sorted());
@@ -747,23 +737,16 @@ mod tests {
     fn maintenance_mode_follows_the_star_list() {
         let mode = |plan: Plan| MaintenanceMode::of(&plan);
         let sel = Selection::eq(1, (1i64 << 6) + 1);
-        let bounded = parse_linear_rule("p(x,y) :- p(x,y), mark(x).").unwrap();
         assert_eq!(mode(Plan::direct(updown())), MaintenanceMode::Incremental);
         assert_eq!(
             mode(Plan::dense_closure(rules::tc_right(), 64 << 20).unwrap()),
             MaintenanceMode::Incremental
         );
-        assert_eq!(
-            mode(Analysis::of(&[bounded], None).plan()),
-            MaintenanceMode::IncrementalBounded
-        );
-        assert_eq!(
-            mode(Analysis::of(&updown(), None).plan()),
-            MaintenanceMode::IncrementalDecomposed
-        );
+        assert_eq!(mode(bounded()), MaintenanceMode::IncrementalBounded);
+        assert_eq!(mode(decomposed()), MaintenanceMode::IncrementalDecomposed);
         for plan in [
-            Analysis::of(&updown(), Some(&sel)).plan(),
-            Analysis::of(&[rules::shopping_rule()], None).plan(),
+            separable(&sel),
+            redundancy_bounded(),
             Plan::select_after(Plan::direct(updown()), sel),
         ] {
             assert_eq!(mode(plan), MaintenanceMode::Recompute);

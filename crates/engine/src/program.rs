@@ -3,10 +3,8 @@
 //!
 //! This is the "downstream user" entry point. A [`Program`] is one
 //! recursive predicate with its rules, EDB facts and seed; [`Program::analyze`]
-//! produces the typed certificates, [`Program::plan`] /
-//! [`Program::plan_for`] pick a licensed [`Plan`] (by preference order and
-//! by cost model, respectively), and [`Program::run`] executes the
-//! cost-chosen plan:
+//! produces the typed certificates, [`Program::plan_for`] picks the licensed
+//! [`Plan`] that fits the program's data, and [`Program::run`] executes it:
 //!
 //! ```
 //! use linrec_engine::{PlanShape, Program};
@@ -16,9 +14,9 @@
 //!      p(x,y) :- p(w,y), up(x,w).
 //!      up(1,2). down(10,11). p(1,10).",
 //! ).unwrap();
-//! // The certificate preference order showcases the decomposition…
-//! assert!(matches!(prog.plan(None).shape(), PlanShape::Decomposed { .. }));
-//! // …and execution computes the closure either way.
+//! // The planner decomposes the commuting pair…
+//! assert!(matches!(prog.plan_for(None).shape(), PlanShape::Decomposed { .. }));
+//! // …and execution computes the closure.
 //! let (outcome, _plan) = prog.run(None).unwrap();
 //! assert_eq!(outcome.relation.len(), 2);
 //! ```
@@ -124,12 +122,6 @@ impl Program {
         Analysis::of(&self.rules, sel)
     }
 
-    /// Choose an evaluation strategy (certificate-backed) for this program
-    /// and optional selection, by the paper's fixed preference order.
-    pub fn plan(&self, sel: Option<&Selection>) -> Plan {
-        self.analyze(sel).plan()
-    }
-
     /// Choose the cheapest licensed strategy for this program's *data*
     /// (cost-model ranked; see [`Analysis::plan_for`]).
     pub fn plan_for(&self, sel: Option<&Selection>) -> Plan {
@@ -190,7 +182,7 @@ mod tests {
     #[test]
     fn planner_decomposes_commuting_program() {
         let prog = Program::parse(UPDOWN).unwrap();
-        let plan = prog.plan(None);
+        let plan = prog.plan_for(None);
         assert!(matches!(plan.shape(), PlanShape::Decomposed { .. }));
         assert_eq!(plan.decision().certificates[0].0, CertKind::Commutativity);
         let (outcome, _) = prog.run(None).unwrap();
@@ -208,7 +200,7 @@ mod tests {
     fn planner_uses_separable_for_selected_queries() {
         let prog = Program::parse(UPDOWN).unwrap();
         let sel = Selection::eq(1, 12);
-        let plan = prog.plan(Some(&sel));
+        let plan = prog.plan_for(Some(&sel));
         assert_eq!(plan.shape(), PlanShape::Separable, "{plan:?}");
         let (outcome, _) = prog.run(Some(&sel)).unwrap();
         assert_eq!(
@@ -220,7 +212,7 @@ mod tests {
     #[test]
     fn planner_detects_bounded_recursion() {
         let prog = Program::parse("p(x,y) :- p(x,y), mark(x). mark(1). p(1,5). p(2,6).").unwrap();
-        let plan = prog.plan(None);
+        let plan = prog.plan_for(None);
         assert_eq!(plan.shape(), PlanShape::BoundedPrefix { applications: 1 });
         let (outcome, _) = prog.run(None).unwrap();
         assert_eq!(outcome.relation.len(), 2); // seeds only (rule derives nothing new)
@@ -235,7 +227,7 @@ mod tests {
              a(1,2). b(2,3). p(0,1).",
         )
         .unwrap();
-        let plan = prog.plan(None);
+        let plan = prog.plan_for(None);
         assert_eq!(plan.shape(), PlanShape::Direct);
         let (outcome, _) = prog.run(None).unwrap();
         assert_eq!(outcome.relation.len(), 3); // (0,1),(0,2),(0,3)
@@ -252,13 +244,13 @@ mod tests {
     }
 
     #[test]
-    fn cost_choice_agrees_with_preference_choice_on_results() {
+    fn cost_choice_agrees_with_the_certified_decomposition() {
         let prog = Program::parse(UPDOWN).unwrap();
         let costed = prog.plan_for(None);
         assert_eq!(costed.decision().picked_by, PickedBy::CostModel);
         let a = costed.execute(prog.database(), prog.init()).unwrap();
-        let b = prog
-            .plan(None)
+        let cert = prog.analyze(None).commutativity().unwrap().clone();
+        let b = Plan::decomposed(cert)
             .execute(prog.database(), prog.init())
             .unwrap();
         assert_eq!(a.relation.sorted(), b.relation.sorted());

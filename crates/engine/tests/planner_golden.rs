@@ -44,10 +44,7 @@ fn workloads() -> Vec<Workload> {
 
 /// Every shape the rule set licenses, by constructor name.
 fn shapes(rules: &[LinearRule]) -> Vec<(&'static str, Plan)> {
-    let mut plans = vec![
-        ("direct", Plan::direct(rules.to_vec())),
-        ("naive", Plan::naive(rules.to_vec())),
-    ];
+    let mut plans = vec![("direct", Plan::direct(rules.to_vec()))];
     let analysis = Analysis::of(rules, None);
     if let Some(cert) = analysis.commutativity() {
         // Node 20 of the down tree: its ancestors 1, 2, 5, 10 are seeded.

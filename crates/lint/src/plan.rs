@@ -38,7 +38,10 @@ pub fn plan_lints(analysis: &Analysis, plan: &Plan) -> Vec<Diagnostic> {
                     "the selection is applied after the full fixpoint, but a separability \
                      certificate licenses pushing it into the inner star (Theorem 4.1)",
                 )
-                .with_help("construct the plan via Analysis::plan so the separable form is used"),
+                .with_help(
+                    "construct the plan via Analysis::plan_for, which picks the separable form \
+                     whenever the selection commutes",
+                ),
             );
         }
     }
@@ -81,7 +84,7 @@ pub fn plan_lints(analysis: &Analysis, plan: &Plan) -> Vec<Diagnostic> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use linrec_datalog::parse_linear_rule;
+    use linrec_datalog::{parse_linear_rule, Database, Relation};
     use linrec_engine::Selection;
 
     #[test]
@@ -97,8 +100,8 @@ mod tests {
             "up/down with a commuting selection is separable"
         );
 
-        // The analysis' own plan pushes the selection: clean.
-        let good = analysis.plan();
+        // The planner's pick pushes the selection: clean.
+        let good = analysis.plan_for(&Database::new(), &Relation::new(2));
         assert_eq!(good.shape(), PlanShape::Separable);
         assert!(plan_lints(&analysis, &good).is_empty());
 
@@ -110,7 +113,6 @@ mod tests {
 
     #[test]
     fn direct_over_a_composition_shape_quotes_the_dense_decline() {
-        use linrec_datalog::Relation;
         use linrec_engine::{workload, DenseVerdict};
         // Point seed over a wide chain: the planner declines dense on
         // density grounds and stays Direct — P202 flags the licensed

@@ -489,8 +489,10 @@ mod tests {
         };
         let mut view = MaintainedView::register(def, &db).unwrap();
         // Force the fallback path with a hand-built plan that has no
-        // incremental form: the fixed-priority redundancy-bounded plan.
-        view.plan = Analysis::of(&rules, None).plan();
+        // incremental form: the redundancy-bounded plan the certificate
+        // licenses.
+        let cert = Analysis::of(&rules, None).redundancy().unwrap().clone();
+        view.plan = Plan::redundancy_bounded(cert);
         assert_eq!(view.plan().shape(), PlanShape::RedundancyBounded);
         assert_eq!(view.mode(), MaintenanceMode::Recompute);
         let (materialized, _) = view.materialize(&db).unwrap();

@@ -38,13 +38,14 @@ fn main() {
     // and dn-steps, decomposed evaluation only through the canonical
     // dn-then-up order.
     let rules = vec![up, dn];
-    let analysis = Analysis::of(&rules, None);
-    let plan = analysis.plan();
-    println!("\nplan:\n{}", plan.describe());
-
     let edges = linrec::engine::workload::random_graph(300, 600, 42);
     let db = linrec::engine::workload::graph_db("q", edges);
     let init = linrec::engine::workload::random_graph(300, 40, 43);
+
+    let analysis = Analysis::of(&rules, None);
+    let plan = analysis.plan_for(&db, &init);
+    assert!(matches!(plan.shape(), PlanShape::Decomposed { .. }));
+    println!("\nplan:\n{}", plan.describe());
 
     let direct = Plan::direct(rules).execute(&db, &init).unwrap();
     let decomposed = plan.execute(&db, &init).unwrap();

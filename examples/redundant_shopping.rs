@@ -10,23 +10,23 @@
 //! The `cheap` test is re-checked at every recursive step although its
 //! truth never changes along a derivation — it is *recursively redundant*
 //! (Theorem 6.3). The analysis certifies the Theorem 6.4 witnesses
-//! `A = B·C` with `C = buys ∧ cheap` torsion, and the planner's
-//! `RedundancyBounded` node evaluates with `C` applied a bounded number of
-//! times.
+//! `A = B·C` with `C = buys ∧ cheap` torsion, and the `RedundancyBounded`
+//! plan that certificate licenses evaluates with `C` applied a bounded
+//! number of times.
 //!
 //! ```sh
 //! cargo run --release --example redundant_shopping
 //! ```
 
 use linrec::core::redundancy_report;
-use linrec::engine::{rules, workload, Analysis, Plan, PlanShape};
+use linrec::engine::{rules, workload, Analysis, Plan};
 use std::time::Instant;
 
 fn main() {
     let rule = rules::shopping_rule();
     println!("{}", redundancy_report(&rule, 8).unwrap());
 
-    // Analysis certifies the redundancy; the planner picks the bounded plan.
+    // Analysis certifies the redundancy, which licenses the bounded plan.
     let analysis = Analysis::of(std::slice::from_ref(&rule), None);
     let cert = analysis
         .redundancy()
@@ -39,8 +39,7 @@ fn main() {
     println!("  B = {}", dec.b);
     println!("  C = {}\n", dec.c);
 
-    let bounded_plan = analysis.plan();
-    assert_eq!(bounded_plan.shape(), PlanShape::RedundancyBounded);
+    let bounded_plan = Plan::redundancy_bounded(cert.clone());
 
     // The paper's efficiency claim (Theorem 4.2): C is processed a *fixed*
     // number of times (≤ NL−1), beyond which only B is processed — versus

@@ -38,7 +38,7 @@ fn main() {
         // The analysis finds the separability certificate and the planner
         // picks Algorithm 4.1; the baseline is the forced select-after plan.
         let analysis = Analysis::of(&all, Some(&sel));
-        let fast_plan = analysis.plan();
+        let fast_plan = analysis.plan_for(&db, &init);
         assert_eq!(fast_plan.shape(), PlanShape::Separable);
         let slow_plan = Plan::select_after(Plan::direct(all.clone()), sel);
 

@@ -1,14 +1,15 @@
 //! A part-hierarchy scenario: components connect *up* into assemblies and
 //! *down* into sub-components; the query closes a compatibility relation in
 //! both directions. The two rules commute, so the analysis certifies the
-//! cluster decomposition, the planner picks it, and Theorem 3.1 predicts
-//! fewer duplicates. The last part asks why one answer tuple is there.
+//! cluster decomposition, the certificate licenses the decomposed plan, and
+//! Theorem 3.1 predicts fewer duplicates. The last part asks why one answer
+//! tuple is there.
 //!
 //! ```sh
 //! cargo run --release --example updown_decomposition
 //! ```
 
-use linrec::engine::{eval_with_provenance, rules, workload, Analysis, Plan, PlanShape};
+use linrec::engine::{eval_with_provenance, rules, workload, Analysis, Plan};
 
 fn main() {
     let up = rules::up_rule();
@@ -25,8 +26,7 @@ fn main() {
     // The pair commutes, so each rule is a cluster (a star) of its own.
     assert_eq!(cert.clusters(), [[0], [1]]);
 
-    let plan = analysis.plan();
-    assert!(matches!(plan.shape(), PlanShape::Decomposed { .. }));
+    let plan = Plan::decomposed(cert.clone());
 
     println!(
         "\n{:<8} {:>10} {:>12} {:>12} {:>12} {:>12}",

@@ -3,7 +3,8 @@
 //! ```text
 //! linrec analyze <file>                 certificates (commutativity /
 //!                                       separability / boundedness /
-//!                                       redundancy) and the plan they license
+//!                                       redundancy) and the plan `run`
+//!                                       executes without a selection
 //! linrec check <file>... [--format json|human]
 //!                                       static analysis: program lints,
 //!                                       certificate cross-verification, plan
@@ -251,7 +252,7 @@ fn analyze(path: &str) -> Result<(), String> {
     let analysis = prog.analyze(None);
     println!("---- certificates ----");
     print!("{}", analysis.summary());
-    let plan = analysis.plan();
+    let plan = analysis.plan_for(prog.database(), prog.init());
     println!("\n---- plan (no selection) ----");
     print!("{}", plan.describe());
     Ok(())

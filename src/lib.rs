@@ -34,11 +34,11 @@
 //! // picks it, and execution provably produces no more duplicates
 //! // (Theorem 3.1):
 //! let rules = vec![up, dn];
-//! let plan = Analysis::of(&rules, None).plan();
-//! assert!(matches!(plan.shape(), PlanShape::Decomposed { .. }));
-//!
 //! let db = linrec::engine::workload::graph_db("q", linrec::engine::workload::chain(64));
 //! let init = linrec::engine::workload::chain(64);
+//! let plan = Analysis::of(&rules, None).plan_for(&db, &init);
+//! assert!(matches!(plan.shape(), PlanShape::Decomposed { .. }));
+//!
 //! let decomposed = plan.execute(&db, &init).unwrap();
 //! let direct = Plan::direct(rules).execute(&db, &init).unwrap();
 //! assert_eq!(decomposed.relation.sorted(), direct.relation.sorted());
@@ -84,7 +84,11 @@ mod tests {
     fn prelude_is_usable() {
         let r = parse_linear_rule("p(x,y) :- p(x,z), e(z,y).").unwrap();
         assert!(commute_by_definition(&r, &r).unwrap());
-        let plan = Analysis::of(std::slice::from_ref(&r), None).plan();
+        // A point seed over a long chain: too sparse for the dense closure.
+        let mut db = Database::new();
+        db.set_relation("e", (0..3000).map(|i| (i, i + 1)).collect::<Relation>());
+        let init = Relation::from_pairs([(0, 1)]);
+        let plan = Analysis::of(std::slice::from_ref(&r), None).plan_for(&db, &init);
         assert_eq!(plan.shape(), PlanShape::Direct);
     }
 }

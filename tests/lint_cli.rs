@@ -4,7 +4,8 @@
 //! Fixture programs exercise one lint class each (unsafe rule, dead rule,
 //! subsumed rule, duplicate rule); a clean program and the shipped
 //! `examples/programs/*.lr` corpus must pass. JSON output must carry the
-//! same codes as the human renderer.
+//! same codes as the human renderer. On that corpus, `linrec analyze` must
+//! print the plan `linrec explain` shows.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -177,8 +178,8 @@ fn json_format_over_two_files_reads_back() {
     assert_eq!(files[0].1, format!("[{}]", objects.join(",")), "{text}");
 }
 
-#[test]
-fn shipped_example_programs_are_clean() {
+/// The shipped `examples/programs/*.lr` corpus, sorted.
+fn shipped_programs() -> Vec<PathBuf> {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("examples/programs");
     let mut programs: Vec<_> = std::fs::read_dir(&dir)
         .expect("examples/programs")
@@ -187,7 +188,12 @@ fn shipped_example_programs_are_clean() {
         .collect();
     programs.sort();
     assert!(!programs.is_empty(), "no programs under {}", dir.display());
-    for p in programs {
+    programs
+}
+
+#[test]
+fn shipped_example_programs_are_clean() {
+    for p in shipped_programs() {
         let out = check(&[p.to_str().unwrap()]);
         assert!(
             out.status.success(),
@@ -265,4 +271,29 @@ fn figures_is_not_a_subcommand() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.starts_with("usage: linrec analyze <file>"), "{err}");
     assert!(!err.contains("figures"), "{err}");
+}
+
+#[test]
+fn analyze_shows_the_plan_explain_runs() {
+    // The first line after `header` in `linrec <cmd> <program>`'s output.
+    let plan_line = |cmd: &str, program: &str, header: &str| {
+        let out = Command::new(env!("CARGO_BIN_EXE_linrec"))
+            .args([cmd, program])
+            .output()
+            .expect("spawn linrec");
+        assert!(out.status.success(), "{cmd} {program}: {}", stdout(&out));
+        let text = stdout(&out);
+        let mut lines = text.lines().skip_while(|l| l.trim() != header);
+        lines.next();
+        let line = lines.next().map(|l| l.trim().to_owned());
+        line.unwrap_or_else(|| panic!("{cmd} {program}: no line after {header:?}:\n{text}"))
+    };
+    for p in shipped_programs() {
+        let p = p.to_str().unwrap();
+        assert_eq!(
+            plan_line("analyze", p, "---- plan (no selection) ----"),
+            plan_line("explain", p, "plan:"),
+            "{p}"
+        );
+    }
 }

@@ -2,7 +2,7 @@
 //!
 //! 1. **Safe programs run**: a program `linrec check` passes (no
 //!    error-severity finding) evaluates to a fixpoint without panicking,
-//!    under both the certificate-preferred plan and the cost-based choice.
+//!    under every plan the analysis licenses and the planner's pick.
 //! 2. **Cross-verifier agreement**: the independent certificate
 //!    cross-verifier never contradicts an honestly computed [`Analysis`] —
 //!    every `C1xx` diagnostic would be a bug in one of the two derivations.
@@ -13,6 +13,9 @@
 //! Rule synthesis mirrors `tests/planner_props.rs`: all randomness flows
 //! from explicit SplitMix64 seeds, so every run explores the same cases.
 
+mod common;
+
+use common::licensed_plans;
 use linrec::engine::{workload, Analysis};
 use linrec::lint::{check_rules, cross_verify, program_lints, CertClaims, Code};
 use linrec::prelude::*;
@@ -109,13 +112,13 @@ proptest! {
         let (db, init) = cover_db(&rules, seed, false);
         let report = check_rules(&rules, Some(&db), Some(&init));
         prop_assume!(!report.has_errors());
-        // An analyzer-clean program must evaluate under both the
-        // certificate-preferred plan and the cost-based choice.
+        // An analyzer-clean program must evaluate under every licensed
+        // plan and the planner's pick.
         let analysis = Analysis::of(&rules, None);
-        let preferred = analysis.plan().execute(&db, &init);
-        prop_assert!(preferred.is_ok(), "preferred plan failed: {:?}", preferred.err());
-        let costed = analysis.plan_for(&db, &init).execute(&db, &init);
-        prop_assert!(costed.is_ok(), "cost-chosen plan failed: {:?}", costed.err());
+        for (plan, _) in licensed_plans(&analysis, &db, &init) {
+            let outcome = plan.execute(&db, &init);
+            prop_assert!(outcome.is_ok(), "{:?} failed: {:?}", plan.shape(), outcome.err());
+        }
     }
 
     /// Property 2: the independent cross-verifier never contradicts an

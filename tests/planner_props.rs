@@ -2,9 +2,9 @@
 //!
 //! 1. **Agreement**: for random workloads from `engine::workload` and a
 //!    spectrum of rule sets — the paper's examples plus randomly generated
-//!    rules — whatever [`Plan`] the planner picks computes *exactly* the
-//!    relation of the `Plan::direct` baseline (with the selection
-//!    applied afterwards, when one is present).
+//!    rules — every [`Plan`] the analysis licenses, and the one the planner
+//!    picks, computes *exactly* the relation of the `Plan::direct` baseline
+//!    (with the selection applied afterwards, when one is present).
 //! 2. **No unlicensed strategies**: when the analysis finds no
 //!    certificates, the chosen plan never contains a `Decomposed` or
 //!    `Separable` node.
@@ -19,7 +19,7 @@
 
 mod common;
 
-use common::{random_rule, rule_set, Gen};
+use common::{licensed_plans, random_rule, rule_set, Gen};
 use linrec::engine::seminaive::naive_star;
 use linrec::engine::{
     apply_linear, dense, rules, workload, Analysis, EvalStats, Indexes, PlanShape, Selection,
@@ -37,7 +37,7 @@ fn uses_certified_strategy(shape: &PlanShape) -> bool {
         PlanShape::SelectAfter(inner) => uses_certified_strategy(inner),
         // DenseClosure is licensed by a syntactic shape check, not a
         // paper certificate.
-        PlanShape::Direct | PlanShape::Naive | PlanShape::DenseClosure => false,
+        PlanShape::Direct | PlanShape::DenseClosure => false,
     }
 }
 
@@ -102,60 +102,44 @@ fn check_case(
     init: &Relation,
 ) {
     let analysis = Analysis::of(all, sel);
-    let plan = analysis.plan();
-
-    // Property 2: certificate-less analyses never pick a certified node —
-    // and contrapositively, a certified node implies the certificate.
-    if analysis.has_no_certificates() {
-        assert!(
-            !uses_certified_strategy(&plan.shape()),
-            "{case}: certificate-less analysis chose {:?}",
-            plan.shape()
-        );
-    }
-    assert!(
-        !contains_decomposed_or_separable(&plan.shape())
-            || analysis.commutativity().is_some()
-            || !analysis.separability().is_empty(),
-        "{case}: {:?} without a licensing certificate",
-        plan.shape()
-    );
-
-    // Property 1: the planned execution equals the direct baseline.
-    let planned = plan
-        .execute(db, init)
-        .unwrap_or_else(|e| panic!("{case}: plan {:?} failed: {e}", plan.shape()));
     let mut expected = direct_oracle(all, db, init);
     if let Some(sel) = sel {
         expected = sel.apply(&expected);
     }
-    assert_eq!(
-        planned.relation.sorted(),
-        expected.sorted(),
-        "{case}: plan {:?} diverges from the direct baseline",
-        plan.shape()
-    );
-    assert_eq!(planned.stats.tuples, planned.relation.len(), "{case}");
-
-    // Property 3: the cost-based choice is licensed the same way (never a
-    // certified node without a certificate) and computes the same relation.
-    let costed = analysis.plan_for(db, init);
-    if analysis.has_no_certificates() {
-        assert!(
-            !uses_certified_strategy(&costed.shape()),
-            "{case}: certificate-less analysis cost-chose {:?}",
-            costed.shape()
+    for (plan, picked) in licensed_plans(&analysis, db, init) {
+        let shape = plan.shape();
+        let what = format!(
+            "{case}: {} {shape:?}",
+            if picked { "picked" } else { "licensed" }
         );
+
+        // Property 2: certificate-less analyses never pick a certified
+        // node — and contrapositively, a certified node implies the
+        // certificate.
+        if analysis.has_no_certificates() {
+            assert!(
+                !uses_certified_strategy(&shape),
+                "{what} without a certificate"
+            );
+        }
+        assert!(
+            !contains_decomposed_or_separable(&shape)
+                || analysis.commutativity().is_some()
+                || !analysis.separability().is_empty(),
+            "{what} without a licensing certificate"
+        );
+
+        // Property 1: the planned execution equals the direct baseline.
+        let planned = plan
+            .execute(db, init)
+            .unwrap_or_else(|e| panic!("{what} failed: {e}"));
+        assert_eq!(
+            planned.relation.sorted(),
+            expected.sorted(),
+            "{what} diverges from the direct baseline"
+        );
+        assert_eq!(planned.stats.tuples, planned.relation.len(), "{what}");
     }
-    let costed_out = costed
-        .execute(db, init)
-        .unwrap_or_else(|e| panic!("{case}: cost-chosen plan {:?} failed: {e}", costed.shape()));
-    assert_eq!(
-        costed_out.relation.sorted(),
-        expected.sorted(),
-        "{case}: cost-chosen plan {:?} diverges from the direct baseline",
-        costed.shape()
-    );
 }
 
 #[test]
@@ -253,17 +237,11 @@ fn planner_agrees_with_direct_on_random_rule_sets() {
     }
 }
 
-/// The plans worth resuming for a rule set: the baselines, the
-/// fixed-priority and the cost-based choice, and the dense closure where
-/// the rule has the shape for it. The bool marks the planner's choices.
+/// The plans worth resuming for a rule set: every licensed plan, the
+/// planner's pick, and the dense closure where the rule has the shape for
+/// it. The bool marks the planner's pick.
 fn candidate_plans(all: &[LinearRule], db: &Database, init: &Relation) -> Vec<(Plan, bool)> {
-    let analysis = Analysis::of(all, None);
-    let mut plans = vec![
-        (Plan::direct(all), false),
-        (Plan::naive(all), false),
-        (analysis.plan(), true),
-        (analysis.plan_for(db, init), true),
-    ];
+    let mut plans = licensed_plans(&Analysis::of(all, None), db, init);
     if let [rule] = all {
         if let Ok(plan) = Plan::dense_closure(rule.clone(), dense::DEFAULT_DENSE_BUDGET_BYTES) {
             plans.push((plan, false));
@@ -345,7 +323,6 @@ fn knobs() -> [Parallelism; 2] {
 fn assert_shapes_covered(seen: &BTreeSet<(&'static str, bool)>) {
     for wanted in [
         ("Direct", false),
-        ("Naive", false),
         ("BoundedPrefix", true),
         ("Decomposed", true),
         ("DenseClosure", true),
@@ -367,10 +344,10 @@ fn resume_from_the_seed_is_execute() {
     {
         for (plan, planned) in candidate_plans(&all, &db, &init) {
             let executed = plan.execute(&db, &init).unwrap();
-            // `Naive` and `DenseClosure` execute by another algorithm;
-            // their incremental form is the rule-sum resume, `Direct`'s.
+            // `DenseClosure` executes by another algorithm; its
+            // incremental form is the rule-sum resume, `Direct`'s.
             let expected_stats = match plan.shape() {
-                PlanShape::Naive | PlanShape::DenseClosure => {
+                PlanShape::DenseClosure => {
                     Plan::direct(all.as_slice())
                         .execute(&db, &init)
                         .unwrap()

@@ -4,6 +4,7 @@
 //! inequalities hold.
 
 use linrec::core::semi_commute;
+use linrec::engine::seminaive::naive_star;
 use linrec::engine::{rules, workload, Analysis, Plan, PlanShape, Selection};
 use linrec::prelude::*;
 
@@ -40,8 +41,8 @@ fn all_graph_shapes_direct_vs_naive() {
     ] {
         let db = workload::graph_db("q", edges.clone());
         let a = Plan::direct(vec![tc.clone()]).execute(&db, &edges).unwrap();
-        let b = Plan::naive(vec![tc.clone()]).execute(&db, &edges).unwrap();
-        assert_eq!(a.relation.sorted(), b.relation.sorted(), "{name}");
+        let (b, _) = naive_star(std::slice::from_ref(&tc), &db, &edges);
+        assert_eq!(a.relation.sorted(), b.sorted(), "{name}");
     }
 }
 
@@ -51,10 +52,10 @@ fn planned_decomposition_equals_direct_and_never_more_duplicates() {
     // caller) certifying the decomposition.
     let all = vec![rules::up_rule(), rules::down_rule()];
     let analysis = Analysis::of(&all, None);
-    let plan = analysis.plan();
-    assert!(matches!(plan.shape(), PlanShape::Decomposed { .. }));
     for seed in 0..6u64 {
         let (db, init) = workload::up_down(6, seed);
+        let plan = analysis.plan_for(&db, &init);
+        assert!(matches!(plan.shape(), PlanShape::Decomposed { .. }));
         let direct = Plan::direct(all.clone()).execute(&db, &init).unwrap();
         let dec = plan.execute(&db, &init).unwrap();
         assert_eq!(
@@ -189,7 +190,7 @@ fn planner_picks_separable_when_selection_commutes() {
     let all = vec![rules::down_rule(), rules::up_rule()];
     let (db, init) = workload::up_down(5, 31);
     let sel = Selection::eq(1, (1i64 << 6) + 2);
-    let plan = Analysis::of(&all, Some(&sel)).plan();
+    let plan = Analysis::of(&all, Some(&sel)).plan_for(&db, &init);
     assert_eq!(plan.shape(), PlanShape::Separable);
     let fast = plan.execute(&db, &init).unwrap();
     let slow = Plan::select_after(Plan::direct(all), sel)
@@ -276,7 +277,7 @@ fn three_way_decomposition_with_planner() {
         init.insert(vec![t[0], t[1], t[0]]);
     }
     let direct = Plan::direct(all).execute(&db, &init).unwrap();
-    let dec = analysis.plan().execute(&db, &init).unwrap();
+    let dec = Plan::decomposed(cert.clone()).execute(&db, &init).unwrap();
     assert_eq!(direct.relation.sorted(), dec.relation.sorted());
 }
 
@@ -310,8 +311,8 @@ fn baseline_plans_agree_with_each_other() {
     let direct = Plan::direct(all.clone()).execute(&db, &init).unwrap();
     assert_eq!(direct.stats.tuples, direct.relation.len());
 
-    let naive = Plan::naive(all.clone()).execute(&db, &init).unwrap();
-    assert_eq!(naive.relation.sorted(), direct.relation.sorted());
+    let (naive, _) = naive_star(&all, &db, &init);
+    assert_eq!(naive.sorted(), direct.relation.sorted());
 
     let sel = Selection::eq(1, (1i64 << 6) + 1);
     let selected = Plan::select_after(Plan::direct(all), sel.clone())

@@ -281,9 +281,10 @@ pub fn exact_power(
 mod tests {
     use super::*;
     use crate::join::{apply_linear, Indexes};
+    use crate::rules;
     use crate::seminaive::seminaive_star;
-    use crate::{rules, workload};
     use linrec_datalog::parse_linear_rule;
+    use linrec_testkit as workload;
 
     #[test]
     fn shape_recognizes_both_linear_forms_and_rejects_the_rest() {

@@ -32,7 +32,7 @@
 //! occurs in no *other* body atom can never be bound at probe time (the
 //! join binds variables strictly left-to-right across atoms), so indexing
 //! it would be wasted work. The runtime falls back to a linear arena scan
-//! for un-indexed columns — the per-tuple [`match_tuple`] check re-verifies
+//! for un-indexed columns — the per-tuple `match_tuple` check re-verifies
 //! every column, so indexes are purely a candidate filter and never affect
 //! the result.
 //!
@@ -49,9 +49,9 @@
 //! # Parallel rounds: prepare, then probe
 //!
 //! All cache mutation (scan revalidation, column-index building, join-plan
-//! computation) happens in [`prepare_rules`], on one thread, before a
+//! computation) happens in `prepare_rules`, on one thread, before a
 //! parallel fixpoint round starts. After that, the round's workers share
-//! the cache **read-only** through [`apply_linear_rows`]: `Indexes` is
+//! the cache **read-only** through `apply_linear_rows`: `Indexes` is
 //! plain data (`Sync`), the database is frozen for the round, and a probe
 //! never writes — so one `Indexes` built once serves every shard of every
 //! rule concurrently. The sequential path ([`apply_linear`]) keeps doing

@@ -28,9 +28,13 @@
 //! # Example: decomposing a commuting recursion
 //!
 //! ```
-//! use linrec_engine::{planner::Analysis, rules, workload, CertKind, Plan};
+//! use linrec_datalog::{Database, Relation};
+//! use linrec_engine::{planner::Analysis, rules, CertKind, Plan};
 //!
-//! let (db, init) = workload::up_down(5, 42);
+//! let facts = "up(2,1). up(3,2). up(4,3). up(5,4). \
+//!              down(10,11). down(11,12). down(12,13). down(13,14).";
+//! let db = Database::from_facts(facts).unwrap();
+//! let init = Relation::from_pairs([(1, 10), (2, 11), (1, 12)]);
 //! let rules = vec![rules::up_rule(), rules::down_rule()];
 //!
 //! // Analysis finds the Theorem 5.2 commutativity certificate…
@@ -61,7 +65,6 @@ pub mod rules;
 pub mod selection;
 pub mod seminaive;
 pub mod stats;
-pub mod workload;
 
 pub use decision::{
     CandidateEstimate, CertKind, DenseVerdict, MaintenanceMode, ParallelVerdict, PickedBy,

@@ -282,8 +282,9 @@ impl Analysis {
 mod tests {
     use super::*;
     use crate::decision::CertKind;
-    use crate::{rules, workload};
+    use crate::rules;
     use linrec_datalog::{parse_linear_rule, Symbol, Value};
+    use linrec_testkit as workload;
 
     fn updown() -> Vec<LinearRule> {
         vec![rules::down_rule(), rules::up_rule()]

@@ -40,7 +40,7 @@ use linrec_datalog::{Database, LinearRule, Relation, Symbol, Term, Var};
 /// workload) can lose wall-clock to one semi-naive star.
 ///
 /// The constants are unit-free ratios calibrated on the shopping / up-down
-/// / chain / grid workloads of [`crate::workload`]: only the *ordering* of
+/// / chain / grid workloads of the test kit: only the *ordering* of
 /// candidate estimates matters to the planner.
 #[derive(Debug, Clone)]
 pub struct CostModel {
@@ -560,8 +560,9 @@ impl CostModel {
 mod tests {
     use super::super::Analysis;
     use super::*;
-    use crate::{rules, workload};
+    use crate::rules;
     use linrec_datalog::parse_linear_rule;
+    use linrec_testkit as workload;
 
     #[test]
     fn cost_model_survives_predicates_used_at_two_arities() {

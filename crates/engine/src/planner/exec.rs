@@ -466,8 +466,9 @@ impl Exec<'_> {
 mod tests {
     use super::super::{Analysis, PlanShape};
     use super::*;
-    use crate::{rules, workload};
+    use crate::rules;
     use linrec_datalog::{parse_linear_rule, Symbol};
+    use linrec_testkit as workload;
 
     #[test]
     fn outcome_trace_and_describe_are_informative() {

@@ -54,9 +54,13 @@
 //! (`describe()`'s `rationale:` line).
 //!
 //! ```
-//! use linrec_engine::{planner::Analysis, workload, rules, CertKind};
+//! use linrec_datalog::{Database, Relation};
+//! use linrec_engine::{planner::Analysis, rules, CertKind};
 //!
-//! let (db, init) = workload::up_down(5, 42);
+//! let facts = "up(2,1). up(3,2). up(4,3). up(5,4). \
+//!              down(10,11). down(11,12). down(12,13). down(13,14).";
+//! let db = Database::from_facts(facts).unwrap();
+//! let init = Relation::from_pairs([(1, 10), (2, 11), (1, 12)]);
 //! let analysis = Analysis::of(&[rules::up_rule(), rules::down_rule()], None);
 //! let plan = analysis.plan_for(&db, &init); // picks Decomposed, certificate-backed
 //! let outcome = plan.execute(&db, &init).unwrap();

@@ -551,8 +551,9 @@ mod tests {
     use super::super::Analysis;
     use super::*;
     use crate::join::Indexes;
-    use crate::{rules, workload};
+    use crate::rules;
     use linrec_datalog::parse_linear_rule;
+    use linrec_testkit as workload;
 
     fn updown() -> Vec<LinearRule> {
         vec![rules::down_rule(), rules::up_rule()]

@@ -146,7 +146,8 @@ pub fn eval_with_provenance(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{rules, workload};
+    use crate::rules;
+    use linrec_testkit as workload;
 
     fn int_pair(a: i64, b: i64) -> Tuple {
         Tuple::from_slice(&[Value::Int(a), Value::Int(b)])

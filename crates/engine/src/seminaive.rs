@@ -41,9 +41,9 @@
 //! executor:
 //!
 //! 1. **prepare** (one thread): scans revalidated, column indexes and join
-//!    plans built ([`crate::join::prepare_rules`]);
+//!    plans built (`join::prepare_rules`);
 //! 2. **probe** (K workers): each shard evaluates *every* rule body
-//!    read-only ([`crate::join::apply_linear_rows`]), pre-filtering
+//!    read-only (`join::apply_linear_rows`), pre-filtering
 //!    against the round-frozen total, into a private output buffer;
 //! 3. **merge** (one thread): per rule, shard buffers fold into the next
 //!    delta with a single deduplicating pass against the total's row-id
@@ -347,7 +347,7 @@ mod tests {
     fn naive_equals_seminaive() {
         let chain = chain_db(6);
         let chain_init = chain.relation_named("e").unwrap().clone();
-        let (updown, updown_init) = crate::workload::up_down(4, 9);
+        let (updown, updown_init) = linrec_testkit::up_down(4, 9);
         let updown_rules = vec![crate::rules::down_rule(), crate::rules::up_rule()];
         for (rules, db, init) in [
             (vec![tc_rule()], chain, chain_init),

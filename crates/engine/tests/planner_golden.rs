@@ -6,9 +6,8 @@
 
 use linrec_core::{BoundednessCert, RedundancyCert, SeparabilityCert};
 use linrec_datalog::{parse_linear_rule, Database, LinearRule, Relation};
-use linrec_engine::{
-    dense, rules, workload, Analysis, CostModel, Indexes, Parallelism, Plan, Selection,
-};
+use linrec_engine::{dense, rules, Analysis, CostModel, Indexes, Parallelism, Plan, Selection};
+use linrec_testkit as workload;
 use std::fmt::Write;
 
 /// One workload: a name, its rules, database and seed.

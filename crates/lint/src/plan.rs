@@ -113,7 +113,8 @@ mod tests {
 
     #[test]
     fn direct_over_a_composition_shape_quotes_the_dense_decline() {
-        use linrec_engine::{workload, DenseVerdict};
+        use linrec_engine::DenseVerdict;
+        use linrec_testkit as workload;
         // Point seed over a wide chain: the planner declines dense on
         // density grounds and stays Direct — P202 flags the licensed
         // DenseClosure, and its help quotes the rendered decision.
@@ -138,7 +139,7 @@ mod tests {
 
     #[test]
     fn a_chosen_dense_plan_is_clean() {
-        use linrec_engine::workload;
+        use linrec_testkit as workload;
         let rules = vec![parse_linear_rule("p(x,y) :- p(x,z), q(z,y).").unwrap()];
         let analysis = Analysis::of(&rules, None);
         let edges = workload::chain(100);

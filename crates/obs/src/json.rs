@@ -1,6 +1,6 @@
 //! The one JSON writer and reader of the workspace, std-only.
 //!
-//! Every record the product emits is written by [`object`] / [`array`]:
+//! Every record the product emits is written by [`object`] / [`array()`]:
 //! a streaming builder over one `String` that builds no value tree.
 //! Strings are escaped one way; finite floats print with `{}` and
 //! non-finite ones as `null`. The reader is one validating scanner:

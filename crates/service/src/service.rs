@@ -1499,7 +1499,7 @@ pub(crate) fn calibrate_event(view: &str, pairs: usize, fanout_scale: f64) -> St
     })
 }
 
-/// Start a background recovery probe: every [`PROBE_INTERVAL`], a degraded
+/// Start a background recovery probe: every `PROBE_INTERVAL`, a degraded
 /// service gets one [`ViewService::try_restore`] attempt, so the service
 /// heals as soon as the fault clears even with zero write traffic. The
 /// thread holds only a weak reference and exits when the service is

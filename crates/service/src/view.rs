@@ -480,7 +480,7 @@ mod tests {
     #[test]
     fn recompute_fallback_matches_scratch() {
         let rules = vec![linrec_engine::rules::shopping_rule()];
-        let (mut db, buys) = linrec_engine::workload::shopping(12, 6, 2, 5);
+        let (mut db, buys) = linrec_testkit::shopping(12, 6, 2, 5);
         db.set_relation("b0", buys);
         let def = ViewDef {
             name: "buys".into(),

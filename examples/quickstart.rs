@@ -38,9 +38,9 @@ fn main() {
     // and dn-steps, decomposed evaluation only through the canonical
     // dn-then-up order.
     let rules = vec![up, dn];
-    let edges = linrec::engine::workload::random_graph(300, 600, 42);
-    let db = linrec::engine::workload::graph_db("q", edges);
-    let init = linrec::engine::workload::random_graph(300, 40, 43);
+    let edges = linrec_testkit::random_graph(300, 600, 42);
+    let db = linrec_testkit::graph_db("q", edges);
+    let init = linrec_testkit::random_graph(300, 40, 43);
 
     let analysis = Analysis::of(&rules, None);
     let plan = analysis.plan_for(&db, &init);

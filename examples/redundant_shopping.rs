@@ -19,7 +19,8 @@
 //! ```
 
 use linrec::core::redundancy_report;
-use linrec::engine::{rules, workload, Analysis, Plan};
+use linrec::engine::{rules, Analysis, Plan};
+use linrec_testkit as workload;
 use std::time::Instant;
 
 fn main() {

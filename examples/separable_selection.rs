@@ -12,8 +12,9 @@
 //! cargo run --release --example separable_selection
 //! ```
 
-use linrec::engine::{rules, workload, Analysis, Plan, PlanShape, Selection};
+use linrec::engine::{rules, Analysis, Plan, PlanShape, Selection};
 use linrec::prelude::*;
+use linrec_testkit as workload;
 use std::time::Instant;
 
 fn main() {

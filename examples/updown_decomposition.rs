@@ -9,7 +9,8 @@
 //! cargo run --release --example updown_decomposition
 //! ```
 
-use linrec::engine::{eval_with_provenance, rules, workload, Analysis, Plan};
+use linrec::engine::{eval_with_provenance, rules, Analysis, Plan};
+use linrec_testkit as workload;
 
 fn main() {
     let up = rules::up_rule();

@@ -34,8 +34,9 @@
 //! // picks it, and execution provably produces no more duplicates
 //! // (Theorem 3.1):
 //! let rules = vec![up, dn];
-//! let db = linrec::engine::workload::graph_db("q", linrec::engine::workload::chain(64));
-//! let init = linrec::engine::workload::chain(64);
+//! let init: Relation = (0..64).map(|i| (i, i + 1)).collect(); // a 64-edge chain
+//! let mut db = Database::new();
+//! db.set_relation("q", init.clone());
 //! let plan = Analysis::of(&rules, None).plan_for(&db, &init);
 //! assert!(matches!(plan.shape(), PlanShape::Decomposed { .. }));
 //!

@@ -21,28 +21,12 @@
 //! explores the same cases.
 
 use linrec::datalog::{BitsetRelation, DenseDomain, Relation};
-use linrec::engine::{closure_by_squaring, dense, rules, seminaive_star, workload, Analysis, Plan};
+use linrec::engine::{closure_by_squaring, dense, rules, seminaive_star, Analysis, Plan};
 use linrec::prelude::{Database, Value};
+use linrec_testkit::{graph_db, random_graph, Gen};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::sync::Arc;
-
-/// Deterministic generator (SplitMix64, as in `tests/planner_props.rs`).
-struct Gen(u64);
-
-impl Gen {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, bound: u64) -> u64 {
-        self.next() % bound
-    }
-}
 
 /// A random binary relation over `0..n` with about `m` pairs, plus the
 /// degenerate shapes for low `case` values: empty, a single self-loop,
@@ -144,8 +128,8 @@ proptest! {
     fn planned_execution_agrees_with_direct(case in 0u64..10_000) {
         let n = 4 + (case % 20) as i64;
         let m = 2 + (case % 60) as usize;
-        let edges = workload::random_graph(n, m, case);
-        let db = workload::graph_db("q", edges.clone());
+        let edges = random_graph(n, m, case);
+        let db = graph_db("q", edges.clone());
         let rule = rules::tc_right();
         let plan = Analysis::of(std::slice::from_ref(&rule), None).plan_for(&db, &edges);
         let planned = plan.execute(&db, &edges).unwrap();

@@ -10,8 +10,9 @@ use linrec::core::{
     uniformly_bounded, ExactOutcome, Sufficiency,
 };
 use linrec::cq::{compose, linear_equivalent, minimize_linear, power};
-use linrec::engine::{apply_linear, magic_applicable, rules, workload, Indexes, Plan, Selection};
+use linrec::engine::{apply_linear, magic_applicable, rules, Indexes, Plan, Selection};
 use linrec::prelude::*;
+use linrec_testkit as workload;
 
 fn direct(rules: &[LinearRule], db: &Database, init: &Relation) -> (Relation, EvalStats) {
     let out = Plan::direct(rules.to_vec()).execute(db, init).unwrap();

@@ -14,30 +14,18 @@
 //! filter) plus randomly generated arity-2 linear rules; batches insert
 //! into the seed relation and every EDB predicate the rules mention.
 
-mod common;
-
-use common::rule_set;
-use linrec::engine::{seminaive_star, workload};
+use linrec::engine::seminaive_star;
 use linrec::prelude::*;
 use linrec::service::{ViewDef, ViewService};
+use linrec_testkit::{cover_db, random_graph, rule_set};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
 /// A database covering the EDB predicates plus the seed relation `s0`,
 /// deterministic in `case`.
 fn base_db(rules: &[LinearRule], case: u64) -> Database {
-    let mut db = Database::new();
-    for rule in rules {
-        for atom in rule.nonrec_atoms() {
-            if db.relation(atom.pred).is_none() {
-                db.set_relation(
-                    atom.pred,
-                    workload::random_graph(8, 10, case.wrapping_add(atom.pred.id() as u64)),
-                );
-            }
-        }
-    }
-    db.set_relation("s0", workload::random_graph(8, 6, case.wrapping_add(71)));
+    let mut db = cover_db(rules, 8, 10, case);
+    db.set_relation("s0", random_graph(8, 6, case.wrapping_add(71)));
     db
 }
 

@@ -16,53 +16,11 @@
 mod common;
 
 use common::licensed_plans;
-use linrec::engine::{workload, Analysis};
+use linrec::engine::Analysis;
 use linrec::lint::{check_rules, cross_verify, program_lints, CertClaims, Code};
 use linrec::prelude::*;
+use linrec_testkit::{random_graph, random_rule, Gen};
 use proptest::prelude::*;
-
-/// Deterministic generator driving rule and workload synthesis.
-struct Gen(u64);
-
-impl Gen {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, bound: u64) -> u64 {
-        self.next() % bound
-    }
-}
-
-/// A random arity-2 linear rule over head `p(x0,x1)` (possibly unsafe —
-/// the analyzer is expected to catch those).
-fn random_rule(g: &mut Gen) -> Option<LinearRule> {
-    let hv = [Var::new("x0"), Var::new("x1")];
-    let fresh = [Var::new("n0"), Var::new("n1")];
-    let head = Atom::from_vars("p", &hv);
-    let rec_terms: Vec<Term> = (0..2)
-        .map(|i| match g.below(4) {
-            0 => Term::Var(hv[i]),
-            1 => Term::Var(hv[(i + 1) % 2]),
-            n => Term::Var(fresh[(n as usize) % 2]),
-        })
-        .collect();
-    let pool: Vec<Var> = hv.iter().chain(fresh.iter()).copied().collect();
-    let mut nonrec = Vec::new();
-    for pred in ["q", "r"] {
-        if g.below(3) == 0 {
-            continue;
-        }
-        let a = pool[g.below(pool.len() as u64) as usize];
-        let b = pool[g.below(pool.len() as u64) as usize];
-        nonrec.push(Atom::from_vars(pred, &[a, b]));
-    }
-    LinearRule::from_parts(head, Atom::new("p", rec_terms), nonrec).ok()
-}
 
 /// Between one and three random rules over the same head.
 fn random_rules(g: &mut Gen) -> Vec<LinearRule> {
@@ -83,12 +41,12 @@ fn cover_db(rules: &[LinearRule], seed: u64, sparse: bool) -> (Database, Relatio
             let rel = if sparse && atom.pred == Symbol::new("r") {
                 Relation::new(atom.arity())
             } else {
-                workload::random_graph(8, 16, seed.wrapping_add(atom.pred.id() as u64))
+                random_graph(8, 16, seed.wrapping_add(atom.pred.id() as u64))
             };
             db.set_relation(atom.pred, rel);
         }
     }
-    let init = workload::random_graph(8, 8, seed.wrapping_add(7));
+    let init = random_graph(8, 8, seed.wrapping_add(7));
     (db, init)
 }
 

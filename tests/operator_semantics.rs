@@ -8,8 +8,9 @@
 //! * the closed semi-ring laws of Section 2 hold pointwise on relations.
 
 use linrec::cq::{compose, linear_contains, power};
-use linrec::engine::{apply_linear, workload, Indexes};
+use linrec::engine::{apply_linear, Indexes};
 use linrec::prelude::*;
+use linrec_testkit as workload;
 use proptest::prelude::*;
 
 const NONDIST: [&str; 3] = ["n0", "n1", "n2"];

@@ -21,32 +21,19 @@
 //! examples (transitive closure, the commuting up/down pair, a bounded
 //! filter) plus randomly generated arity-2 linear rules.
 
-mod common;
-
-use common::rule_set;
 use linrec::engine::seminaive::{naive_star, seminaive_resume};
-use linrec::engine::{magic_applicable, seminaive_star, workload, EvalStats, Indexes};
+use linrec::engine::{magic_applicable, seminaive_star, EvalStats, Indexes};
 use linrec::prelude::*;
 use linrec::service::{ViewDef, ViewService};
+use linrec_testkit::{chain, cover_db, graph_db, random_graph, rule_set};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
 /// A database covering the EDB predicates plus a seed, deterministic in
 /// `case`.
 fn base_db(rules: &[LinearRule], case: u64) -> (Database, Relation) {
-    let mut db = Database::new();
-    for rule in rules {
-        for atom in rule.nonrec_atoms() {
-            if db.relation(atom.pred).is_none() {
-                db.set_relation(
-                    atom.pred,
-                    workload::random_graph(8, 12, case.wrapping_add(atom.pred.id() as u64)),
-                );
-            }
-        }
-    }
-    let init = workload::random_graph(8, 7, case.wrapping_add(71));
-    (db, init)
+    let init = random_graph(8, 7, case.wrapping_add(71));
+    (cover_db(rules, 8, 12, case), init)
 }
 
 /// An always-engaging parallel knob: K shards, no delta-size gate, so the
@@ -258,8 +245,8 @@ fn env_threads_are_respected() {
         assert_eq!(par.is_parallel(), n > 1);
     }
     let rules = vec![parse_linear_rule("p(x,y) :- p(x,z), q(z,y).").unwrap()];
-    let edges = workload::chain(64);
-    let db = workload::graph_db("q", edges.clone());
+    let edges = chain(64);
+    let db = graph_db("q", edges.clone());
     let (seq, seq_stats) = seminaive_star(&rules, &db, &edges);
     let (par_rel, par_stats) = star_under(&rules, &db, &edges, &par.with_min_delta(1));
     assert_eq!(par_rel.sorted(), seq.sorted());

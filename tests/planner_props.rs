@@ -1,6 +1,6 @@
 //! Planner soundness properties (seeded, deterministic).
 //!
-//! 1. **Agreement**: for random workloads from `engine::workload` and a
+//! 1. **Agreement**: for random workloads from `linrec-testkit` and a
 //!    spectrum of rule sets — the paper's examples plus randomly generated
 //!    rules — every [`Plan`] the analysis licenses, and the one the planner
 //!    picks, computes *exactly* the relation of the `Plan::direct` baseline
@@ -19,12 +19,13 @@
 
 mod common;
 
-use common::{licensed_plans, random_rule, rule_set, Gen};
+use common::licensed_plans;
 use linrec::engine::seminaive::naive_star;
 use linrec::engine::{
-    apply_linear, dense, rules, workload, Analysis, EvalStats, Indexes, PlanShape, Selection,
+    apply_linear, dense, rules, Analysis, EvalStats, Indexes, PlanShape, Selection,
 };
 use linrec::prelude::*;
+use linrec_testkit::{random_graph, random_rule, rule_set, up_down, Gen};
 use std::collections::BTreeSet;
 
 /// Does the shape tree contain a node that needs a certificate to build?
@@ -66,14 +67,14 @@ fn cover_db(rules: &[LinearRule], seed: u64) -> (Database, Relation) {
                         .map(|k| vec![Value::Int(k)]),
                 )
             } else {
-                workload::random_graph(8, 16, seed.wrapping_add(atom.pred.id() as u64))
+                random_graph(8, 16, seed.wrapping_add(atom.pred.id() as u64))
             };
             db.set_relation(atom.pred, rel);
         }
     }
     let arity = rules[0].arity();
     let init = if arity == 2 {
-        workload::random_graph(8, 8, seed.wrapping_add(7))
+        random_graph(8, 8, seed.wrapping_add(7))
     } else {
         let mut g = Gen(seed.wrapping_add(7));
         let mut rel = Relation::new(arity);
@@ -183,7 +184,7 @@ fn planner_agrees_with_direct_on_selected_paper_workloads() {
     // exercises the SelectAfter(Direct) fallback.
     let updown = vec![rules::down_rule(), rules::up_rule()];
     for depth in 4..=6u32 {
-        let (db, init) = workload::up_down(depth, depth as u64);
+        let (db, init) = up_down(depth, depth as u64);
         let offset = 1i64 << (depth + 1);
         for target in [offset + 1, offset + 3, 999_999] {
             let sel = Selection::eq(1, target);
@@ -212,7 +213,7 @@ fn planner_agrees_with_direct_on_random_rule_sets() {
         let n_rules = 1 + g.below(2) as usize;
         let mut all = Vec::new();
         for _ in 0..n_rules {
-            if let Some(r) = random_rule(&mut g) {
+            if let Some(r) = random_rule(&mut g).filter(|r| r.is_range_restricted()) {
                 all.push(r);
             }
         }
@@ -297,14 +298,14 @@ fn resume_cases() -> Vec<ResumeCase> {
         for atom in rules.iter().flat_map(|r| r.nonrec_atoms()) {
             if db.relation(atom.pred).is_none() {
                 let seed = case.wrapping_add(atom.pred.id() as u64);
-                db.set_relation(atom.pred, workload::random_graph(16, 14, seed));
+                db.set_relation(atom.pred, random_graph(16, 14, seed));
             }
         }
         cases.push(ResumeCase {
             name: format!("case {case} sparse"),
             rules,
             db,
-            init: workload::random_graph(16, 3, case + 5),
+            init: random_graph(16, 3, case + 5),
             nodes: 16,
         });
     }

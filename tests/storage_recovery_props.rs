@@ -16,97 +16,20 @@
 //!    (A WAL flip drops the damaged frame and everything after it: still
 //!    a prefix. A snapshot or manifest flip fails a CRC: typed error.)
 
-use linrec::engine::workload;
 use linrec::prelude::*;
 use linrec::service::{
     open_durable, CheckpointPolicy, ServiceConfig, ServiceError, ViewDef, ViewService,
 };
 use linrec::storage::Store;
+use linrec_testkit::{cover_db, random_graph, rule_set};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Deterministic generator driving rule synthesis (SplitMix64, as in
-/// `tests/planner_props.rs` and `tests/incremental_props.rs`).
-struct Gen(u64);
-
-impl Gen {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, bound: u64) -> u64 {
-        self.next() % bound
-    }
-}
-
-/// A random arity-2 linear rule over head `p(x0,x1)` (planner_props
-/// style).
-fn random_rule(g: &mut Gen) -> Option<LinearRule> {
-    let hv = [Var::new("x0"), Var::new("x1")];
-    let fresh = [Var::new("n0"), Var::new("n1")];
-    let head = Atom::from_vars("p", &hv);
-    let rec_terms: Vec<Term> = (0..2)
-        .map(|i| match g.below(4) {
-            0 => Term::Var(hv[i]),
-            1 => Term::Var(hv[(i + 1) % 2]),
-            n => Term::Var(fresh[(n as usize) % 2]),
-        })
-        .collect();
-    let pool: Vec<Var> = hv.iter().chain(fresh.iter()).copied().collect();
-    let mut nonrec = Vec::new();
-    for pred in ["q", "r"] {
-        if g.below(3) == 0 {
-            continue;
-        }
-        let a = pool[g.below(pool.len() as u64) as usize];
-        let b = pool[g.below(pool.len() as u64) as usize];
-        nonrec.push(Atom::from_vars(pred, &[a, b]));
-    }
-    LinearRule::from_parts(head, Atom::new("p", rec_terms), nonrec)
-        .ok()
-        .filter(|r| r.is_range_restricted())
-}
-
-/// Rule spectrum: paper examples for low `case` values, random beyond.
-fn rule_set(case: u64) -> Option<Vec<LinearRule>> {
-    match case % 8 {
-        0 => Some(vec![parse_linear_rule("p(x,y) :- p(x,z), q(z,y).").unwrap()]),
-        1 => Some(vec![
-            parse_linear_rule("p(x,y) :- p(x,z), q(z,y).").unwrap(),
-            parse_linear_rule("p(x,y) :- p(w,y), r(x,w).").unwrap(),
-        ]),
-        2 => Some(vec![parse_linear_rule("p(x,y) :- p(x,y), q(x,x).").unwrap()]),
-        _ => {
-            let mut g = Gen(case);
-            let n_rules = 1 + g.below(2) as usize;
-            let rules: Vec<LinearRule> = (0..8)
-                .filter_map(|_| random_rule(&mut g))
-                .take(n_rules)
-                .collect();
-            (rules.len() == n_rules).then_some(rules)
-        }
-    }
-}
-
 fn base_db(rules: &[LinearRule], case: u64) -> Database {
-    let mut db = Database::new();
-    for rule in rules {
-        for atom in rule.nonrec_atoms() {
-            if db.relation(atom.pred).is_none() {
-                db.set_relation(
-                    atom.pred,
-                    workload::random_graph(8, 10, case.wrapping_add(atom.pred.id() as u64)),
-                );
-            }
-        }
-    }
-    db.set_relation("s0", workload::random_graph(8, 6, case.wrapping_add(71)));
+    let mut db = cover_db(rules, 8, 10, case);
+    db.set_relation("s0", random_graph(8, 6, case.wrapping_add(71)));
     db
 }
 

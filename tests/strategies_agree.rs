@@ -5,8 +5,9 @@
 
 use linrec::core::semi_commute;
 use linrec::engine::seminaive::naive_star;
-use linrec::engine::{rules, workload, Analysis, Plan, PlanShape, Selection};
+use linrec::engine::{rules, Analysis, Plan, PlanShape, Selection};
 use linrec::prelude::*;
+use linrec_testkit as workload;
 
 /// `Π_g (Σ g)*` by explicit right-to-left chaining of certificate-free
 /// direct plans — the ground-truth decomposed evaluation used when the

@@ -16,8 +16,9 @@ use linrec::core::{
     ExactOutcome, Sufficiency,
 };
 use linrec::engine::seminaive::naive_star;
-use linrec::engine::{workload, Plan};
+use linrec::engine::Plan;
 use linrec::prelude::*;
+use linrec_testkit as workload;
 use proptest::prelude::*;
 
 const NONDIST: [&str; 3] = ["n0", "n1", "n2"];

@@ -123,9 +123,9 @@ pub fn compose(a: &BitsetRelation, b: &BitsetRelation) -> BitsetRelation {
     let start = linrec_obs::enabled().then(std::time::Instant::now);
     let out = a.compose(b);
     if let Some(t) = start {
-        let p = crate::profile::dense();
-        p.compose_ns.observe(t.elapsed().as_nanos() as u64);
-        p.words.observe(a.total_words() as u64);
+        linrec_obs::histogram!("linrec_engine_dense_compose_ns")
+            .observe(t.elapsed().as_nanos() as u64);
+        linrec_obs::histogram!("linrec_engine_dense_words").observe(a.total_words() as u64);
     }
     out
 }
@@ -158,7 +158,7 @@ pub fn closure_by_squaring(a: &BitsetRelation) -> (BitsetRelation, EvalStats) {
     }
     stats.tuples = total.len() as usize;
     if linrec_obs::enabled() {
-        crate::profile::dense().closures.inc();
+        linrec_obs::counter!("linrec_engine_dense_closures_total").inc();
         sp.attr("domain", total.domain().len());
         sp.attr("words", total.total_words());
         sp.attr("bits", stats.tuples);

@@ -146,7 +146,7 @@ impl RelCache {
             return;
         }
         if linrec_obs::enabled() {
-            crate::profile::join().col_index_builds.inc();
+            linrec_obs::counter!("linrec_engine_col_index_builds_total").inc();
         }
         let mut idx: FastMap<Value, Vec<u32>> = FastMap::default();
         for r in 0..self.rows {
@@ -227,7 +227,7 @@ impl Indexes {
         if built {
             self.generation = next_gen;
             if linrec_obs::enabled() {
-                crate::profile::join().scan_builds.inc();
+                linrec_obs::counter!("linrec_engine_scan_builds_total").inc();
             }
         }
         arity_ok.then_some(built_at)

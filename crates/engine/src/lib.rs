@@ -58,7 +58,6 @@ pub mod magic;
 pub mod parallel;
 pub mod planner;
 pub mod pool;
-pub mod profile;
 pub mod program;
 pub mod provenance;
 pub mod rules;

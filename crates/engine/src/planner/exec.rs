@@ -21,7 +21,7 @@ use crate::seminaive::seminaive_resume;
 use crate::stats::EvalStats;
 use linrec_core::{RedundancyCert, SeparabilityCert};
 use linrec_datalog::{Database, LinearRule, Relation};
-use std::time::Instant;
+use linrec_obs::Span;
 
 /// The result of [`Plan::execute`]: the relation, the paper's cost
 /// counters, and one [`TraceStep`] per executed phase.
@@ -89,7 +89,7 @@ impl Plan {
             let dec = self.decision();
             if let Some(ratio) = dec.ratio() {
                 let permille = (ratio * 1000.0).clamp(0.0, u64::MAX as f64) as u64;
-                crate::profile::plan().estimate_actual.observe(permille);
+                linrec_obs::histogram!("linrec_engine_estimate_actual_permille").observe(permille);
             }
             let total_nanos: u64 = outcome.trace.iter().map(|t| t.nanos).sum();
             linrec_obs::journal::journal().record(
@@ -141,12 +141,6 @@ impl Plan {
     }
 }
 
-/// A `plan.node` span and its start time, open while one phase runs.
-struct Phase {
-    sp: linrec_obs::Span,
-    start: Option<Instant>,
-}
-
 /// One execution's context: what every star and power of a plan shares.
 struct Exec<'a> {
     db: &'a Database,
@@ -161,33 +155,29 @@ struct Exec<'a> {
 }
 
 impl Exec<'_> {
-    /// Open a phase when this execution records them.
-    fn begin(&self, node: &'static str) -> Option<Phase> {
+    /// Open a phase (a `plan.node` span) when this execution records them.
+    fn begin(&self, node: &'static str) -> Option<Span> {
         self.trace.as_ref()?;
         let mut sp = linrec_obs::span("plan.node");
         sp.attr("node", node);
-        let start = linrec_obs::enabled().then(Instant::now);
-        Some(Phase { sp, start })
+        sp.observe_into(linrec_obs::histogram!("linrec_engine_plan_node_ns"));
+        Some(sp)
     }
 
-    /// Close a phase: stamp the wall time into a [`TraceStep`] and the
-    /// `linrec_engine_plan_node_ns` histogram.
-    fn end(&mut self, phase: Option<Phase>, label: String, stats: EvalStats) {
-        let (Some(mut phase), Some(trace)) = (phase, self.trace.as_mut()) else {
+    /// Close a phase: its span's duration is the [`TraceStep`]'s wall time
+    /// and the `linrec_engine_plan_node_ns` sample (0 with instrumentation
+    /// off).
+    fn end(&mut self, phase: Option<Span>, label: String, stats: EvalStats) {
+        let (Some(mut sp), Some(trace)) = (phase, self.trace.as_mut()) else {
             return;
         };
-        let mut nanos = 0;
-        if let Some(start) = phase.start {
-            nanos = start.elapsed().as_nanos() as u64;
-            crate::profile::plan().node_ns.observe(nanos);
-            phase.sp.attr("label", &label);
-            phase.sp.attr("derivations", stats.derivations);
-            phase.sp.attr("tuples", stats.tuples);
-        }
+        sp.attr("label", &label);
+        sp.attr("derivations", stats.derivations);
+        sp.attr("tuples", stats.tuples);
         trace.push(TraceStep {
             label,
             stats,
-            nanos,
+            nanos: sp.end().unwrap_or(0),
         });
     }
 

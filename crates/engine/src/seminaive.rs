@@ -58,7 +58,6 @@
 
 use crate::join::{apply_linear, apply_linear_rows, partition_col, prepare_rules, Indexes};
 use crate::parallel::Parallelism;
-use crate::profile;
 use crate::stats::EvalStats;
 use linrec_datalog::{Database, LinearRule, Relation, ShardView};
 use std::sync::Arc;
@@ -124,27 +123,27 @@ pub fn seminaive_resume(
     if par.is_parallel() {
         sp.attr("par", par.threads());
     }
-    let prof = linrec_obs::enabled().then(profile::rounds);
-    let mut round_start = prof.map(|_| Instant::now());
+    let obs_on = linrec_obs::enabled();
+    let mut round_start = obs_on.then(Instant::now);
     let mut stats = EvalStats::default();
     while !delta.is_empty() && round_cap.is_none_or(|cap| stats.iterations < cap) {
         stats.iterations += 1;
         let delta_in = delta.len() as u64;
         delta = delta_round(rules, db, total, delta, indexes, par, &mut stats);
-        if let (Some(p), Some(t0)) = (prof, round_start) {
+        if let Some(t0) = round_start {
             let now = Instant::now();
-            p.round_ns.observe((now - t0).as_nanos() as u64);
-            p.round_delta.observe(delta_in);
+            linrec_obs::histogram!("linrec_engine_round_ns").observe((now - t0).as_nanos() as u64);
+            linrec_obs::histogram!("linrec_engine_round_delta_tuples").observe(delta_in);
             round_start = Some(now);
         }
         total.union_in_place(&delta);
     }
     stats.tuples = total.len();
-    if let Some(p) = prof {
-        p.fixpoints.inc();
-        p.rounds.inc_by(stats.iterations as u64);
-        p.derivations.inc_by(stats.derivations);
-        p.duplicates.inc_by(stats.duplicates);
+    if obs_on {
+        linrec_obs::counter!("linrec_engine_fixpoints_total").inc();
+        linrec_obs::counter!("linrec_engine_rounds_total").inc_by(stats.iterations as u64);
+        linrec_obs::counter!("linrec_engine_derivations_total").inc_by(stats.derivations);
+        linrec_obs::counter!("linrec_engine_duplicates_total").inc_by(stats.duplicates);
         sp.attr("rounds", stats.iterations);
         sp.attr("derivations", stats.derivations);
         sp.attr("duplicates", stats.duplicates);
@@ -194,17 +193,10 @@ fn delta_round(
         return sequential_round(rules, db, total, &delta, indexes, stats);
     };
     // Prepare: all cache mutation happens here, on this thread.
-    let obs_on = linrec_obs::enabled();
     let prepared = {
-        let _sp = linrec_obs::span("round.prepare");
-        let t0 = obs_on.then(Instant::now);
-        let prepared = prepare_rules(rules, delta.arity(), db, indexes);
-        if let Some(t0) = t0 {
-            profile::rounds()
-                .prepare_ns
-                .observe(t0.elapsed().as_nanos() as u64);
-        }
-        prepared
+        let mut sp = linrec_obs::span("round.prepare");
+        sp.observe_into(linrec_obs::histogram!("linrec_engine_par_prepare_ns"));
+        prepare_rules(rules, delta.arity(), db, indexes)
     };
 
     // Share the round-frozen state with the workers. Nothing is copied:
@@ -231,8 +223,8 @@ fn delta_round(
                 let _g = ctx.enter();
                 let mut sp = linrec_obs::span("round.probe");
                 sp.attr("shard", shard_no);
-                let t0 = linrec_obs::enabled().then(Instant::now);
-                let out = rules
+                sp.observe_into(linrec_obs::histogram!("linrec_engine_par_probe_ns"));
+                rules
                     .iter()
                     .zip(&flags)
                     .map(|(rule, &ok)| {
@@ -242,13 +234,7 @@ fn delta_round(
                             (Relation::new(rule.head().arity()), 0)
                         }
                     })
-                    .collect::<Vec<(Relation, u64)>>();
-                if let Some(t0) = t0 {
-                    profile::rounds()
-                        .probe_ns
-                        .observe(t0.elapsed().as_nanos() as u64);
-                }
-                out
+                    .collect::<Vec<(Relation, u64)>>()
             })
         })
         .collect();
@@ -272,8 +258,8 @@ fn delta_round(
     // Merge, rule-major so per-rule attribution matches the sequential
     // loop: a tuple derived by several rules counts as new for the first
     // and as a duplicate for the rest.
-    let _sp = linrec_obs::span("round.merge");
-    let t0 = obs_on.then(Instant::now);
+    let mut sp = linrec_obs::span("round.merge");
+    sp.observe_into(linrec_obs::histogram!("linrec_engine_par_merge_ns"));
     let mut next_delta = Relation::new(total.arity());
     for r in 0..rules.len() {
         let mut derivs = 0u64;
@@ -284,11 +270,6 @@ fn delta_round(
             new += next_delta.union_in_place(rel) as u64;
         }
         stats.record(derivs, new);
-    }
-    if let Some(t0) = t0 {
-        profile::rounds()
-            .merge_ns
-            .observe(t0.elapsed().as_nanos() as u64);
     }
     next_delta
 }

@@ -66,7 +66,7 @@ mod tests {
 
     #[test]
     fn scrape_roundtrip() {
-        crate::counter("expose_test_total").inc_by(5);
+        crate::counter!("expose_test_total").inc_by(5);
         let addr = serve_metrics("127.0.0.1:0").unwrap();
         let mut stream = TcpStream::connect(addr).unwrap();
         stream

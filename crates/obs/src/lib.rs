@@ -9,14 +9,18 @@
 //!   operations on shared `Arc`'d cells. The registry renders both a
 //!   Prometheus-style text exposition ([`Registry::render_prometheus`])
 //!   and flat `key=value` pairs ([`Registry::render_kv`]) for the line
-//!   protocol's `metrics` command.
+//!   protocol's `metrics` command. A metric is declared at the line
+//!   that updates it with [`counter!`], [`gauge!`] or [`histogram!`],
+//!   which cache the handle per call site.
 //! * [`trace`] — structured span tracing. A [`TraceId`] is minted per
 //!   request/batch, carried in a thread-local, and explicitly handed
 //!   across thread-pool boundaries with [`trace::context`]. RAII
 //!   [`Span`]s record name, parent, duration, and string attributes into
 //!   a fixed-size in-memory [`FlightRecorder`] ring buffer that can be
 //!   dumped as JSON at any time (the `trace` protocol command,
-//!   `linrec serve --trace-json FILE`).
+//!   `linrec serve --trace-json FILE`). A span that times the same
+//!   region as a latency histogram feeds it on drop
+//!   ([`Span::observe_into`]): one clock for both.
 //! * [`expose`] — a minimal HTTP/1.1 endpoint
 //!   ([`expose::serve_metrics`]) that serves the Prometheus exposition,
 //!   for `linrec serve --metrics ADDR`.
@@ -33,7 +37,8 @@
 //!
 //! The whole layer sits behind a process-wide switch: [`set_enabled`]
 //! (default **on**). Instrumentation sites in the engine/storage/service
-//! crates check [`enabled`] before taking clocks or minting spans, so
+//! crates check [`enabled`] before taking clocks, and a span opened while
+//! it is off is inert (no clock, no record, no histogram sample), so
 //! turning it off reduces the residual cost to one relaxed atomic load
 //! per site — this is how the benchmark estimates the instrumentation
 //! overhead (`obs.overhead_pct` in `BENCHMARK.json`, target < 2%).
@@ -73,19 +78,44 @@ pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
 
-/// Get-or-register a counter in the global registry.
-pub fn counter(name: &'static str) -> Counter {
-    metrics::registry().counter(name)
+/// The global-registry [`Counter`] named `$name`, declared at the line
+/// that updates it: `linrec_obs::counter!("linrec_x_total").inc()`.
+/// The handle is resolved once per call site and cached in a site-local
+/// `static`; two sites naming one string share one series. An optional
+/// second argument is the metric's HELP text, registered with it.
+#[macro_export]
+macro_rules! counter {
+    ($name:literal $(, $help:literal)?) => {
+        $crate::__site_metric!(counter, Counter, $name $(, $help)?)
+    };
 }
 
-/// Get-or-register a gauge in the global registry.
-pub fn gauge(name: &'static str) -> Gauge {
-    metrics::registry().gauge(name)
+/// The global-registry [`Gauge`] named `$name`; see [`counter!`].
+#[macro_export]
+macro_rules! gauge {
+    ($name:literal $(, $help:literal)?) => {
+        $crate::__site_metric!(gauge, Gauge, $name $(, $help)?)
+    };
 }
 
-/// Get-or-register a histogram in the global registry.
-pub fn histogram(name: &'static str) -> Histogram {
-    metrics::registry().histogram(name)
+/// The global-registry [`Histogram`] named `$name`; see [`counter!`].
+#[macro_export]
+macro_rules! histogram {
+    ($name:literal $(, $help:literal)?) => {
+        $crate::__site_metric!(histogram, Histogram, $name $(, $help)?)
+    };
+}
+
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __site_metric {
+    ($kind:ident, $ty:ident, $name:literal $(, $help:literal)?) => {{
+        static HANDLE: ::std::sync::OnceLock<$crate::$ty> = ::std::sync::OnceLock::new();
+        HANDLE.get_or_init(|| {
+            $($crate::metrics::registry().describe($name, $help);)?
+            $crate::metrics::registry().$kind($name)
+        })
+    }};
 }
 
 /// Open a span in the global flight recorder (no-op when disabled).

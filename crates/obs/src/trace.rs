@@ -23,6 +23,7 @@ use std::time::Instant;
 
 use crate::json;
 use crate::ring::Ring;
+use crate::Histogram;
 
 /// Identifier correlating all spans of one request/batch. Nonzero;
 /// renders as `t-<hex>`.
@@ -206,10 +207,12 @@ struct SpanActive {
     start: Instant,
     attrs: Vec<(&'static str, String)>,
     prev: (u64, u64),
+    histogram: Option<&'static Histogram>,
 }
 
 /// RAII span: opened by [`span`], records itself into the global
-/// recorder on drop. A no-op shell when instrumentation is disabled.
+/// recorder on drop (or at [`Span::end`]). A no-op shell when
+/// instrumentation is disabled.
 pub struct Span {
     active: Option<SpanActive>,
 }
@@ -233,6 +236,7 @@ pub fn span(name: &'static str) -> Span {
             start: Instant::now(),
             attrs: Vec::new(),
             prev,
+            histogram: None,
         }),
     }
 }
@@ -249,28 +253,49 @@ impl Span {
     pub fn id(&self) -> Option<u64> {
         self.active.as_ref().map(|a| a.span)
     }
+
+    /// Also record this span's duration into `h` when it ends, so a
+    /// region's latency histogram and its span read one clock (no-op when
+    /// inert). Arm it where the region succeeds to sample successes only.
+    pub fn observe_into(&mut self, h: &'static Histogram) {
+        if let Some(a) = &mut self.active {
+            a.histogram = Some(h);
+        }
+    }
+
+    /// End the span now and return its duration in ns (`None` when inert).
+    pub fn end(mut self) -> Option<u64> {
+        self.close()
+    }
+
+    fn close(&mut self) -> Option<u64> {
+        let a = self.active.take()?;
+        let dur_ns = a.start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+        let start_us = a
+            .start
+            .saturating_duration_since(epoch())
+            .as_micros()
+            .min(u64::MAX as u128) as u64;
+        CURRENT.with(|c| c.set(a.prev));
+        if let Some(h) = a.histogram {
+            h.observe(dur_ns);
+        }
+        recorder().record(SpanRecord {
+            trace: a.trace,
+            span: a.span,
+            parent: a.parent,
+            name: a.name,
+            start_us,
+            dur_ns,
+            attrs: a.attrs,
+        });
+        Some(dur_ns)
+    }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        if let Some(a) = self.active.take() {
-            let dur_ns = a.start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            let start_us = a
-                .start
-                .saturating_duration_since(epoch())
-                .as_micros()
-                .min(u64::MAX as u128) as u64;
-            CURRENT.with(|c| c.set(a.prev));
-            recorder().record(SpanRecord {
-                trace: a.trace,
-                span: a.span,
-                parent: a.parent,
-                name: a.name,
-                start_us,
-                dur_ns,
-                attrs: a.attrs,
-            });
-        }
+        self.close();
     }
 }
 

@@ -63,7 +63,6 @@
 #![warn(missing_docs)]
 
 pub mod persist;
-pub mod profile;
 pub mod protocol;
 pub mod sentinel;
 pub mod service;

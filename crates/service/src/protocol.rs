@@ -73,6 +73,7 @@ use linrec_datalog::{Symbol, Value};
 use linrec_engine::Selection;
 use std::fmt::Write as _;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Reply to one protocol line.
 pub struct Reply {
@@ -161,25 +162,24 @@ impl Session {
         let trace = linrec_obs::trace::TraceId::next();
         let _scope = linrec_obs::trace::enter_trace(trace);
         let cmd = line.split_whitespace().next().unwrap_or("").to_owned();
-        let started = std::time::Instant::now();
-        let reply = {
-            let mut sp = linrec_obs::span("request");
-            sp.attr("cmd", &cmd);
-            self.dispatch(line)
-        };
-        let elapsed = started.elapsed();
-        let prof = crate::profile::service();
-        prof.requests.inc();
-        prof.request_ns.observe(elapsed.as_nanos() as u64);
+        let mut sp = linrec_obs::span("request");
+        sp.attr("cmd", &cmd);
+        sp.observe_into(linrec_obs::histogram!(
+            "linrec_service_request_ns",
+            "Protocol request latency in nanoseconds"
+        ));
+        let reply = self.dispatch(line);
+        let nanos = sp.end().unwrap_or(0);
+        linrec_obs::counter!("linrec_service_requests_total").inc();
         if reply.text.starts_with("err ") {
-            prof.request_errors.inc();
+            linrec_obs::counter!("linrec_service_request_errors_total").inc();
         }
         if let Some(threshold) = self.service.limits().slow_request {
-            if elapsed >= threshold {
-                prof.slow_requests.inc();
+            if Duration::from_nanos(nanos) >= threshold {
+                linrec_obs::counter!("linrec_service_slow_requests_total").inc();
                 eprintln!(
                     "slow-request trace={trace} cmd={cmd} ms={:.3}",
-                    elapsed.as_secs_f64() * 1e3
+                    nanos as f64 / 1e6
                 );
             }
         }
@@ -240,7 +240,8 @@ impl Session {
     /// last.
     fn health(&self) -> Reply {
         let h = self.service.health();
-        let prof = crate::profile::service();
+        let retries = linrec_obs::counter!("linrec_service_storage_retries_total");
+        let slow = linrec_obs::counter!("linrec_service_slow_requests_total");
         let mut kv = linrec_obs::KvLine::new("ok health");
         kv.push("mode", h.mode)
             .push("epoch", h.epoch)
@@ -257,8 +258,8 @@ impl Session {
                     .map_or_else(|| "-".to_owned(), |g| g.to_string()),
             )
             .push("degradations", h.degradations)
-            .push("retries", prof.storage_retries.get())
-            .push("slow-requests", prof.slow_requests.get());
+            .push("retries", retries.get())
+            .push("slow-requests", slow.get());
         if let Some(fault) = &h.last_fault {
             kv.push("last-fault", fault);
         }
@@ -683,17 +684,34 @@ pub fn serve_lines(
     Ok(())
 }
 
+/// Pause after a failed `accept` before the next attempt.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+
 /// Serve TCP connections on `listener`, one session per connection,
 /// dispatched on `pool` (so at most `pool.threads()` connections are
 /// served concurrently; further connections queue). Runs until the
-/// process exits.
+/// process exits: a failed `accept` — say, out of file descriptors, as
+/// each session holds two — is logged once per run of failures and
+/// retried after `ACCEPT_BACKOFF`.
 pub fn serve_tcp(
     service: Arc<ViewService>,
     listener: std::net::TcpListener,
     pool: &crate::WorkerPool,
-) -> std::io::Result<()> {
+) -> ! {
+    let mut failing = false;
     loop {
-        let (stream, _addr) = listener.accept()?;
+        let stream = match listener.accept() {
+            Ok((stream, _addr)) => stream,
+            Err(e) => {
+                if !failing {
+                    eprintln!("accept failed: {e}; retrying every {ACCEPT_BACKOFF:?}");
+                }
+                failing = true;
+                std::thread::sleep(ACCEPT_BACKOFF);
+                continue;
+            }
+        };
+        failing = false;
         let service = Arc::clone(&service);
         pool.execute(move || {
             let reader = std::io::BufReader::new(match stream.try_clone() {
@@ -1077,9 +1095,10 @@ mod tests {
             ..Default::default()
         });
         let mut s = Session::new(service);
-        let before = crate::profile::service().slow_requests.get();
+        let slow = linrec_obs::counter!("linrec_service_slow_requests_total");
+        let before = slow.get();
         assert_eq!(s.handle("epoch").text, "ok epoch 1");
-        let after = crate::profile::service().slow_requests.get();
+        let after = slow.get();
         assert!(after > before, "slow-request counter did not move");
         // And `health` surfaces the registry counter.
         let health = s.handle("health").text;

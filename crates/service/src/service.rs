@@ -254,7 +254,7 @@ impl RetryPolicy {
                 Err(e @ StorageError::Io { .. }) if attempt < self.attempts => {
                     let _ = e; // retried; only the final error surfaces
                     if linrec_obs::enabled() {
-                        crate::profile::service().storage_retries.inc();
+                        linrec_obs::counter!("linrec_service_storage_retries_total").inc();
                     }
                     std::thread::sleep(backoff);
                     backoff = (backoff * 2).min(RETRY_MAX_BACKOFF);
@@ -832,7 +832,7 @@ impl ViewService {
             status.kind = ServiceMode::Degraded;
             status.degradations += 1;
             if linrec_obs::enabled() {
-                crate::profile::service().degradations.inc();
+                linrec_obs::counter!("linrec_service_degradations_total").inc();
             }
         }
         status.reason = Some(reason.clone());
@@ -1051,10 +1051,7 @@ impl ViewService {
                 let started = Instant::now();
                 let (relation, stats) = view.materialize(&writer.db)?;
                 let nanos = started.elapsed().as_nanos() as u64;
-                if linrec_obs::enabled() {
-                    crate::profile::service().maintain_ns.observe(nanos);
-                    sp.attr("tuples", relation.len());
-                }
+                sp.attr("tuples", relation.len());
                 // Persist the registration's decision record (the journal
                 // got it from `execute_feedback` inside materialize).
                 writer.log_decision(&view.plan().decision().to_json());
@@ -1106,7 +1103,6 @@ impl ViewService {
         inserts: impl IntoIterator<Item = (Symbol, Vec<Value>)>,
     ) -> Result<BatchReport, ServiceError> {
         let mut sp = linrec_obs::span("service.batch");
-        let t0 = linrec_obs::enabled().then(Instant::now);
         self.write_gate()?;
         let mut guard = self.lock_writer()?;
         let writer = &mut *guard;
@@ -1223,12 +1219,9 @@ impl ViewService {
         // shared model, journal the pair, trip + recalibrate on drift).
         if linrec_obs::enabled() {
             writer.observe_maintenance(&deltas, &reports);
-        }
-        if let Some(t0) = t0 {
-            let prof = crate::profile::service();
-            prof.batches.inc();
-            prof.batch_inserted.inc_by(inserted as u64);
-            prof.batch_ns.observe(t0.elapsed().as_nanos() as u64);
+            linrec_obs::counter!("linrec_service_batches_total").inc();
+            linrec_obs::counter!("linrec_service_batch_inserted_total").inc_by(inserted as u64);
+            sp.observe_into(linrec_obs::histogram!("linrec_service_batch_ns"));
             sp.attr("epoch", epoch);
             sp.attr("inserted", inserted);
         }
@@ -1301,9 +1294,8 @@ impl ViewService {
             .map(|r| (r.view.def().name.clone(), r.info.clone()))
             .collect();
         if linrec_obs::enabled() {
-            let prof = crate::profile::service();
-            prof.epoch.set(writer.epoch as i64);
-            prof.views.set(views.len() as i64);
+            linrec_obs::gauge!("linrec_service_epoch").set(writer.epoch as i64);
+            linrec_obs::gauge!("linrec_service_views").set(views.len() as i64);
         }
         let snapshot = Arc::new(Snapshot {
             epoch: writer.epoch,
@@ -1328,11 +1320,14 @@ fn maintain_one(
     sp.attr("view", &view.def().name);
     let started = Instant::now();
     let outcome = view.maintain(&old.relation, db, deltas)?;
+    // The report's wall time is served data, kept with instrumentation
+    // off; the histogram sample is the span's own duration.
     let nanos = started.elapsed().as_nanos() as u64;
-    if linrec_obs::enabled() {
-        crate::profile::service().maintain_ns.observe(nanos);
-        sp.attr("mode", outcome.mode);
-    }
+    sp.attr("mode", outcome.mode);
+    sp.observe_into(linrec_obs::histogram!(
+        "linrec_service_view_maintain_ns",
+        "Per-view incremental maintenance latency in nanoseconds"
+    ));
     let mut report = ViewReport {
         name: view.def().name.clone(),
         mode: "unchanged",
@@ -1366,7 +1361,11 @@ impl Writer {
     fn log_decision(&mut self, json: &str) {
         if let Some(log) = self.decision_log.as_mut() {
             if log.append(json).is_err() {
-                crate::profile::service().decision_log_errors.inc();
+                linrec_obs::counter!(
+                    "linrec_service_decision_log_errors_total",
+                    "Failed best-effort appends to the on-disk decision log"
+                )
+                .inc();
             }
         }
     }
@@ -1444,7 +1443,11 @@ impl Writer {
     /// pairs and restart the view's drift window.
     fn handle_drift(&mut self, view: &str, shape: &'static str, trip: &DriftTrip) {
         let journal = linrec_obs::journal::journal();
-        crate::profile::service().plan_drift.inc();
+        linrec_obs::counter!(
+            "linrec_service_plan_drift_total",
+            "Plan-drift events raised by the regression sentinel"
+        )
+        .inc();
         let mut sp = linrec_obs::span("plan.drift");
         sp.attr("view", view);
         sp.attr("kind", trip.kind());

@@ -71,7 +71,6 @@ mod crc;
 pub mod decisions;
 pub mod error;
 mod framelog;
-pub mod profile;
 pub mod snapshot;
 pub mod store;
 pub mod vfs;

@@ -190,7 +190,6 @@ impl Store {
     pub fn recover(&mut self) -> Result<Recovered, StorageError> {
         let mut sp = linrec_obs::span("store.recover");
         sp.attr("generation", self.generation);
-        let t0 = linrec_obs::enabled().then(std::time::Instant::now);
         let snapshot = if self.generation > 0 {
             let path = self.snapshot_path(self.generation);
             let bytes = self
@@ -218,10 +217,10 @@ impl Store {
         let (wal, batches) = Wal::open(&*self.vfs, &wal_path, self.manifest_seq)?;
         self.wal_batches = batches.len() as u64;
         self.wal = Some(wal);
-        if let Some(t0) = t0 {
-            let prof = crate::profile::store();
-            prof.recover_ns.observe(t0.elapsed().as_nanos() as u64);
-            prof.replayed_batches.inc_by(batches.len() as u64);
+        if linrec_obs::enabled() {
+            sp.observe_into(linrec_obs::histogram!("linrec_storage_recover_ns"));
+            linrec_obs::counter!("linrec_storage_replayed_batches_total")
+                .inc_by(batches.len() as u64);
             sp.attr("replayed", batches.len());
         }
         Ok(Recovered { snapshot, batches })
@@ -252,7 +251,6 @@ impl Store {
     pub fn checkpoint(&mut self, data: &SnapshotData) -> Result<u64, StorageError> {
         let mut sp = linrec_obs::span("store.checkpoint");
         sp.attr("epoch", data.epoch);
-        let t0 = linrec_obs::enabled().then(std::time::Instant::now);
         let old_wal_seq = match &self.wal {
             Some(wal) => wal.next_seq(),
             None => return Err(StorageError::NotRecovered),
@@ -288,10 +286,9 @@ impl Store {
         self.manifest_seq = old_wal_seq;
         self.wal = Some(wal);
         self.wal_batches = 0;
-        if let Some(t0) = t0 {
-            let prof = crate::profile::store();
-            prof.checkpoint_ns.observe(t0.elapsed().as_nanos() as u64);
-            prof.checkpoints.inc();
+        if linrec_obs::enabled() {
+            sp.observe_into(linrec_obs::histogram!("linrec_storage_checkpoint_ns"));
+            linrec_obs::counter!("linrec_storage_checkpoints_total").inc();
             sp.attr("generation", gen);
         }
         Ok(gen)

@@ -27,7 +27,6 @@ use crate::snapshot::{ByteReader, ByteWriter, TAG_INT, TAG_SYM};
 use crate::vfs::Vfs;
 use linrec_datalog::{Symbol, Value};
 use std::path::Path;
-use std::time::Instant;
 
 const WAL_MAGIC: [u8; 8] = *b"LINRWAL1";
 /// Current WAL format version.
@@ -197,26 +196,19 @@ impl Wal {
         let mut sp = linrec_obs::span("wal.append");
         sp.attr("seq", seq);
         sp.attr("bytes", frame_bytes);
-        let t_append = linrec_obs::enabled().then(Instant::now);
         let result = self.log.write(&payload).and_then(|()| {
-            let _fsp = linrec_obs::span("wal.fsync");
-            let t_sync = t_append.map(|_| Instant::now());
+            let mut fsp = linrec_obs::span("wal.fsync");
             self.log.sync().inspect(|()| {
-                if let Some(t) = t_sync {
-                    crate::profile::wal()
-                        .fsync_ns
-                        .observe(t.elapsed().as_nanos() as u64);
-                }
+                fsp.observe_into(linrec_obs::histogram!("linrec_storage_wal_fsync_ns"));
             })
         });
-        if let Some(t) = t_append {
-            let prof = crate::profile::wal();
+        if linrec_obs::enabled() {
             if result.is_ok() {
-                prof.append_ns.observe(t.elapsed().as_nanos() as u64);
-                prof.append_bytes.observe(frame_bytes);
-                prof.appends.inc();
+                sp.observe_into(linrec_obs::histogram!("linrec_storage_wal_append_ns"));
+                linrec_obs::histogram!("linrec_storage_wal_append_bytes").observe(frame_bytes);
+                linrec_obs::counter!("linrec_storage_wal_appends_total").inc();
             } else {
-                prof.append_errors.inc();
+                linrec_obs::counter!("linrec_storage_wal_append_errors_total").inc();
             }
         }
         result?;

@@ -779,7 +779,7 @@ fn serve(path: &str, args: &[String]) -> Result<(), String> {
                 listener.local_addr().map_err(|e| e.to_string())?,
                 pool.threads()
             );
-            serve_tcp(service, listener, &pool).map_err(|e| e.to_string())
+            serve_tcp(service, listener, &pool)
         }
         None => {
             eprintln!("serving on stdin (line protocol; try `help`)");

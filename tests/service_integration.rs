@@ -129,7 +129,7 @@ fn tcp_front_end_round_trips() {
         let service = Arc::clone(&service);
         std::thread::spawn(move || {
             let pool = WorkerPool::new(2);
-            let _ = serve_tcp(service, listener, &pool);
+            serve_tcp(service, listener, &pool);
         })
     };
 
@@ -179,7 +179,7 @@ fn a_panicking_tcp_session_leaves_concurrent_sessions_serving() {
             // One worker: if the panic killed it, every later connect
             // below would hang instead of being served.
             let pool = WorkerPool::new(1);
-            let _ = serve_tcp(service, listener, &pool);
+            serve_tcp(service, listener, &pool);
         })
     };
     let send = |commands: &str| -> Vec<String> {

@@ -366,7 +366,7 @@ impl RedundancyCert {
         &self.decomposition
     }
 
-    /// Why the strategy is licensed.
+    /// The rendered Theorem 6.4 argument.
     pub fn rationale(&self) -> &str {
         &self.rationale
     }

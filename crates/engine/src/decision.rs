@@ -54,8 +54,6 @@ pub enum CertKind {
     Boundedness,
     /// Commuting clusters (Theorems 5.1–5.3, licensing Theorem 3.1).
     Commutativity,
-    /// Recursive redundancy (Theorems 6.3/6.4).
-    Redundancy,
     /// Separability of an operator pair (Theorems 4.1/6.1).
     Separability,
     /// The rule is relational composition with one binary EDB predicate
@@ -69,7 +67,6 @@ impl CertKind {
         match self {
             CertKind::Boundedness => "boundedness",
             CertKind::Commutativity => "commutativity",
-            CertKind::Redundancy => "redundancy",
             CertKind::Separability => "separability",
             CertKind::CompositionShape => "composition shape",
         }
@@ -459,14 +456,6 @@ mod tests {
             (
                 constructed(PlanShape::Separable, &[(CertKind::Separability, "S")]),
                 "picked Separable (constructed); separability: S",
-            ),
-            (
-                PlanDecision {
-                    actual: Some(stats()),
-                    ..constructed(PlanShape::RedundancyBounded, &[(CertKind::Redundancy, "R")])
-                },
-                "picked RedundancyBounded (constructed); redundancy: R; actual: tuples=988 \
-                 derivations=1000 duplicates=12 iterations=4 applications=8",
             ),
             (
                 PlanDecision {

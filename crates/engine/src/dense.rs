@@ -230,57 +230,9 @@ pub fn eval_composition(
     Some((relation, stats))
 }
 
-/// Dense fast path for the exact power image `Aᶜ(init) = init ∘ qᶜ`
-/// (right-linear; `qᶜ ∘ init` left-linear): `qᶜ` by binary
-/// exponentiation — `O(log c)` composes instead of `c` joins. Derivation
-/// counters come from popcount deltas, one [`EvalStats::record`] per
-/// compose. Returns `None` when densification fails or the working set
-/// exceeds `budget_bytes` (checked before any matrix allocation).
-pub fn exact_power(
-    shape: &CompositionShape,
-    db: &Database,
-    init: &Relation,
-    count: usize,
-    budget_bytes: usize,
-    stats: &mut EvalStats,
-) -> Option<Relation> {
-    debug_assert!(count > 0, "count 0 is the identity; callers skip it");
-    let (a, e) = densify(shape, db, init, budget_bytes)?;
-    // q^count by square-and-multiply over the bit positions of `count`.
-    let mut power: Option<BitsetRelation> = None;
-    let mut base = e;
-    let mut c = count;
-    loop {
-        if c & 1 == 1 {
-            power = Some(match power {
-                Some(p) => {
-                    let next = compose(&p, &base);
-                    stats.record(next.len(), next.len());
-                    next
-                }
-                None => base.clone(),
-            });
-        }
-        c >>= 1;
-        if c == 0 {
-            break;
-        }
-        base = square(&base);
-        stats.record(base.len(), base.len());
-    }
-    let power = power.expect("count > 0 always selects at least one factor");
-    let image = match shape.side {
-        CompositionSide::Right => compose(&a, &power),
-        CompositionSide::Left => compose(&power, &a),
-    };
-    stats.record(image.len(), image.len());
-    Some(image.to_relation())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::join::{apply_linear, Indexes};
     use crate::rules;
     use crate::seminaive::seminaive_star;
     use linrec_datalog::parse_linear_rule;
@@ -340,33 +292,6 @@ mod tests {
     }
 
     #[test]
-    fn exact_power_matches_the_sparse_power_chain() {
-        let edges = workload::chain(30);
-        let db = workload::graph_db("q", edges.clone());
-        let rule = rules::tc_right();
-        let shape = composition_shape(&rule).unwrap();
-        for count in [1usize, 2, 3, 5, 8, 13] {
-            let mut dense_stats = EvalStats::default();
-            let dense = exact_power(
-                &shape,
-                &db,
-                &edges,
-                count,
-                DEFAULT_DENSE_BUDGET_BYTES,
-                &mut dense_stats,
-            )
-            .unwrap();
-            // The reference: `count` sparse joins, one after the other.
-            let mut sparse = edges.clone();
-            let indexes = &mut Indexes::new();
-            for _ in 0..count {
-                sparse = apply_linear(&rule, &db, &sparse, indexes).0;
-            }
-            assert_eq!(dense.sorted(), sparse.sorted(), "count {count}");
-        }
-    }
-
-    #[test]
     fn budget_overflow_falls_back() {
         let edges = workload::chain(100);
         let db = workload::graph_db("q", edges.clone());
@@ -385,16 +310,6 @@ mod tests {
         let db = workload::graph_db("q", edges.clone());
         let shape = composition_shape(&rules::tc_right()).unwrap();
         assert!(eval_composition(&shape, &db, &edges, DEFAULT_DENSE_BUDGET_BYTES).is_none());
-        let mut stats = EvalStats::default();
-        assert!(exact_power(
-            &shape,
-            &db,
-            &edges,
-            8,
-            DEFAULT_DENSE_BUDGET_BYTES,
-            &mut stats
-        )
-        .is_none());
     }
 
     #[test]

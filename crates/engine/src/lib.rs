@@ -10,8 +10,7 @@
 //!    redundancy (Theorems 6.3/6.4).
 //! 2. [`Analysis::plan_for`] picks a licensed [`Plan`] for the data:
 //!    `Direct`, `BoundedPrefix`, `Decomposed`, `Separable`,
-//!    `RedundancyBounded`, `DenseClosure` or a `SelectAfter` wrapper. It is
-//!    the one chooser; a caller that wants one certified shape builds it
+//!    `DenseClosure` or a `SelectAfter` wrapper. It is the one chooser; a caller that wants one certified shape builds it
 //!    from the certificate (`Plan::decomposed`, …). The specialized nodes are
 //!    *unconstructible* without their certificate, and every plan owns the
 //!    one [`PlanDecision`] record of why it was chosen
@@ -21,9 +20,9 @@
 //! 3. [`Plan::execute`] evaluates the tree, instrumented with the
 //!    duplicate/derivation counters of Section 3.1 ([`EvalStats`]), and
 //!    returns an [`ExecOutcome`] with a per-phase [`TraceStep`] record.
-//!    Each star runs through `planner/exec.rs`'s `Exec::star` (each exact
-//!    power through `Exec::power`), the one place the sparse, sharded or
-//!    dense backend is chosen — and where a new backend is added.
+//!    Each star runs through `planner/exec.rs`'s `Exec::star`, the one
+//!    place the sparse, sharded or dense backend is chosen — and where a
+//!    new backend is added.
 //!
 //! # Example: decomposing a commuting recursion
 //!

@@ -128,7 +128,8 @@ impl Analysis {
         &self.notes
     }
 
-    /// True iff no specialized strategy is licensed.
+    /// True iff the analysis found no certificate (so no specialized
+    /// strategy is licensed).
     pub fn has_no_certificates(&self) -> bool {
         self.boundedness.is_none()
             && self.commutativity.is_none()
@@ -166,9 +167,9 @@ impl Analysis {
     /// minimal number of applications), and a licensed separable plan
     /// always wins for selection queries (selection push-down bounds the
     /// explored region by construction). Among the remaining licensed
-    /// candidates — `Decomposed`, `RedundancyBounded`, and the always-legal
-    /// `Direct` — the cheapest estimate is chosen, with `Direct` breaking
-    /// ties (fewest phases, no certificate machinery).
+    /// candidates — `Decomposed` and the always-legal `Direct` — the
+    /// cheapest estimate is chosen, with `Direct` breaking ties (fewest
+    /// phases, no certificate machinery).
     pub fn plan_with(&self, db: &Database, init: &Relation, model: &CostModel) -> Plan {
         let plan = match self.fixed_priority() {
             Some(plan) => plan.picked_by(PickedBy::FixedPriority),
@@ -188,12 +189,6 @@ impl Analysis {
         // keep a tie.
         let mut plans = vec![Plan::direct(self.rules.clone())];
         plans.extend(self.commutativity.iter().cloned().map(Plan::decomposed));
-        plans.extend(
-            self.redundancy
-                .iter()
-                .cloned()
-                .map(Plan::redundancy_bounded),
-        );
         let mut candidates: Vec<CandidateEstimate> = plans
             .iter()
             .map(|plan| CandidateEstimate {
@@ -347,16 +342,14 @@ mod tests {
     }
 
     #[test]
-    fn analysis_licenses_redundancy_bounded_for_shopping() {
+    fn analysis_certifies_cheap_as_redundant_for_shopping() {
         let rule = rules::shopping_rule();
         let analysis = Analysis::of(std::slice::from_ref(&rule), None);
-        let plan = Plan::redundancy_bounded(analysis.redundancy().unwrap().clone());
-        assert_eq!(plan.shape(), PlanShape::RedundancyBounded);
-
-        let (db, init) = workload::shopping(40, 10, 3, 5);
-        let bounded = plan.execute(&db, &init).unwrap();
-        let direct = Plan::direct(vec![rule]).execute(&db, &init).unwrap();
-        assert_eq!(bounded.relation.sorted(), direct.relation.sorted());
+        let cert = analysis
+            .redundancy()
+            .expect("shopping certifies redundancy");
+        assert_eq!(cert.pred(), Symbol::new("cheap"));
+        assert_eq!(cert.rule(), &rule);
     }
 
     #[test]
@@ -397,10 +390,6 @@ mod tests {
 
     #[test]
     fn cost_model_picks_direct_on_shopping() {
-        // The PR 1 regression: RedundancyBounded does fewer derivations on
-        // the shopping workload but loses wall-clock to Direct (many small
-        // phases over small, dense relations). The cost model must side
-        // with Direct here.
         let rules = vec![rules::shopping_rule()];
         let analysis = Analysis::of(&rules, None);
         let (db, init) = workload::shopping(100, 30, 4, 99);
@@ -409,14 +398,9 @@ mod tests {
         let dec = plan.decision();
         assert_eq!(dec.picked_by, PickedBy::CostModel);
         let weighed: Vec<&str> = dec.candidates.iter().map(|c| c.shape.label()).collect();
-        assert_eq!(weighed, ["Direct", "RedundancyBounded"]);
+        assert_eq!(weighed, ["Direct"]);
         assert_eq!(dec.estimate, Some(dec.candidates[0].cost));
         assert!(dec.certificates.is_empty(), "Direct leans on none");
-        // Both evaluate to the same relation regardless of the choice.
-        let a = plan.execute(&db, &init).unwrap();
-        let bounded = Plan::redundancy_bounded(analysis.redundancy().unwrap().clone());
-        let b = bounded.execute(&db, &init).unwrap();
-        assert_eq!(a.relation.sorted(), b.relation.sorted());
     }
 
     #[test]
@@ -501,9 +485,8 @@ mod tests {
 
     #[test]
     fn plan_with_threads_the_model_budget_into_the_plan() {
-        // The declined plan stays sparse for its closure, but its
-        // exact-power fast paths must still run under the *model's*
-        // budget, not the module default.
+        // The declined plan stays sparse, but it must still carry the
+        // *model's* budget, not the module default.
         let edges = workload::chain(500);
         let db = workload::graph_db("q", edges.clone());
         let model = CostModel {

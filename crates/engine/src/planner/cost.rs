@@ -5,8 +5,7 @@
 //! the dense gate and the parallel cutover. A plan that is a product of
 //! stars is priced star by star off the same list the executor runs
 //! (`PlanNode::lower`); only the shapes with algebra of their own
-//! (`BoundedPrefix`, `Separable`, `RedundancyBounded`) carry an
-//! estimate arm. Nothing here evaluates a rule: estimates read row counts
+//! (`BoundedPrefix`, `Separable`) carry an estimate arm. Nothing here evaluates a rule: estimates read row counts
 //! and per-column distinct counts, never a join.
 
 use super::plan::{PlanNode, StarSpec};
@@ -29,14 +28,13 @@ use linrec_datalog::{Database, LinearRule, Relation, Symbol, Term, Var};
 /// (`max column cardinality ^ arity`). This is exactly the paper's §3.1
 /// cost measure — tuple derivations — made predictable: the mixed
 /// `…CB…` terms that decomposition eliminates show up as the cross terms
-/// of `(f_B + f_C)ⁿ`, and a redundant factor with fanout > 1 shows up as
-/// an exponential the bounded strategy truncates.
+/// of `(f_B + f_C)ⁿ`.
 ///
 /// On top of the derivation charge, every fixpoint phase pays a setup
 /// charge proportional to the seed and the EDB rows it touches (relation
 /// cloning, scan materialization, allocator traffic) — the term the
 /// derivation count alone misses, and the reason a strategy with fewer
-/// derivations but many phases (e.g. `RedundancyBounded` on a small, dense
+/// derivations but many phases (several small stars over a small, dense
 /// workload) can lose wall-clock to one semi-naive star.
 ///
 /// The constants are unit-free ratios calibrated on the shopping / up-down
@@ -495,47 +493,6 @@ impl<'a> Estimator<'a> {
                 c1 + c2
                     + self.phase_charge(inner_rules, inner_seed)
                     + self.phase_charge(outer_rules, mid)
-            }
-            PlanNode::RedundancyBounded { cert } => {
-                let dec = cert.decomposition();
-                let (k, n, l) = (dec.torsion.k, dec.torsion.n, dec.l);
-                let period = n - k;
-                let rule = cert.rule();
-                let a_rules = std::slice::from_ref(rule);
-                let b_rules = std::slice::from_ref(&dec.b);
-                // Prefix Σ_{m<KL} Aᵐ q.
-                let (mut cost, _) = self.power_chain(rule, seed, seed_doms, k * l - 1);
-                cost += self.phase_charge(a_rules, seed);
-                // B^{K-1} q, then one branch per residue.
-                let (c_img, mut img) = self.power_chain(&dec.b, seed, seed_doms, k - 1);
-                cost += c_img;
-                let fan_b = self.fanout(&dec.b);
-                let fan_c = self.fanout(&dec.c);
-                let b_doms = self.col_doms(b_rules, seed_doms);
-                let cap = Self::cap(&b_doms);
-                let mut acc = 0.0f64;
-                for r in 0..period {
-                    if r > 0 {
-                        cost += self.per_deriv() * img * fan_b;
-                        img = (img * fan_b).min(cap);
-                    }
-                    // (Bᴾ)* — a star whose per-application fanout is Bᴾ's.
-                    let f = fan_b.powi(period.min(16) as i32).max(f64::MIN_POSITIVE);
-                    let (derivs, total) = self.unroll(f, img, cap);
-                    cost += self.per_deriv() * derivs + self.phase_charge(b_rules, img);
-                    // C^{(K+r)L}, then one B.
-                    let mut cur = total;
-                    for _ in 0..((k + r) * l).min(4 * self.model.horizon) {
-                        cost += self.per_deriv() * cur * fan_c;
-                        cur = (cur * fan_c).min(cap);
-                    }
-                    cost += self.per_deriv() * cur * fan_b
-                        + self.phase_charge(std::slice::from_ref(&dec.c), total);
-                    acc += (cur * fan_b).min(cap);
-                }
-                // Σ_{n<L} Aⁿ acc.
-                let (c_tail, _) = self.power_chain(rule, acc.min(cap), seed_doms, l - 1);
-                cost + c_tail
             }
             PlanNode::SelectAfter { inner, .. } => self.node(inner, seed, seed_doms),
             // Every other shape is the product of its stars, and costs

@@ -5,22 +5,21 @@
 //! place a backend is chosen — dense squaring, sharded rounds or the
 //! sequential driver, decided from the [`StarSpec`] and the frontier — and
 //! the only caller of [`seminaive_resume`] and
-//! [`dense::eval_composition`]; `Exec::power` is the same for exact power
-//! images. A new backend (a cached operator closure, a dense resume, an
-//! unfolded rule) is a branch in one of those two functions. Nothing here
-//! estimates: by the time a plan runs, the choice among plans is made.
+//! [`dense::eval_composition`]. A new backend (a cached operator closure,
+//! a dense resume, an unfolded rule) is a branch in that function. Nothing
+//! here estimates: by the time a plan runs, the choice among plans is made.
 
 use super::plan::{PlanNode, StarSpec};
 use super::{Plan, StrategyError};
 use crate::dense;
-use crate::join::{apply_linear, Indexes};
+use crate::join::Indexes;
 use crate::magic::MagicRewrite;
 use crate::parallel::Parallelism;
 use crate::selection::Selection;
 use crate::seminaive::seminaive_resume;
 use crate::stats::EvalStats;
-use linrec_core::{RedundancyCert, SeparabilityCert};
-use linrec_datalog::{Database, LinearRule, Relation};
+use linrec_core::SeparabilityCert;
+use linrec_datalog::{Database, Relation};
 use linrec_obs::Span;
 
 /// The result of [`Plan::execute`]: the relation, the paper's cost
@@ -51,8 +50,8 @@ impl Plan {
     ///
     /// One scan/index cache ([`Indexes`]) is shared across every phase of
     /// the plan tree — the database is immutable for the whole execution,
-    /// so decomposed clusters and redundancy-bounded branches reuse the
-    /// EDB scans and indexes the first phase built.
+    /// so decomposed clusters and separable stars reuse the EDB scans and
+    /// indexes the first phase built.
     pub fn execute(&self, db: &Database, init: &Relation) -> Result<ExecOutcome, StrategyError> {
         let mut trace = Vec::new();
         let mut exec = Exec {
@@ -117,8 +116,8 @@ impl Plan {
     /// `DenseClosure` over the rule sum (always sound; a dense-planned view
     /// is maintained sparsely), `BoundedPrefix` under the certified round
     /// cap, `Decomposed` cluster by cluster.
-    /// `Separable`, `RedundancyBounded` and `SelectAfter` are not, and
-    /// have no incremental form: `None`, with `total` untouched — the
+    /// `Separable` and `SelectAfter` are not, and have no incremental
+    /// form: `None`, with `total` untouched — the
     /// caller re-executes the plan.
     pub fn resume(
         &self,
@@ -141,7 +140,7 @@ impl Plan {
     }
 }
 
-/// One execution's context: what every star and power of a plan shares.
+/// One execution's context: what every star of a plan shares.
 struct Exec<'a> {
     db: &'a Database,
     indexes: &'a mut Indexes,
@@ -235,36 +234,6 @@ impl Exec<'_> {
         stats
     }
 
-    /// The exact power image `Aᶜᵒᵘⁿᵗ(init)` (not accumulated), its
-    /// applications recorded in `stats`.
-    fn power(
-        &mut self,
-        rule: &LinearRule,
-        init: &Relation,
-        count: usize,
-        stats: &mut EvalStats,
-    ) -> Relation {
-        // Dense fast path: a composition-shaped rule's power image is
-        // `init ∘ qᶜ` (or `qᶜ ∘ init`), and `qᶜ` by binary exponentiation
-        // needs O(log c) matrix composes instead of c joins. Only worth the
-        // two domain remaps for chains long enough that squaring saves work.
-        if count >= 4 {
-            if let Some(shape) = dense::composition_shape(rule) {
-                let budget = self.dense_budget_bytes;
-                if let Some(rel) = dense::exact_power(&shape, self.db, init, count, budget, stats) {
-                    return rel;
-                }
-            }
-        }
-        let mut current = init.clone();
-        for _ in 0..count {
-            let (next, derivs) = apply_linear(rule, self.db, &current, self.indexes);
-            stats.record(derivs, next.len() as u64);
-            current = next;
-        }
-        current
-    }
-
     /// Apply `stars` in turn to the running `total`, starting from the
     /// frontier `delta`: from scratch (`total = delta = init`) the plan's
     /// value, from a true frontier its incremental form.
@@ -301,9 +270,6 @@ impl Exec<'_> {
         match node {
             PlanNode::Separable { cert, sel } => {
                 self.separable(cert, sel, &node.lower().stars, init)
-            }
-            PlanNode::RedundancyBounded { cert } => {
-                self.redundancy_bounded(cert, &node.lower().stars[0], init)
             }
             PlanNode::SelectAfter { inner, sel } => {
                 let (rel, mut stats) = self.run(inner, init)?;
@@ -381,75 +347,6 @@ impl Exec<'_> {
         stats.tuples = out.len();
         Ok((out, stats))
     }
-
-    /// Redundancy-bounded evaluation (Theorem 4.2 via the Theorem 6.4
-    /// witnesses): with `Aᴸ = BCᴸ`, `Cᴺ = Cᴷ`, and period `P = N−K`,
-    ///
-    /// ```text
-    /// A*q = Σ_{m<KL} Aᵐq  ∪  Σ_{n<L} Aⁿ ( Σ_{r<P} B( C^{(K+r)L} ( (Bᴾ)* ( B^{K−1+r} q ))))
-    /// ```
-    ///
-    /// an identity obtained from `A^{mL} = B·C^{mL}·B^{m−1}` (first equality of
-    /// Theorem 6.4 plus the `Cᴸ`-commutation) and the torsion collapse
-    /// `C^{mL} = C^{g(m)L}`. `C` is applied at most `(N−1)·L` times per branch —
-    /// the paper's "C is processed only a fixed finite number of times, beyond
-    /// which only B is processed".
-    fn redundancy_bounded(
-        &mut self,
-        cert: &RedundancyCert,
-        prefix: &StarSpec,
-        init: &Relation,
-    ) -> Result<(Relation, EvalStats), StrategyError> {
-        let rule = cert.rule();
-        let dec = cert.decomposition();
-        let (k, n, l) = (dec.torsion.k, dec.torsion.n, dec.l);
-        let period = n - k;
-
-        // Part 1: Σ_{m=0}^{KL-1} Aᵐ q.
-        let mut result = init.clone();
-        let mut stats = self.star(prefix, &mut result, init.clone(), None);
-
-        // (Bᴾ)* is evaluated with the composed rule Bᴾ, over images the
-        // certificate bounds: sequential, inside the branches' phase.
-        let b_star = StarSpec::over(vec![linrec_cq::power(&dec.b, period)?]).sequential();
-
-        // Part 2 inner sums.
-        let phase = self.begin("redundancy-branches");
-        let before = stats;
-        let mut acc = Relation::new(rule.arity());
-        let mut img = self.power(&dec.b, init, k - 1, &mut stats); // B^{K-1} q
-        for r in 0..period {
-            if r > 0 {
-                img = self.power(&dec.b, &img, 1, &mut stats); // B^{K-1+r} q
-            }
-            let mut bstar = img.clone();
-            stats += self.star(&b_star, &mut bstar, img.clone(), None);
-            let after_c = self.power(&dec.c, &bstar, (k + r) * l, &mut stats);
-            let with_b = self.power(&dec.b, &after_c, 1, &mut stats);
-            acc.union_in_place(&with_b);
-        }
-
-        // Σ_{n<L} Aⁿ (acc).
-        let mut cur = acc.clone();
-        result.union_in_place(&acc);
-        for _ in 1..l {
-            cur = self.power(rule, &cur, 1, &mut stats);
-            result.union_in_place(&cur);
-        }
-        let mut branch = stats;
-        branch.iterations -= before.iterations;
-        branch.applications -= before.applications;
-        branch.derivations -= before.derivations;
-        branch.duplicates -= before.duplicates;
-        let label = format!(
-            "{period} periodic branch(es) with C bounded at {} applications",
-            (n - 1) * l
-        );
-        self.end(phase, label, branch);
-
-        stats.tuples = result.len();
-        Ok((result, stats))
-    }
 }
 
 #[cfg(test)]
@@ -457,24 +354,28 @@ mod tests {
     use super::super::{Analysis, PlanShape};
     use super::*;
     use crate::rules;
-    use linrec_datalog::{parse_linear_rule, Symbol};
+    use linrec_datalog::{parse_linear_rule, LinearRule, Value};
     use linrec_testkit as workload;
 
     #[test]
     fn outcome_trace_and_describe_are_informative() {
-        let rule = rules::shopping_rule();
-        let cert = RedundancyCert::establish(&rule, Symbol::new("cheap"), 8)
-            .unwrap()
-            .unwrap();
-        let plan = Plan::select_after(Plan::redundancy_bounded(cert), Selection::eq(0, 1));
+        let rule = parse_linear_rule("p(x,y) :- p(x,y), mark(x).").unwrap();
+        let cert = Analysis::of(&[rule], None).boundedness().unwrap().clone();
+        let plan = Plan::select_after(Plan::bounded_prefix(cert), Selection::eq(0, 1));
         let text = plan.describe();
         assert!(text.contains("SelectAfter"));
-        assert!(text.contains("RedundancyBounded"));
+        assert!(text.contains("BoundedPrefix"));
         assert!(text.contains("rationale"));
 
-        let (db, init) = workload::shopping(20, 8, 2, 1);
+        let mut db = Database::new();
+        db.set_relation("mark", Relation::from_tuples(1, [vec![Value::Int(1)]]));
+        let init = Relation::from_pairs([(1, 5), (1, 6), (2, 7)]);
         let outcome = plan.execute(&db, &init).unwrap();
-        assert!(outcome.trace.len() >= 3);
+        let labels: Vec<&str> = outcome.trace.iter().map(|t| t.label.as_str()).collect();
+        assert_eq!(labels.len(), 2, "{labels:?}");
+        assert!(labels[0].starts_with("bounded prefix"), "{labels:?}");
+        assert!(labels[1].starts_with("selection"), "{labels:?}");
+        assert_eq!(outcome.relation.len(), 2);
         assert_eq!(outcome.stats.tuples, outcome.relation.len());
     }
 
@@ -552,71 +453,6 @@ mod tests {
         let mut db = Database::new();
         db.set_relation("e", (0..n).map(|i| (i, i + 1)).collect::<Relation>());
         db
-    }
-
-    /// `Aᶜᵒᵘⁿᵗ(init)` through `Exec::power` under a dense budget.
-    fn power(
-        rule: &LinearRule,
-        db: &Database,
-        init: &Relation,
-        count: usize,
-        stats: &mut EvalStats,
-        dense_budget_bytes: usize,
-    ) -> Relation {
-        let mut exec = Exec {
-            db,
-            indexes: &mut Indexes::new(),
-            par: &Parallelism::sequential(),
-            dense_budget_bytes,
-            trace: None,
-        };
-        exec.power(rule, init, count, stats)
-    }
-
-    #[test]
-    fn power_honors_the_dense_budget() {
-        let db = chain_db(40);
-        let init = db.relation_named("e").unwrap().clone();
-        let rule = tc_rule();
-        let mut sparse_stats = EvalStats::default();
-        let sparse = power(&rule, &db, &init, 8, &mut sparse_stats, 0);
-        let mut dense_stats = EvalStats::default();
-        let dense = power(
-            &rule,
-            &db,
-            &init,
-            8,
-            &mut dense_stats,
-            dense::DEFAULT_DENSE_BUDGET_BYTES,
-        );
-        assert_eq!(sparse.sorted(), dense.sorted());
-        // One record per sparse join vs O(log c) dense composes: the
-        // stats betray which path ran, so a tightened (here: zero)
-        // budget demonstrably keeps the power chain off dense matrices.
-        assert_eq!(
-            sparse_stats.applications, 8,
-            "a zero budget must stay on the sparse join path"
-        );
-        assert!(
-            dense_stats.applications < 8,
-            "the default budget licenses O(log c) dense composes"
-        );
-    }
-
-    #[test]
-    fn power_is_an_image() {
-        let db = chain_db(10);
-        let init = Relation::from_pairs([(0, 1)]);
-        let mut stats = EvalStats::default();
-        let p3 = power(
-            &tc_rule(),
-            &db,
-            &init,
-            3,
-            &mut stats,
-            dense::DEFAULT_DENSE_BUDGET_BYTES,
-        );
-        assert_eq!(p3.sorted(), Relation::from_pairs([(0, 4)]).sorted());
     }
 
     #[test]

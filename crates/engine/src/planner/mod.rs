@@ -6,10 +6,12 @@
 //! 1. **[`Analysis`]** runs the paper's tests over a rule set (and optional
 //!    [`Selection`](crate::Selection)) and collects *typed certificates*
 //!    from `linrec-core`: `BoundednessCert`, `CommutativityCert`,
-//!    `SeparabilityCert`, `RedundancyCert`.
+//!    `SeparabilityCert`, `RedundancyCert`. The redundancy certificate is
+//!    reported (Theorem 6.4) but licenses no plan: its bounded evaluation
+//!    never beat `Direct` under a hash-join executor.
 //! 2. **[`Plan`]** is a composable strategy tree. The specialized nodes —
-//!    `Decomposed`, `Separable`, `RedundancyBounded`, `BoundedPrefix`,
-//!    `DenseClosure` — can **only** be built from the corresponding
+//!    `Decomposed`, `Separable`, `BoundedPrefix`, `DenseClosure` — can
+//!    **only** be built from the corresponding
 //!    certificate, so an unlicensed plan is unrepresentable; `Direct` and
 //!    `SelectAfter` need no premise and are always available.
 //! 3. **[`Plan::execute`]** runs the tree over a database and seed
@@ -37,11 +39,10 @@
 //! [`Analysis::plan_with`] under an explicit [`CostModel`]) takes the
 //! concrete database and seed relation. Boundedness and separability win
 //! without a competition (provably minimal applications, and selection
-//! push-down, respectively); `Decomposed`, `RedundancyBounded` and `Direct`
-//! compete on estimated cost, and the dense gate may pre-empt them with
+//! push-down, respectively); `Decomposed` and `Direct` compete on
+//! estimated cost, and the dense gate may pre-empt them with
 //! `DenseClosure` — so a certificate is exploited only where the data says
-//! it pays (a redundancy certificate that *loses* wall-clock on a small
-//! dense database is not picked). To run one certified shape regardless of
+//! it pays. To run one certified shape regardless of
 //! cost, build it from its certificate (`Plan::decomposed(cert)`, …).
 //!
 //! # Why this plan

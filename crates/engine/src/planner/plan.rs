@@ -12,7 +12,7 @@ use crate::decision::{CertKind, MaintenanceMode, ParallelVerdict, PickedBy, Plan
 use crate::dense;
 use crate::parallel::Parallelism;
 use crate::selection::Selection;
-use linrec_core::{BoundednessCert, CommutativityCert, RedundancyCert, SeparabilityCert};
+use linrec_core::{BoundednessCert, CommutativityCert, SeparabilityCert};
 use linrec_datalog::{Database, LinearRule, Relation};
 use std::sync::Arc;
 
@@ -25,8 +25,7 @@ pub struct Plan {
     /// default; see [`Plan::parallelize`]).
     pub(super) par: Parallelism,
     /// Byte budget for any dense bitset working set this plan's execution
-    /// may allocate: the `DenseClosure` squaring and the exact-power fast
-    /// path of `RedundancyBounded` honor the same knob. Defaults to
+    /// may allocate: the `DenseClosure` squaring. Defaults to
     /// [`dense::DEFAULT_DENSE_BUDGET_BYTES`];
     /// [`Analysis::plan_with`](super::Analysis::plan_with) overwrites it
     /// with [`CostModel::dense_budget_bytes`], [`Plan::dense_closure`] with
@@ -52,9 +51,6 @@ pub(super) enum PlanNode {
     Separable {
         cert: SeparabilityCert,
         sel: Selection,
-    },
-    RedundancyBounded {
-        cert: Box<RedundancyCert>,
     },
     DenseClosure {
         rule: LinearRule,
@@ -98,14 +94,10 @@ impl StarSpec {
         }
     }
 
-    pub(super) fn sequential(mut self) -> StarSpec {
-        self.shardable = false;
-        self
-    }
-
     fn capped(mut self, cap: usize) -> StarSpec {
         self.round_cap = Some(cap);
-        self.sequential()
+        self.shardable = false;
+        self
     }
 
     fn traced_as(mut self, node: &'static str, label: impl Into<String>) -> StarSpec {
@@ -150,8 +142,6 @@ pub enum PlanShape {
     },
     /// `outer* (σ inner*)`.
     Separable,
-    /// Theorem 4.2 bounded evaluation of a redundant factor.
-    RedundancyBounded,
     /// Logarithmic transitive closure by boolean-matrix power doubling
     /// over a dense bitset remap (sparse semi-naive fallback if the
     /// runtime domain exceeds the byte budget).
@@ -170,7 +160,6 @@ impl PlanShape {
             PlanShape::BoundedPrefix { .. } => "BoundedPrefix",
             PlanShape::Decomposed { .. } => "Decomposed",
             PlanShape::Separable => "Separable",
-            PlanShape::RedundancyBounded => "RedundancyBounded",
             PlanShape::DenseClosure => "DenseClosure",
             PlanShape::SelectAfter(inner) => inner.label(),
         }
@@ -228,17 +217,6 @@ impl Plan {
         }
         let certificates = vec![(CertKind::Separability, cert.rationale().to_owned())];
         Ok(Plan::make(PlanNode::Separable { cert, sel }, certificates))
-    }
-
-    /// Theorem 4.2 bounded evaluation. Licensed by a [`RedundancyCert`].
-    pub fn redundancy_bounded(cert: RedundancyCert) -> Plan {
-        let certificates = vec![(CertKind::Redundancy, cert.rationale().to_owned())];
-        Plan::make(
-            PlanNode::RedundancyBounded {
-                cert: Box::new(cert),
-            },
-            certificates,
-        )
     }
 
     /// Dense transitive closure by power doubling: `init ∪ init∘q⁺`
@@ -317,9 +295,9 @@ impl Plan {
     /// Whether any round can shard, and over which rules the peak is
     /// estimated, is read off the plan's star list — the one the executor
     /// runs: `Direct`, `Decomposed` clusters and `Separable`'s stars
-    /// shard; the capped stars of `BoundedPrefix`/`RedundancyBounded` run
-    /// over images the certificates already bound to few applications, and
-    /// `DenseClosure` runs the squaring kernel.
+    /// shard; the capped star of `BoundedPrefix` runs over images the
+    /// certificate already bounds to few applications, and `DenseClosure`
+    /// runs the squaring kernel.
     pub fn parallelize(
         mut self,
         par: &Parallelism,
@@ -455,16 +433,6 @@ impl PlanNode {
                     .traced_as("separable-outer", "outer star over the selected relation");
                 (vec![one(cert.inner()), outer], false)
             }
-            // Only the prefix `Σ_{m<KL} Aᵐ q` is a star over the plan's own
-            // rule; the branches star the composed `Bᴾ`.
-            PlanNode::RedundancyBounded { cert } => {
-                let dec = cert.decomposition();
-                let kl = dec.torsion.k * dec.l;
-                let prefix = one(cert.rule())
-                    .capped(kl - 1)
-                    .traced_as("redundancy-prefix", format!("prefix Σ_{{m<{kl}}} Aᵐ q"));
-                (vec![prefix], false)
-            }
             PlanNode::SelectAfter { inner, .. } => (inner.lower().stars, false),
         };
         Lowered { stars, product }
@@ -480,7 +448,6 @@ impl PlanNode {
                 clusters: cert.clusters().to_vec(),
             },
             PlanNode::Separable { .. } => PlanShape::Separable,
-            PlanNode::RedundancyBounded { .. } => PlanShape::RedundancyBounded,
             PlanNode::DenseClosure { .. } => PlanShape::DenseClosure,
             PlanNode::SelectAfter { inner, .. } => PlanShape::SelectAfter(Box::new(inner.shape())),
         }
@@ -519,16 +486,6 @@ impl PlanNode {
                     cert.inner(),
                     sel.bindings()
                 ));
-            }
-            PlanNode::RedundancyBounded { cert } => {
-                let dec = cert.decomposition();
-                out.push_str(&format!(
-                    "{pad}RedundancyBounded ({} elided after {} C-applications)\n",
-                    cert.pred(),
-                    (dec.torsion.n - 1) * dec.l
-                ));
-                out.push_str(&format!("{pad}  B: {}\n", dec.b));
-                out.push_str(&format!("{pad}  C: {}\n", dec.c));
             }
             PlanNode::DenseClosure { rule, shape } => {
                 out.push_str(&format!(
@@ -570,11 +527,6 @@ mod tests {
         Plan::bounded_prefix(Analysis::of(&[rule], None).boundedness().unwrap().clone())
     }
 
-    fn redundancy_bounded() -> Plan {
-        let analysis = Analysis::of(&[rules::shopping_rule()], None);
-        Plan::redundancy_bounded(analysis.redundancy().unwrap().clone())
-    }
-
     fn separable(sel: &Selection) -> Plan {
         let analysis = Analysis::of(&updown(), Some(sel));
         Plan::separable(analysis.separability()[0].2.clone(), sel.clone()).unwrap()
@@ -591,7 +543,6 @@ mod tests {
             decomposed(),
             bounded(),
             Plan::dense_closure(rules::tc_right(), dense::DEFAULT_DENSE_BUDGET_BYTES).unwrap(),
-            redundancy_bounded(),
             separable(&sel),
             Plan::select_after(decomposed(), sel.clone()),
             Plan::select_after(Plan::direct(updown()), sel),
@@ -688,15 +639,15 @@ mod tests {
 
     #[test]
     fn parallelize_declines_shapes_without_shardable_rounds() {
-        // BoundedPrefix and RedundancyBounded execute through exact-power
-        // chains that never consult the knob — the record must not claim
-        // parallel rounds for them.
+        // BoundedPrefix runs one capped star, which is sequential and never
+        // consults the knob — the record must not claim parallel rounds
+        // for it.
         let (db, init) = workload::shopping(200, 30, 4, 99);
         let model = CostModel {
             per_shard_setup: 0.01,
             ..CostModel::default()
         };
-        let plan = redundancy_bounded().parallelize(&Parallelism::new(4), &model, &db, &init);
+        let plan = bounded().parallelize(&Parallelism::new(4), &model, &db, &init);
         assert_eq!(
             plan.decision().parallel,
             Some(ParallelVerdict {
@@ -747,7 +698,6 @@ mod tests {
         assert_eq!(mode(decomposed()), MaintenanceMode::IncrementalDecomposed);
         for plan in [
             separable(&sel),
-            redundancy_bounded(),
             Plan::select_after(Plan::direct(updown()), sel),
         ] {
             assert_eq!(mode(plan), MaintenanceMode::Recompute);

@@ -4,7 +4,7 @@
 //! and what `resume` answers. `planner_golden.txt` is the record; a refactor
 //! of the planner passes this test unmodified or it changed behaviour.
 
-use linrec_core::{BoundednessCert, RedundancyCert, SeparabilityCert};
+use linrec_core::{BoundednessCert, SeparabilityCert};
 use linrec_datalog::{parse_linear_rule, Database, LinearRule, Relation};
 use linrec_engine::{dense, rules, Analysis, CostModel, Indexes, Parallelism, Plan, Selection};
 use linrec_testkit as workload;
@@ -59,9 +59,6 @@ fn shapes(rules: &[LinearRule]) -> Vec<(&'static str, Plan)> {
         plans.push(("separable", Plan::separable(cert, sel).unwrap()));
     }
     if let [rule] = rules {
-        if let Some(cert) = RedundancyCert::establish_any(rule, 8).unwrap() {
-            plans.push(("redundancy_bounded", Plan::redundancy_bounded(cert)));
-        }
         if let Ok(plan) = Plan::dense_closure(rule.clone(), dense::DEFAULT_DENSE_BUDGET_BYTES) {
             plans.push(("dense_closure", plan));
             // The graph workloads also carry the bounded filter

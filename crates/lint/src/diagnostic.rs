@@ -87,8 +87,8 @@ pub enum Code {
     /// `P201` — the plan applies the selection after the fixpoint although
     /// a separability certificate licenses pushing it inside.
     MissedPushdown,
-    /// `P202` — the cost model chose `Direct` although a certificate
-    /// licenses a decomposed / redundancy-bounded strategy.
+    /// `P202` — the cost model chose `Direct` although a certificate or
+    /// the composition shape licenses a decomposed or dense strategy.
     CostSkippedCertificate,
 }
 

@@ -7,9 +7,9 @@
 //!   although a separability certificate plus a commuting selection
 //!   license pushing the selection into the inner star
 //!   (`σ(A₁+A₂)* = A₁*(σA₂*)`, Theorem 4.1);
-//! * `P202` — the cost model kept `Direct` although a commutativity or
-//!   redundancy certificate — or the dense composition shape — licenses a
-//!   stronger strategy; advisory only (the model may well be right on this
+//! * `P202` — the cost model kept `Direct` although a commutativity
+//!   certificate — or the dense composition shape — licenses a stronger
+//!   strategy; advisory only (the model may well be right on this
 //!   data: a dense decline means the budget/density rule said so, and the
 //!   note quotes the plan's rendered decision record).
 
@@ -54,9 +54,6 @@ pub fn plan_lints(analysis: &Analysis, plan: &Plan) -> Vec<Diagnostic> {
         let mut licensed: Vec<&str> = Vec::new();
         if analysis.commutativity().is_some() {
             licensed.push("Decomposed");
-        }
-        if analysis.redundancy().is_some() {
-            licensed.push("RedundancyBounded");
         }
         if let [rule] = analysis.rules() {
             if composition_shape(rule).is_some() {
@@ -109,6 +106,23 @@ mod tests {
         let late = Plan::select_after(Plan::direct(rules), sel);
         let d = plan_lints(&analysis, &late);
         assert!(d.iter().any(|d| d.code == Code::MissedPushdown), "{d:?}");
+    }
+
+    #[test]
+    fn a_redundancy_certificate_alone_draws_no_p202() {
+        // The certificate is reported (C104, `linrec analyze`) but
+        // licenses no plan, so Direct leaves nothing on the table.
+        let rules = vec![linrec_engine::rules::shopping_rule()];
+        let analysis = Analysis::of(&rules, None);
+        assert!(analysis.redundancy().is_some());
+        let (db, init) = linrec_testkit::shopping(100, 30, 4, 99);
+        let plan = analysis.plan_for(&db, &init);
+        assert_eq!(plan.shape(), PlanShape::Direct);
+        let d = plan_lints(&analysis, &plan);
+        assert!(
+            d.iter().all(|d| d.code != Code::CostSkippedCertificate),
+            "{d:?}"
+        );
     }
 
     #[test]

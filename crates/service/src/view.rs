@@ -36,8 +36,8 @@
 //! resume per commuting cluster; [`Plan::resume`] lists the forms, and
 //! [`MaintenanceMode`] is the label of the one in use, in reports and in
 //! the decision record. A plan with no incremental form (`Separable`,
-//! `RedundancyBounded`, `SelectAfter`) **falls back to a full recompute**
-//! through the plan, which is always safe.
+//! `SelectAfter`) **falls back to a full recompute** through the plan,
+//! which is always safe.
 
 use linrec_datalog::hash::FastMap;
 use linrec_datalog::{Atom, Database, LinearRule, Relation, Rule, Symbol};
@@ -308,7 +308,7 @@ impl MaintainedView {
 mod tests {
     use super::*;
     use linrec_datalog::{parse_linear_rule, Value};
-    use linrec_engine::{seminaive_star, PlanShape};
+    use linrec_engine::{seminaive_star, PlanShape, Selection};
 
     fn scratch_view(rules: &[LinearRule], db: &Database, seed: Symbol) -> Relation {
         let arity = rules[0].arity();
@@ -489,11 +489,13 @@ mod tests {
         };
         let mut view = MaintainedView::register(def, &db).unwrap();
         // Force the fallback path with a hand-built plan that has no
-        // incremental form: the redundancy-bounded plan the certificate
-        // licenses.
-        let cert = Analysis::of(&rules, None).redundancy().unwrap().clone();
-        view.plan = Plan::redundancy_bounded(cert);
-        assert_eq!(view.plan().shape(), PlanShape::RedundancyBounded);
+        // incremental form: a selection after the rule-sum star.
+        let sel = Selection::eq(0, 3);
+        view.plan = Plan::select_after(Plan::direct(rules.clone()), sel.clone());
+        assert_eq!(
+            view.plan().shape(),
+            PlanShape::SelectAfter(Box::new(PlanShape::Direct))
+        );
         assert_eq!(view.mode(), MaintenanceMode::Recompute);
         let (materialized, _) = view.materialize(&db).unwrap();
         let current = Arc::new(materialized);
@@ -503,9 +505,11 @@ mod tests {
         assert_eq!(outcome.mode, "recompute");
         let maintained = outcome.relation.unwrap();
         assert!(maintained.contains(&[Value::Int(3), Value::Int(1001)]));
+        assert!(maintained.iter().all(|t| t[0] == Value::Int(3)));
         assert_eq!(
             maintained.sorted(),
-            scratch_view(&rules, &db, Symbol::new("b0")).sorted()
+            sel.apply(&scratch_view(&rules, &db, Symbol::new("b0")))
+                .sorted()
         );
     }
 

@@ -12,7 +12,6 @@ pub fn licensed_plans(analysis: &Analysis, db: &Database, init: &Relation) -> Ve
     let mut plans = vec![Plan::direct(analysis.rules())];
     plans.extend(analysis.boundedness().cloned().map(Plan::bounded_prefix));
     plans.extend(analysis.commutativity().cloned().map(Plan::decomposed));
-    plans.extend(analysis.redundancy().cloned().map(Plan::redundancy_bounded));
     if let Some(sel) = analysis.selection() {
         plans = plans
             .into_iter()

@@ -13,6 +13,12 @@
 //!    `Plan::resume` from `total = delta = init` is `Plan::execute`, and
 //!    `execute` on a database followed by `resume` under a grown one is
 //!    `execute` on the grown one — and the naive reference.
+//! 4. **Bounded regret**: the planner's pick does at most
+//!    `REGRET_FACTOR · d + REGRET_SLACK` derivations, where `d` is the
+//!    fewest any other licensed plan does on the same case — the paper's
+//!    §3.1 unit, so the contract is exact, not timed. A case whose pick is
+//!    `DenseClosure` is skipped: its `derivations` count squaring
+//!    popcounts, a different unit from the sparse plans' joins.
 //!
 //! All randomness flows from explicit SplitMix64 seeds, so every run
 //! explores the same cases.
@@ -31,10 +37,9 @@ use std::collections::BTreeSet;
 /// Does the shape tree contain a node that needs a certificate to build?
 fn uses_certified_strategy(shape: &PlanShape) -> bool {
     match shape {
-        PlanShape::Decomposed { .. }
-        | PlanShape::Separable
-        | PlanShape::RedundancyBounded
-        | PlanShape::BoundedPrefix { .. } => true,
+        PlanShape::Decomposed { .. } | PlanShape::Separable | PlanShape::BoundedPrefix { .. } => {
+            true
+        }
         PlanShape::SelectAfter(inner) => uses_certified_strategy(inner),
         // DenseClosure is licensed by a syntactic shape check, not a
         // paper certificate.
@@ -94,7 +99,13 @@ fn direct_oracle(rules: &[LinearRule], db: &Database, init: &Relation) -> Relati
     Plan::direct(rules).execute(db, init).unwrap().relation
 }
 
-/// Check both properties for one (rule set, selection, workload) case.
+/// Property 4's constants. Fixed: a planner change that needs them raised
+/// picks worse plans.
+const REGRET_FACTOR: f64 = 1.10;
+const REGRET_SLACK: f64 = 16.0;
+
+/// Check properties 1, 2 and 4 for one (rule set, selection, workload)
+/// case.
 fn check_case(
     case: &str,
     all: &[LinearRule],
@@ -107,6 +118,9 @@ fn check_case(
     if let Some(sel) = sel {
         expected = sel.apply(&expected);
     }
+    // (derivations, shape) of the pick, and of the cheapest other plan.
+    let mut pick = None;
+    let mut best: Option<(u64, PlanShape)> = None;
     for (plan, picked) in licensed_plans(&analysis, db, init) {
         let shape = plan.shape();
         let what = format!(
@@ -140,6 +154,25 @@ fn check_case(
             "{what} diverges from the direct baseline"
         );
         assert_eq!(planned.stats.tuples, planned.relation.len(), "{what}");
+
+        let derivations = planned.stats.derivations;
+        if picked {
+            pick = Some((derivations, shape));
+        } else if best.as_ref().is_none_or(|(d, _)| derivations < *d) {
+            best = Some((derivations, shape));
+        }
+    }
+
+    // Property 4: the pick is within the regret bound of the cheapest
+    // licensed alternative.
+    let (Some((got, shape)), Some((least, cheapest))) = (pick, best) else {
+        unreachable!("licensed_plans lists Direct and the pick");
+    };
+    if shape.label() != "DenseClosure" {
+        assert!(
+            got as f64 <= REGRET_FACTOR * least as f64 + REGRET_SLACK,
+            "{case}: picked {shape:?} does {got} derivations, {cheapest:?} needs {least}"
+        );
     }
 }
 
@@ -235,6 +268,17 @@ fn planner_agrees_with_direct_on_random_rule_sets() {
             &init,
         );
         cases += 1;
+    }
+}
+
+#[test]
+fn planner_pick_has_bounded_regret_on_the_rule_set_spectrum() {
+    for case in 0..300u64 {
+        let Some(rules) = rule_set(case) else {
+            continue;
+        };
+        let (db, init) = cover_db(&rules, case * 13 + 3);
+        check_case(&format!("rule_set({case})"), &rules, None, &db, &init);
     }
 }
 

@@ -27,6 +27,7 @@
 use crate::hash::{FastSet, FxHasher};
 use crate::term::Value;
 use std::borrow::Borrow;
+use std::collections::BinaryHeap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -235,6 +236,11 @@ impl<'a> IntoIterator for &'a Tuple {
 // --- relation --------------------------------------------------------------
 
 const EMPTY_SLOT: u32 = u32::MAX;
+
+/// [`Relation::from_dense_rows`] counting-sorts rows into buckets of
+/// `2^BUCKET_BITS` home slots (16 KiB of slot table), so the linking pass
+/// over one bucket stays in cache.
+const BUCKET_BITS: u32 = 12;
 
 /// A relation: a set of tuples of a fixed arity, stored in a flat arena
 /// (see the module docs for the layout).
@@ -606,11 +612,28 @@ impl Relation {
     }
 
     /// Build a relation from a dense row-major arena (`rows * arity`
-    /// values), rebuilding the hash and row-id tables in one pass — the
-    /// load path for persisted relations whose cached tables are not
-    /// portable (symbolic values re-intern to different ids per process).
-    /// Duplicate rows are an error: a dense arena is a set dump, so a
-    /// repeat means the input is corrupt.
+    /// values), rebuilding the hash and row-id tables from the arena alone
+    /// — the one constructor behind [`crate::BitsetRelation::to_relation`]
+    /// and the load path for persisted relations whose cached tables are
+    /// not portable (symbolic values re-intern to different ids per
+    /// process). Duplicate rows are an error: a dense arena is a set dump,
+    /// so a repeat means the input is corrupt.
+    ///
+    /// The build is bulk, not a loop of inserts, so no step probes the
+    /// table at random:
+    /// 1. every row is hashed in one sequential pass over the arena;
+    /// 2. the row ids are counting-sorted by the top bits of their home
+    ///    slot, each packed with 32 more hash bits — a temporary of 8 bytes
+    ///    per row — and each bucket is sorted by home slot;
+    /// 3. equal rows share a hash, so they meet inside one bucket with
+    ///    equal packed keys, and only there are rows compared;
+    /// 4. the slot table is linked front to back: each row takes the first
+    ///    free slot at or after its home, which in home order is a single
+    ///    forward cursor (a run that passes the last slot wraps to the
+    ///    front, as linear probing does).
+    ///
+    /// The table is a valid linear-probing table, but its slot order is
+    /// not the one a sequence of [`Relation::insert`]s would leave.
     pub fn from_dense_rows(
         arity: usize,
         rows: usize,
@@ -623,29 +646,102 @@ impl Relation {
                 rows * arity
             ));
         }
+        // Zero-arity rows are all equal, and nothing bounds their count
+        // by the arena: reject a repeat before allocating per row.
+        if arity == 0 && rows > 1 {
+            return Err("row 1 duplicates row 0".into());
+        }
         let mut rel = Relation {
             arity,
             arena,
-            hashes: Vec::with_capacity(rows),
+            hashes: Vec::new(),
             slots: Vec::new(),
             version: 0,
         };
-        if rows > 0 {
-            let cap = (rows * 8 / 7 + 1).next_power_of_two().max(8);
-            rel.slots = vec![EMPTY_SLOT; cap];
-            for r in 0..rows {
-                let h = hash_row(&rel.arena[r * arity..(r + 1) * arity]);
-                rel.hashes.push(h);
-                // probe sees only rows < r (their hashes are pushed); row r
-                // itself is linked right after.
-                match rel.probe(h, &rel.arena[r * arity..(r + 1) * arity]) {
-                    Ok(prev) => return Err(format!("row {r} duplicates row {prev}")),
-                    Err(slot) => rel.slots[slot] = r as u32,
+        if rows == 0 {
+            return Ok(rel);
+        }
+        rel.hashes = (0..rows).map(|r| hash_row(rel.row(r))).collect();
+        let cap = (rows * 8 / 7 + 1).next_power_of_two().max(8);
+        let home_bits = cap.trailing_zeros();
+        let low_bits = home_bits.min(BUCKET_BITS);
+        let low_mask = (1u64 << low_bits) - 1;
+        let bucket_of = |h: u64| ((h & (cap as u64 - 1)) >> low_bits) as usize;
+        // Within a bucket, the key orders rows by home slot first; the
+        // hash's top bits fill the rest, so equal keys are rare.
+        let entry = |h: u64, r: usize| {
+            let key = ((h & low_mask) << (32 - low_bits)) | (h >> (32 + low_bits));
+            (key << 32) | r as u64
+        };
+        let mut starts = vec![0usize; (cap >> low_bits) + 1];
+        for &h in &rel.hashes {
+            starts[bucket_of(h) + 1] += 1;
+        }
+        for b in 1..starts.len() {
+            starts[b] += starts[b - 1];
+        }
+        let mut fill = starts.clone();
+        let mut entries = vec![0u64; rows];
+        for (r, &h) in rel.hashes.iter().enumerate() {
+            let b = bucket_of(h);
+            entries[fill[b]] = entry(h, r);
+            fill[b] += 1;
+        }
+
+        rel.slots = vec![EMPTY_SLOT; cap];
+        let mut cursor = 0usize;
+        let mut wrapped: Vec<u32> = Vec::new();
+        for (b, bounds) in starts.windows(2).enumerate() {
+            let bucket = &mut entries[bounds[0]..bounds[1]];
+            bucket.sort_unstable();
+            for i in 0..bucket.len() {
+                let (key, row) = (bucket[i] >> 32, bucket[i] as u32);
+                let r = row as usize;
+                for &e in bucket[..i].iter().rev().take_while(|&&e| e >> 32 == key) {
+                    let p = e as u32 as usize;
+                    if rel.hashes[p] == rel.hashes[r] && rel.row(p) == rel.row(r) {
+                        return Err(format!("row {r} duplicates row {p}"));
+                    }
+                }
+                let home = (b << low_bits) | (key >> (32 - low_bits)) as usize;
+                let at = home.max(cursor);
+                if at < cap {
+                    rel.slots[at] = row;
+                    cursor = at + 1;
+                } else {
+                    wrapped.push(row);
                 }
             }
-            rel.touch();
         }
+        // Rows that ran off the end take the first free slots from the
+        // front: every slot from their home to the end is already taken.
+        let mut at = 0;
+        for r in wrapped {
+            while rel.slots[at] != EMPTY_SLOT {
+                at += 1;
+            }
+            rel.slots[at] = r;
+        }
+        rel.touch();
         Ok(rel)
+    }
+
+    /// The `k` lexicographically smallest tuples, in ascending order — the
+    /// first `k` of [`Relation::sorted`] without sorting the rest. One pass
+    /// over the arena keeps a max-heap of at most `k` row slices, so no
+    /// tuple is copied and the extra memory is `O(k)`.
+    pub fn smallest(&self, k: usize) -> Vec<&[Value]> {
+        let mut heap: BinaryHeap<&[Value]> = BinaryHeap::with_capacity(k.min(self.len()));
+        for row in self.iter() {
+            if heap.len() < k {
+                heap.push(row);
+            } else if let Some(mut top) = heap.peek_mut() {
+                if row < *top {
+                    *top = row;
+                }
+            }
+        }
+        heap.into_sorted_vec()
     }
 }
 
@@ -792,6 +888,7 @@ impl FromIterator<(i64, i64)> for Relation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::symbol::Symbol;
 
     #[test]
     fn insert_and_contains() {
@@ -1085,6 +1182,167 @@ mod tests {
         let empty = Relation::from_dense_rows(3, 0, Vec::new()).unwrap();
         assert_eq!(empty.arity(), 3);
         assert!(empty.is_empty());
+    }
+
+    /// A deterministic relation of `rows` draws (duplicates fold away)
+    /// mixing negative integers and symbols, for any arity.
+    fn mixed(arity: usize, rows: usize, seed: u64) -> Relation {
+        let syms = [
+            Symbol::new("alice"),
+            Symbol::new("bob"),
+            Symbol::new("carol"),
+        ];
+        let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut r = Relation::new(arity);
+        for _ in 0..rows {
+            let t: Tuple = (0..arity)
+                .map(|_| match next() % 5 {
+                    0 => Value::Sym(syms[(next() % 3) as usize]),
+                    _ => Value::Int((next() % 41) as i64 - 20),
+                })
+                .collect();
+            r.insert(t);
+        }
+        r
+    }
+
+    #[test]
+    fn smallest_is_the_sorted_prefix() {
+        for arity in 0..=3 {
+            for rows in [0, 1, 7, 300] {
+                let r = mixed(arity, rows, (arity * 1000 + rows) as u64);
+                let sorted = r.sorted();
+                for k in [0, 1, 20, r.len(), r.len() + 3] {
+                    let top = r.smallest(k);
+                    assert_eq!(top.len(), k.min(r.len()), "arity {arity} rows {rows} k {k}");
+                    for (got, want) in top.iter().zip(&sorted) {
+                        assert_eq!(*got, want.as_slice(), "arity {arity} rows {rows} k {k}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// `count` distinct integers whose rows share one home slot in a table
+    /// of `cap` slots.
+    fn same_home(cap: usize, home: usize, count: usize) -> Vec<Value> {
+        (0..)
+            .map(Value::Int)
+            .filter(|v| hash_row(&[*v]) as usize & (cap - 1) == home)
+            .take(count)
+            .collect()
+    }
+
+    fn assert_same_set(bulk: &Relation, built: &Relation) {
+        assert_eq!(bulk.len(), built.len());
+        for row in built.iter() {
+            assert!(bulk.contains(row), "{row:?} lost");
+        }
+        assert_eq!(bulk, built);
+    }
+
+    /// 20,000 distinct pairs: a table of 32,768 slots, eight buckets.
+    fn spread() -> Relation {
+        let mut r = Relation::new(2);
+        for i in 0..20_000i64 {
+            r.insert([Value::Int(i % 173 - 50), Value::Int(i * 7919 % 20_011)]);
+        }
+        assert_eq!(r.len(), 20_000);
+        r
+    }
+
+    #[test]
+    fn bulk_build_matches_an_insert_built_relation() {
+        let built = spread();
+        let bulk = Relation::from_dense_rows(2, built.len(), built.flat().to_vec()).unwrap();
+        assert_same_set(&bulk, &built);
+        for i in 0..2_000i64 {
+            assert!(!bulk.contains(&[Value::Int(500 + i), Value::Int(i)]));
+        }
+        assert!(!bulk.contains(&[Value::Int(1)]), "wrong arity misses");
+        assert!(Relation::from_raw_parts(
+            2,
+            bulk.flat().to_vec(),
+            bulk.raw_parts().1.to_vec(),
+            bulk.raw_parts().2.to_vec()
+        )
+        .is_ok());
+
+        for arity in 0..=3 {
+            let r = mixed(arity, 500, 7 + arity as u64);
+            let bulk = Relation::from_dense_rows(arity, r.len(), r.flat().to_vec()).unwrap();
+            assert_same_set(&bulk, &r);
+        }
+    }
+
+    #[test]
+    fn bulk_build_wraps_rows_homed_at_the_last_slot() {
+        // Six rows fit a table of 8 slots; homed on slot 7, five wrap to
+        // the front of the table.
+        let vals = same_home(8, 7, 6);
+        let bulk = Relation::from_dense_rows(1, vals.len(), vals.clone()).unwrap();
+        assert_eq!(bulk.raw_parts().2.len(), 8);
+        for v in &vals {
+            assert!(bulk.contains(&[*v]));
+        }
+        for v in same_home(8, 7, 12).into_iter().skip(6) {
+            assert!(!bulk.contains(&[v]), "{v:?} is absent");
+        }
+    }
+
+    #[test]
+    fn bulk_build_rejects_duplicates_wherever_they_sit() {
+        let src = spread();
+        let rows = |order: &[usize]| -> Vec<Value> {
+            order.iter().flat_map(|&r| src.row(r).to_vec()).collect()
+        };
+        let n = src.len();
+        let mut dup_of_first: Vec<usize> = (0..n).collect();
+        dup_of_first.push(0);
+        let mut dup_of_last: Vec<usize> = vec![n - 1];
+        dup_of_last.extend(0..n);
+        for order in [dup_of_first, dup_of_last] {
+            let err = Relation::from_dense_rows(2, order.len(), rows(&order)).unwrap_err();
+            assert_eq!(err, format!("row {n} duplicates row 0"));
+        }
+        // Rows that share one home slot (one bucket, one key prefix) are
+        // told apart; a repeat among them is caught.
+        let vals = same_home(32, 5, 20);
+        assert!(Relation::from_dense_rows(1, vals.len(), vals.clone()).is_ok());
+        let mut repeat = vals.clone();
+        repeat.insert(10, vals[3]);
+        let err = Relation::from_dense_rows(1, repeat.len(), repeat).unwrap_err();
+        assert_eq!(err, "row 10 duplicates row 3");
+        // A zero-arity count is not bounded by the arena; it fails
+        // without a per-row allocation.
+        let err = Relation::from_dense_rows(0, usize::MAX / 2, Vec::new()).unwrap_err();
+        assert_eq!(err, "row 1 duplicates row 0");
+    }
+
+    #[test]
+    fn bulk_build_survives_a_growing_insert() {
+        let src = mixed(3, 3_000, 11);
+        let mut bulk = Relation::from_dense_rows(3, src.len(), src.flat().to_vec()).unwrap();
+        let before = bulk.raw_parts().2.len();
+        let mut added = 0i64;
+        while bulk.raw_parts().2.len() == before {
+            assert!(bulk.insert([Value::Int(1000 + added), Value::Int(0), Value::Int(0)]));
+            added += 1;
+        }
+        assert_eq!(bulk.len(), src.len() + added as usize);
+        for row in src.iter() {
+            assert!(bulk.contains(row), "{row:?} lost in the regrow");
+            assert!(!bulk.insert(row), "{row:?} re-inserted");
+        }
+        for i in 0..added {
+            assert!(bulk.contains(&[Value::Int(1000 + i), Value::Int(0), Value::Int(0)]));
+        }
     }
 
     #[test]

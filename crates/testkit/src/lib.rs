@@ -248,14 +248,17 @@ pub fn rule_set(case: u64) -> Option<Vec<LinearRule>> {
 }
 
 /// A database giving every EDB predicate the rules mention a
-/// `random_graph(n, m, seed + pred id)`.
+/// `random_graph(n, m, seed + i)`, where `i` numbers the predicates in
+/// order of first appearance. Symbol ids would not do: they follow the
+/// order in which the whole process interned its symbols.
 pub fn cover_db(rules: &[LinearRule], n: i64, m: usize, seed: u64) -> Database {
     let mut db = Database::new();
+    let mut index = 0;
     for rule in rules {
         for atom in rule.nonrec_atoms() {
             if db.relation(atom.pred).is_none() {
-                let graph = random_graph(n, m, seed.wrapping_add(atom.pred.id() as u64));
-                db.set_relation(atom.pred, graph);
+                db.set_relation(atom.pred, random_graph(n, m, seed.wrapping_add(index)));
+                index += 1;
             }
         }
     }
@@ -297,6 +300,30 @@ mod tests {
                 _ => panic!(),
             }
         }
+    }
+
+    #[test]
+    fn cover_db_does_not_depend_on_symbol_ids() {
+        let rules = |q: &str, r: &str| {
+            vec![parse_linear_rule(&format!("p(x,y) :- p(x,z), {q}(z,y), {r}(y,y).")).unwrap()]
+        };
+        let a = cover_db(&rules("cover_q", "cover_r"), 8, 10, 5);
+        for i in 0..100 {
+            linrec_datalog::Symbol::new(&format!("cover_decoy_{i}"));
+        }
+        // Same rule shape, predicates interned after the decoys, and in the
+        // other order.
+        let b = cover_db(&rules("cover_q2", "cover_r2"), 8, 10, 5);
+        let c = cover_db(&rules("cover_r3", "cover_q3"), 8, 10, 5);
+        let id = |name: &str| linrec_datalog::Symbol::new(name).id();
+        assert!(id("cover_q2") > id("cover_q") + 100);
+        assert!(id("cover_r3") < id("cover_q3"));
+        for (x, y) in [("cover_q", "cover_q2"), ("cover_r", "cover_r2")] {
+            assert_eq!(a.relation_named(x), b.relation_named(y), "{x} vs {y}");
+        }
+        assert_eq!(a.relation_named("cover_q"), c.relation_named("cover_r3"));
+        assert_eq!(a.relation_named("cover_r"), c.relation_named("cover_q3"));
+        assert_ne!(a.relation_named("cover_q"), a.relation_named("cover_r"));
     }
 
     #[test]

@@ -277,6 +277,9 @@ fn parse_selection(args: &[String]) -> Result<Option<Selection>, String> {
     Ok(sel)
 }
 
+/// How many tuples `run` prints: the lexicographically smallest.
+const SHOWN_ROWS: usize = 20;
+
 fn run(path: &str, args: &[String]) -> Result<(), String> {
     let prog = load(path)?;
     let (args, no_check) = strip_flag(args, "--no-check");
@@ -325,13 +328,14 @@ fn run(path: &str, args: &[String]) -> Result<(), String> {
             println!("  phase: {} [{}]", step.label, step.stats);
         }
     }
-    let rows = outcome.relation.sorted();
-    for row in rows.iter().take(20) {
+    // Only the printed rows are ordered: a bounded top-k, not a full sort.
+    for row in outcome.relation.smallest(SHOWN_ROWS) {
         let cells: Vec<String> = row.iter().map(|v| v.to_string()).collect();
         println!("  {}({})", prog.rec_pred(), cells.join(","));
     }
-    if rows.len() > 20 {
-        println!("  … {} more", rows.len() - 20);
+    let total = outcome.relation.len();
+    if total > SHOWN_ROWS {
+        println!("  … {} more", total - SHOWN_ROWS);
     }
     Ok(())
 }

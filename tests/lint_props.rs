@@ -33,6 +33,9 @@ fn random_rules(g: &mut Gen) -> Vec<LinearRule> {
 /// a seed relation — all deterministic in `seed`.
 fn cover_db(rules: &[LinearRule], seed: u64, sparse: bool) -> (Database, Relation) {
     let mut db = Database::new();
+    // Predicates are numbered by first appearance, never by symbol id
+    // (see `linrec_testkit::cover_db`).
+    let mut index = 0;
     for rule in rules {
         for atom in rule.nonrec_atoms() {
             if db.relation(atom.pred).is_some() {
@@ -41,8 +44,9 @@ fn cover_db(rules: &[LinearRule], seed: u64, sparse: bool) -> (Database, Relatio
             let rel = if sparse && atom.pred == Symbol::new("r") {
                 Relation::new(atom.arity())
             } else {
-                random_graph(8, 16, seed.wrapping_add(atom.pred.id() as u64))
+                random_graph(8, 16, seed.wrapping_add(index))
             };
+            index += 1;
             db.set_relation(atom.pred, rel);
         }
     }

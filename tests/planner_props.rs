@@ -59,6 +59,9 @@ fn contains_decomposed_or_separable(shape: &PlanShape) -> bool {
 /// relation — all deterministic in `seed`.
 fn cover_db(rules: &[LinearRule], seed: u64) -> (Database, Relation) {
     let mut db = Database::new();
+    // Predicates are numbered by first appearance, never by symbol id
+    // (see `linrec_testkit::cover_db`).
+    let mut index = 0;
     for rule in rules {
         for atom in rule.nonrec_atoms() {
             if db.relation(atom.pred).is_some() {
@@ -72,8 +75,9 @@ fn cover_db(rules: &[LinearRule], seed: u64) -> (Database, Relation) {
                         .map(|k| vec![Value::Int(k)]),
                 )
             } else {
-                random_graph(8, 16, seed.wrapping_add(atom.pred.id() as u64))
+                random_graph(8, 16, seed.wrapping_add(index))
             };
+            index += 1;
             db.set_relation(atom.pred, rel);
         }
     }
@@ -339,10 +343,11 @@ fn resume_cases() -> Vec<ResumeCase> {
             nodes: 8,
         });
         let mut db = Database::new();
+        let mut index = 0;
         for atom in rules.iter().flat_map(|r| r.nonrec_atoms()) {
             if db.relation(atom.pred).is_none() {
-                let seed = case.wrapping_add(atom.pred.id() as u64);
-                db.set_relation(atom.pred, random_graph(16, 14, seed));
+                db.set_relation(atom.pred, random_graph(16, 14, case.wrapping_add(index)));
+                index += 1;
             }
         }
         cases.push(ResumeCase {

@@ -186,8 +186,11 @@ proptest! {
         prop_assume!(is_restricted_pair(&r1, &r2));
         prop_assume!(commutes_exact(&r1, &r2).unwrap() == ExactOutcome::Commute);
 
-        // Build a random database covering every EDB predicate used.
+        // Build a random database covering every EDB predicate used,
+        // numbering the predicates by first appearance (symbol ids follow
+        // the process's interning order).
         let mut db = Database::new();
+        let mut index = 0;
         for (i, rule) in [&r1, &r2].into_iter().enumerate() {
             for atom in rule.nonrec_atoms() {
                 if db.relation(atom.pred).is_some() {
@@ -200,8 +203,9 @@ proptest! {
                             .map(|k| vec![Value::Int(k)]),
                     )
                 } else {
-                    workload::random_graph(8, 16, seed + atom.pred.id() as u64)
+                    workload::random_graph(8, 16, seed + index)
                 };
+                index += 1;
                 db.set_relation(atom.pred, rel);
             }
         }

@@ -44,6 +44,40 @@ fn shared_pool(threads: usize) -> Arc<WorkerPool> {
 /// path on machines whose available parallelism is low).
 pub const THREADS_ENV: &str = "LINREC_THREADS";
 
+/// The most threads `--threads` or [`THREADS_ENV`] may ask for. A pool
+/// spawns all its workers up front, so a larger count from outside the
+/// program is refused where it is parsed ([`parse_thread_count`]).
+pub const MAX_THREADS: usize = 64;
+
+/// Why a thread count (`--threads N`, [`THREADS_ENV`]) was refused.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ThreadCountError {
+    /// Not a non-negative integer.
+    NotANumber(String),
+    /// Above [`MAX_THREADS`].
+    TooMany(usize),
+}
+
+impl fmt::Display for ThreadCountError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ThreadCountError::NotANumber(text) => write!(f, "{text:?} is not a thread count"),
+            ThreadCountError::TooMany(n) => {
+                write!(f, "{n} threads is above the limit of {MAX_THREADS}")
+            }
+        }
+    }
+}
+
+/// Parse a thread count, refusing one above [`MAX_THREADS`].
+pub fn parse_thread_count(text: &str) -> Result<usize, ThreadCountError> {
+    match text.parse() {
+        Ok(n) if n > MAX_THREADS => Err(ThreadCountError::TooMany(n)),
+        Ok(n) => Ok(n),
+        Err(_) => Err(ThreadCountError::NotANumber(text.to_owned())),
+    }
+}
+
 /// How parallel a fixpoint evaluation may be. See the module docs.
 #[derive(Clone)]
 pub struct Parallelism {
@@ -89,11 +123,18 @@ impl Parallelism {
     }
 
     /// Thread count from the `LINREC_THREADS` environment variable, falling
-    /// back to [`Parallelism::available`] when unset or unparsable.
+    /// back to [`Parallelism::available`] when unset, unparsable or above
+    /// [`MAX_THREADS`].
     pub fn from_env() -> Parallelism {
-        match std::env::var(THREADS_ENV).ok().and_then(|v| v.parse().ok()) {
-            Some(n) => Parallelism::new(n),
-            None => Parallelism::available(),
+        Parallelism::try_from_env().unwrap_or_else(|_| Parallelism::available())
+    }
+
+    /// [`Parallelism::from_env`] that refuses a set but unusable
+    /// `LINREC_THREADS` instead of falling back, before any pool is built.
+    pub fn try_from_env() -> Result<Parallelism, ThreadCountError> {
+        match std::env::var(THREADS_ENV) {
+            Ok(text) => parse_thread_count(&text).map(Parallelism::new),
+            Err(_) => Ok(Parallelism::available()),
         }
     }
 
@@ -172,6 +213,28 @@ mod tests {
         assert!(!Parallelism::new(1).is_parallel());
         assert!(!Parallelism::new(0).is_parallel());
         assert!(Parallelism::new(2).is_parallel());
+    }
+
+    #[test]
+    fn thread_counts_above_the_limit_are_refused_before_any_pool_exists() {
+        assert_eq!(
+            parse_thread_count("100000"),
+            Err(ThreadCountError::TooMany(100_000))
+        );
+        assert_eq!(
+            parse_thread_count(&(MAX_THREADS + 1).to_string()),
+            Err(ThreadCountError::TooMany(MAX_THREADS + 1))
+        );
+        assert_eq!(parse_thread_count("64"), Ok(MAX_THREADS));
+        assert_eq!(parse_thread_count("0"), Ok(0));
+        assert!(matches!(
+            parse_thread_count("-3"),
+            Err(ThreadCountError::NotANumber(_))
+        ));
+        assert!(parse_thread_count("100000")
+            .unwrap_err()
+            .to_string()
+            .contains("limit of 64"));
     }
 
     #[test]

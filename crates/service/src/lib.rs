@@ -33,7 +33,9 @@
 //!   acknowledged, checkpoints fold the WAL into checksummed arena
 //!   snapshots, and a cold start recovers by loading the newest snapshot
 //!   and replaying the WAL tail through the same certificate-licensed
-//!   maintenance path (`linrec serve --data-dir`).
+//!   maintenance path (`linrec serve --data-dir`) — as one group: the
+//!   tail's insert batches are unions, they commute, so one maintenance
+//!   pass over their union reaches the state batch-by-batch replay would.
 //!
 //! # Example
 //!

@@ -1097,58 +1097,79 @@ impl ViewService {
     /// Apply one insert-only batch: extend the EDB, maintain every view,
     /// WAL the batch (when durable) and publish a new epoch. Readers keep
     /// serving the previous snapshot until the publish; a batch with no
-    /// genuinely new tuple publishes nothing.
+    /// genuinely new tuple publishes nothing. The one-member case of
+    /// [`ViewService::apply_batches`].
     pub fn apply_batch(
         &self,
         inserts: impl IntoIterator<Item = (Symbol, Vec<Value>)>,
     ) -> Result<BatchReport, ServiceError> {
+        self.apply_batches([inserts])
+    }
+
+    /// Apply a group of insert-only batches with one maintenance pass.
+    ///
+    /// Insert-only batches are set unions, so they commute: the fixpoint
+    /// over the union of the members' new tuples is the state applying
+    /// them one at a time reaches. The group therefore builds one
+    /// post-group database, seeds each view's `Δ₀` from the union, runs
+    /// each view's maintenance once and publishes once, where member by
+    /// member would clone, re-index and publish every view per member.
+    ///
+    /// Each member is validated in order against the database plus the
+    /// earlier members; one bad member fails the group with its typed
+    /// error and nothing is applied. The epoch advances once per member
+    /// that inserted a new tuple, exactly as member-by-member application
+    /// would leave it; the report carries the final epoch. When durable,
+    /// each such member is its own WAL frame.
+    pub fn apply_batches<B>(
+        &self,
+        batches: impl IntoIterator<Item = B>,
+    ) -> Result<BatchReport, ServiceError>
+    where
+        B: IntoIterator<Item = (Symbol, Vec<Value>)>,
+    {
         let mut sp = linrec_obs::span("service.batch");
         self.write_gate()?;
         let mut guard = self.lock_writer()?;
         let writer = &mut *guard;
 
-        // Validate and stage: nothing is written until the whole batch
-        // checks out (a failed batch leaves the master database intact).
-        let mut staged: Vec<(Symbol, Vec<Value>)> = Vec::new();
-        let mut staged_arity: FastMap<Symbol, usize> = FastMap::default();
-        for (pred, tuple) in inserts {
-            if pred.as_str().starts_with(DELTA_MARKER) {
-                return Err(ServiceError::ReservedPredicate(pred.as_str().to_owned()));
-            }
-            let expected = writer
-                .db
-                .relation(pred)
-                .map(|r| r.arity())
-                .or_else(|| staged_arity.get(&pred).copied());
-            if let Some(expected) = expected {
-                if expected != tuple.len() {
-                    return Err(ServiceError::ArityMismatch {
-                        pred,
-                        expected,
-                        got: tuple.len(),
-                    });
-                }
-            }
-            staged_arity.insert(pred, tuple.len());
-            staged.push((pred, tuple));
-        }
-
-        // Apply to a COW clone of the master database: if maintenance or
-        // the WAL append fails below, the master is untouched and the
-        // batch simply never happened.
+        // Validate and apply each member in order to a COW clone of the
+        // master database: a bad member, or a maintenance or WAL failure
+        // below, drops the clone, so the master is untouched and the group
+        // simply never happened. A tuple an earlier member already
+        // inserted is a duplicate here, so `deltas` is the union of the
+        // members' new tuples and `logged` keeps each member's own.
         let mut db = writer.db.snapshot();
         let mut deltas: FastMap<Symbol, Relation> = FastMap::default();
-        let mut logged: Vec<(Symbol, Vec<Value>)> = Vec::new();
-        for (pred, tuple) in staged {
-            if db.insert_tuple(pred, &tuple) {
-                deltas
-                    .entry(pred)
-                    .or_insert_with(|| Relation::new(tuple.len()))
-                    .insert(&tuple);
-                logged.push((pred, tuple));
+        let mut logged: Vec<Vec<(Symbol, Vec<Value>)>> = Vec::new();
+        for batch in batches {
+            let mut new = Vec::new();
+            for (pred, tuple) in batch {
+                if pred.as_str().starts_with(DELTA_MARKER) {
+                    return Err(ServiceError::ReservedPredicate(pred.as_str().to_owned()));
+                }
+                if let Some(expected) = db.relation(pred).map(Relation::arity) {
+                    if expected != tuple.len() {
+                        return Err(ServiceError::ArityMismatch {
+                            pred,
+                            expected,
+                            got: tuple.len(),
+                        });
+                    }
+                }
+                if db.insert_tuple(pred, &tuple) {
+                    deltas
+                        .entry(pred)
+                        .or_insert_with(|| Relation::new(tuple.len()))
+                        .insert(&tuple);
+                    new.push((pred, tuple));
+                }
+            }
+            if !new.is_empty() {
+                logged.push(new);
             }
         }
-        let inserted = logged.len();
+        let inserted: usize = logged.iter().map(Vec::len).sum();
         if inserted == 0 {
             return Ok(BatchReport {
                 epoch: writer.epoch,
@@ -1159,36 +1180,42 @@ impl ViewService {
         let deltas: FastMap<Symbol, Arc<Relation>> =
             deltas.into_iter().map(|(p, r)| (p, Arc::new(r))).collect();
 
-        let epoch = writer.epoch + 1;
+        let epoch = writer.epoch + logged.len() as u64;
         let maintained = writer.maintain_views(&db, &deltas, epoch)?;
 
         // Durability barrier: the WAL append + fsync must succeed before
-        // the batch commits to the master database, publishes, or is
+        // the group commits to the master database, publishes, or is
         // acknowledged to the caller. Transient faults retry with backoff
         // (the WAL rolls a failed append back before the retry lands, so
         // re-appending is always safe); exhausted retries degrade the
-        // service to read-only and refuse the batch — the master database
-        // is untouched, so the unacked batch vanishes atomically.
+        // service to read-only and refuse the group — the master database
+        // is untouched, so the unacked group vanishes from memory. Frames
+        // of earlier members that did land stay in the WAL unacknowledged,
+        // as a frame whose fsync failed after its write may.
         let mut checkpoint_due = false;
         if let Some(d) = writer.durability.as_mut() {
             let Some(store) = d.store.as_mut() else {
                 // Degraded between the gate and here: refuse.
                 return Err(degraded(self.mode().1));
             };
-            match self.config.retry.run(|| store.append_batch(&logged)) {
-                Ok(seq) => {
-                    self.acked_seq.store(seq, Ordering::SeqCst);
-                    let facts = StoreFacts::of(Some(&*d));
-                    checkpoint_due = d
-                        .policy
-                        .should_checkpoint(facts.wal_batches, facts.wal_bytes);
-                    self.status().store = facts;
-                }
-                Err(e) => {
-                    let reason = self.degrade(writer, &e, "wal append");
-                    return Err(ServiceError::Degraded { reason });
+            let mut last_seq = None;
+            for member in &logged {
+                match self.config.retry.run(|| store.append_batch(member)) {
+                    Ok(seq) => last_seq = Some(seq),
+                    Err(e) => {
+                        let reason = self.degrade(writer, &e, "wal append");
+                        return Err(ServiceError::Degraded { reason });
+                    }
                 }
             }
+            if let Some(seq) = last_seq {
+                self.acked_seq.store(seq, Ordering::SeqCst);
+            }
+            let facts = StoreFacts::of(Some(&*d));
+            checkpoint_due = d
+                .policy
+                .should_checkpoint(facts.wal_batches, facts.wal_bytes);
+            self.status().store = facts;
         }
 
         writer.db = db;
@@ -1203,7 +1230,7 @@ impl ViewService {
         self.publish(writer);
         // Fold the WAL into a new snapshot generation when the policy says
         // so. This is **after the commit point**, so a checkpoint failure
-        // must not fail the already-committed batch: it is reported
+        // must not fail the already-committed group: it is reported
         // out-of-band and the acknowledged batches simply stay in the WAL,
         // which remains the source of durability. The next batch (or an
         // explicit [`ViewService::checkpoint_now`]) retries.
@@ -1214,16 +1241,17 @@ impl ViewService {
                 "committed batches remain durable in the WAL and the next batch will retry",
             );
         }
-        // The batch is committed and acked from here on; feed the drift
-        // sentinel (estimate each maintained view's batch against the
+        // The group is committed and acked from here on; feed the drift
+        // sentinel (estimate each maintained view's pass against the
         // shared model, journal the pair, trip + recalibrate on drift).
         if linrec_obs::enabled() {
             writer.observe_maintenance(&deltas, &reports);
-            linrec_obs::counter!("linrec_service_batches_total").inc();
+            linrec_obs::counter!("linrec_service_batches_total").inc_by(logged.len() as u64);
             linrec_obs::counter!("linrec_service_batch_inserted_total").inc_by(inserted as u64);
             sp.observe_into(linrec_obs::histogram!("linrec_service_batch_ns"));
             sp.attr("epoch", epoch);
             sp.attr("inserted", inserted);
+            sp.attr("members", logged.len());
         }
         Ok(BatchReport {
             epoch,
@@ -1582,6 +1610,52 @@ mod tests {
         assert_eq!(report.inserted, 0);
         assert!(report.views.is_empty());
         assert!(Arc::ptr_eq(&before, &service.snapshot()));
+    }
+
+    #[test]
+    fn a_recomputing_view_reaches_the_same_state_grouped_or_one_at_a_time() {
+        let members = vec![
+            vec![(Symbol::new("e"), pair(3, 4))],
+            vec![
+                (Symbol::new("e"), pair(3, 4)),
+                (Symbol::new("e"), pair(0, 1)),
+            ],
+            vec![(Symbol::new("e"), pair(1, 2))], // all duplicates: no epoch
+            vec![
+                (Symbol::new("e"), pair(4, 5)),
+                (Symbol::new("f"), pair(9, 9)),
+            ],
+        ];
+        let service = || {
+            let mut db = Database::new();
+            db.set_relation("e", Relation::from_pairs([(1, 2), (2, 3)]));
+            let service = ViewService::new(db);
+            service.register_view(tc_def("tc")).unwrap();
+            // A plan with no incremental form: σ after the star.
+            let mut writer = service.writer.lock().unwrap();
+            let view = &mut writer.views[0].view;
+            let plan = linrec_engine::Plan::select_after(view.plan().clone(), Selection::eq(0, 1));
+            view.replace_plan(plan);
+            drop(writer);
+            service
+        };
+        let one_by_one = service();
+        for member in &members {
+            one_by_one.apply_batch(member.clone()).unwrap();
+        }
+        let grouped = service();
+        let report = grouped.apply_batches(members).unwrap();
+        assert_eq!(report.inserted, 4);
+        assert_eq!(report.views[0].mode, "recompute");
+        let (got, want) = (grouped.snapshot(), one_by_one.snapshot());
+        assert_eq!((got.epoch, report.epoch), (want.epoch, want.epoch));
+        assert_eq!(want.epoch, 1 + 3);
+        let (g, w) = (got.view("tc").unwrap(), want.view("tc").unwrap());
+        assert_eq!(g.relation.sorted(), w.relation.sorted());
+        assert_eq!(g.relation.len(), 4, "σ(x = 1) of the closure over 0..5");
+        for (sym, rel) in want.db.iter() {
+            assert_eq!(got.db.relation(sym), Some(rel));
+        }
     }
 
     #[test]

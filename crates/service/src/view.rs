@@ -209,6 +209,12 @@ impl MaintainedView {
         &self.plan
     }
 
+    /// Swap in a hand-built plan, e.g. one with no incremental form.
+    #[cfg(test)]
+    pub(crate) fn replace_plan(&mut self, plan: Plan) {
+        self.plan = plan;
+    }
+
     /// The label of the plan's incremental form (`Recompute` when
     /// [`Plan::resume`] has none).
     pub fn mode(&self) -> MaintenanceMode {

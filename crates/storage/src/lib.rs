@@ -5,8 +5,10 @@
 //! The paper's framing makes recovery cheap *by construction*: a WAL of
 //! insert batches is exactly the delta-batch stream the service's
 //! maintenance path already consumes, so replay after a snapshot load is
-//! licensed incremental maintenance (`V' = A'*(V ∪ Δ₀)` per batch) — the
-//! boundedness certificate caps replay rounds, the commutativity
+//! licensed incremental maintenance (`V' = A'*(V ∪ Δ₀)`) — and since
+//! insert batches are unions, which commute, the whole tail is one such
+//! pass with `Δ₀` seeded from the union of its batches, not one pass per
+//! batch. The boundedness certificate caps replay rounds, the commutativity
 //! certificate licenses per-cluster resumes, and plan shapes with no
 //! incremental form fall back to recompute, exactly as live serving does.
 //! Cold start therefore costs snapshot-load + tail-replay instead of a

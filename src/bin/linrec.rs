@@ -197,22 +197,29 @@ fn check_cmd(args: &[String]) -> ExitCode {
 }
 
 /// Pull `--threads N` out of `args` (anywhere), returning the remaining
-/// arguments and the resulting engine parallelism knob.
+/// arguments and the resulting engine parallelism knob. The count (or
+/// `LINREC_THREADS` without the flag) is checked against `MAX_THREADS`
+/// before the knob's pool is built: a pool spawns every worker up front.
 fn parse_threads(args: &[String]) -> Result<(Vec<String>, linrec::engine::Parallelism), String> {
+    use linrec::engine::parallel::{parse_thread_count, THREADS_ENV};
+    use linrec::engine::Parallelism;
     let mut rest = Vec::new();
-    let mut par = linrec::engine::Parallelism::from_env();
+    let mut threads = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         if arg == "--threads" {
-            let n: usize = it
+            let n = it
                 .next()
-                .and_then(|n| n.parse().ok())
                 .ok_or_else(|| "--threads needs a number".to_owned())?;
-            par = linrec::engine::Parallelism::new(n);
+            threads = Some(parse_thread_count(n).map_err(|e| format!("--threads: {e}"))?);
         } else {
             rest.push(arg.clone());
         }
     }
+    let par = match threads {
+        Some(n) => Parallelism::new(n),
+        None => Parallelism::try_from_env().map_err(|e| format!("{THREADS_ENV}: {e}"))?,
+    };
     Ok((rest, par))
 }
 

@@ -8,6 +8,9 @@
 //! The dense backend emits its answer in sorted order (its domain is
 //! numbered in value order), so only the sparse run, whose rows sit in
 //! derivation order, tells a real top-k from "the first 20 rows".
+//!
+//! Also: `run` and `serve` refuse a thread count above the engine's
+//! limit, from `--threads` or `LINREC_THREADS`, before building a pool.
 
 use linrec::datalog::Value;
 use linrec::engine::{Plan, Program};
@@ -146,4 +149,36 @@ fn chains_tc_prints_the_sorted_prefix() {
     let f = Fixture::new("chains.lr", &tc_program(edges));
     let plan = assert_run_matches_oracle(&f.0);
     assert!(!plan.contains("DenseClosure"), "{plan}");
+}
+
+#[test]
+fn thread_counts_above_the_limit_fail_before_any_pool() {
+    let program = Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/programs/tc_chain.lr");
+    // 65 is one past the limit: a broken check starts at most 65 threads.
+    let over = (linrec::engine::parallel::MAX_THREADS + 1).to_string();
+    for cmd in ["run", "serve"] {
+        for via_env in [false, true] {
+            let mut linrec = Command::new(env!("CARGO_BIN_EXE_linrec"));
+            linrec
+                .arg(cmd)
+                .arg(&program)
+                .stdin(std::process::Stdio::null());
+            if via_env {
+                linrec.env(linrec::engine::parallel::THREADS_ENV, &over);
+            } else {
+                linrec.args(["--threads", &over]);
+            }
+            let out = linrec.output().expect("spawn linrec");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                !out.status.success(),
+                "{cmd} (env: {via_env}) accepted {over}"
+            );
+            assert!(
+                stderr.contains("65 threads is above the limit of 64"),
+                "{cmd} (env: {via_env}): {stderr}"
+            );
+            assert!(out.stdout.is_empty(), "{cmd} ran before refusing");
+        }
+    }
 }

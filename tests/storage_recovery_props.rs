@@ -15,6 +15,13 @@
 //!    or a typed error — never a panic, never a silently wrong database.
 //!    (A WAL flip drops the damaged frame and everything after it: still
 //!    a prefix. A snapshot or manifest flip fails a CRC: typed error.)
+//!
+//! And the contract recovery's tail replay leans on:
+//!
+//! 3. **Grouping** — a list of insert batches applied as one group
+//!    (`ViewService::apply_batches`: one maintenance pass over the union)
+//!    leaves the same view, database and epoch as the same batches
+//!    applied one at a time; a group with one bad member changes nothing.
 
 use linrec::prelude::*;
 use linrec::service::{
@@ -88,8 +95,84 @@ fn assert_state_matches(durable: &ViewService, mirror: &ViewService, context: &s
     }
 }
 
+/// A generated batch as service inserts over `preds`.
+fn to_inserts(preds: &[Symbol], batch: &[(u8, i64, i64)]) -> Vec<(Symbol, Vec<Value>)> {
+    batch
+        .iter()
+        .map(|&(p, a, b)| {
+            (
+                preds[p as usize % preds.len()],
+                vec![Value::Int(a), Value::Int(b)],
+            )
+        })
+        .collect()
+}
+
+/// A fresh in-memory service over `rules` with the view registered.
+fn fresh_service(rules: &[LinearRule], case: u64) -> ViewService {
+    let service = ViewService::new(base_db(rules, case));
+    service.register_view(view_def(rules)).unwrap();
+    service
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Acceptance: applying batches as one group equals applying them one
+    /// at a time — view contents, every EDB relation and the epoch —
+    /// including tuples repeated across members and inserts into the seed.
+    #[test]
+    fn a_group_equals_its_members_applied_one_at_a_time(
+        case in 0u64..10_000,
+        batches in vec(vec((0u8..4, 0i64..9, 0i64..9), 0..5), 1..7),
+        bad_at in 0usize..7,
+    ) {
+        let rules = rule_set(case);
+        prop_assume!(rules.is_some());
+        let rules = rules.unwrap();
+        let preds = insert_preds(&rules);
+        let mut members: Vec<Vec<(Symbol, Vec<Value>)>> =
+            batches.iter().map(|b| to_inserts(&preds, b)).collect();
+        // A cross-member duplicate, a seed insert in every group, and a
+        // predicate the group itself creates.
+        members[0].push((Symbol::new("n0"), vec![Value::Int(1), Value::Int(2)]));
+        let first = members.iter().flatten().next().cloned();
+        let last = members.last_mut().unwrap();
+        last.extend(first);
+        last.push((Symbol::new("s0"), vec![Value::Int(0), Value::Int(8)]));
+
+        let one_by_one = fresh_service(&rules, case);
+        for member in &members {
+            one_by_one.apply_batch(member.clone()).expect("one batch");
+        }
+        let grouped = fresh_service(&rules, case);
+        let report = grouped.apply_batches(members.clone()).expect("group");
+        assert_state_matches(&grouped, &one_by_one, "group vs one at a time");
+        prop_assert_eq!(grouped.snapshot().epoch, one_by_one.snapshot().epoch);
+        prop_assert_eq!(report.epoch, one_by_one.snapshot().epoch);
+
+        // One wrong-arity member anywhere fails the whole group, and
+        // nothing of the group is applied: against an existing relation,
+        // or against the arity an earlier member gave a new one.
+        let untouched = fresh_service(&rules, case);
+        let before = untouched.snapshot();
+        let mut bad = members;
+        let at = bad_at % (bad.len() + 1);
+        let pred = if bad_at % 2 == 0 { preds[0] } else { Symbol::new("n0") };
+        bad.insert(at, vec![(pred, vec![Value::Int(1)])]);
+        let err = untouched.apply_batches(bad).expect_err("a wrong-arity member");
+        prop_assert!(matches!(err, ServiceError::ArityMismatch { .. }), "{err}");
+        let after = untouched.snapshot();
+        prop_assert_eq!(after.epoch, before.epoch);
+        prop_assert_eq!(
+            after.view("v").unwrap().relation.sorted(),
+            before.view("v").unwrap().relation.sorted()
+        );
+        for (sym, rel) in before.db.iter() {
+            prop_assert_eq!(Some(rel), after.db.relation(sym));
+        }
+        prop_assert_eq!(after.db.iter().count(), before.db.iter().count());
+    }
 
     /// Acceptance: recover() after checkpoint + WAL-append reproduces the
     /// in-memory Database and view contents bit-identically, across
@@ -135,12 +218,7 @@ proptest! {
                 durable = Some(service);
             }
             let durable_ref = durable.as_ref().unwrap();
-            let inserts: Vec<(Symbol, Vec<Value>)> = batch
-                .iter()
-                .map(|&(p, a, b)| {
-                    (preds[p as usize % preds.len()], vec![Value::Int(a), Value::Int(b)])
-                })
-                .collect();
+            let inserts = to_inserts(&preds, batch);
             let ra = durable_ref.apply_batch(inserts.clone()).expect("durable batch");
             let rb = mirror.apply_batch(inserts).expect("mirror batch");
             prop_assert_eq!(ra.inserted, rb.inserted);
@@ -193,12 +271,7 @@ proptest! {
                 ServiceConfig::default(), policy,
             ).expect("fresh open");
             for batch in &batches {
-                let inserts: Vec<(Symbol, Vec<Value>)> = batch
-                    .iter()
-                    .map(|&(p, a, b)| {
-                        (preds[p as usize % preds.len()], vec![Value::Int(a), Value::Int(b)])
-                    })
-                    .collect();
+                let inserts = to_inserts(&preds, batch);
                 durable.apply_batch(inserts.clone()).expect("durable batch");
                 mirror.apply_batch(inserts).expect("mirror batch");
                 prefix_states.push(mirror.snapshot().view("v").unwrap().relation.sorted());

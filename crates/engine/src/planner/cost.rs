@@ -37,9 +37,10 @@ use linrec_datalog::{Database, LinearRule, Relation, Symbol, Term, Var};
 /// derivations but many phases (several small stars over a small, dense
 /// workload) can lose wall-clock to one semi-naive star.
 ///
-/// The constants are unit-free ratios calibrated on the shopping / up-down
-/// / chain / grid workloads of the test kit: only the *ordering* of
-/// candidate estimates matters to the planner.
+/// The constants are fixed ratios, set once on the shopping / up-down /
+/// chain / grid workloads of the test kit: only the *ordering* of
+/// candidate estimates matters to the planner. Nothing rescales them at
+/// run time: outside tests, every model is [`CostModel::default`].
 #[derive(Debug, Clone)]
 pub struct CostModel {
     /// Charge per estimated tuple derivation (join + dedup work).
@@ -51,11 +52,6 @@ pub struct CostModel {
     /// candidates are truncated alike, and the exponential separations the
     /// model exists to detect appear within a few rounds.
     pub horizon: usize,
-    /// Multiplicative correction to the fanout-driven derivation charge,
-    /// learned from estimate/actual feedback ([`CostModel::calibrate`]).
-    /// `1.0` is the uncalibrated default; a model that systematically
-    /// overestimates derivations ends up with a scale below 1.
-    pub fanout_scale: f64,
     /// Charge per shard for setting up one parallel round (partitioning,
     /// job dispatch, buffer merge), in the same unit as `per_derivation`.
     /// Together with the thread count it fixes the parallel cutover
@@ -84,7 +80,6 @@ impl Default for CostModel {
             per_derivation: 1.0,
             per_phase_tuple: 0.5,
             horizon: 12,
-            fanout_scale: 1.0,
             per_shard_setup: 96.0,
             dense_budget_bytes: dense::DEFAULT_DENSE_BUDGET_BYTES,
             dense_density_cutover: 0.05,
@@ -93,30 +88,6 @@ impl Default for CostModel {
 }
 
 impl CostModel {
-    /// Fold estimate/actual feedback into the model: each pair is a plan's
-    /// cost estimate ([`crate::PlanDecision::estimate`]) next to the
-    /// derivation count the run actually performed (`EvalStats::derivations`, the unit the
-    /// estimate is denominated in). The geometric mean of the
-    /// `actual/estimate` ratios rescales [`CostModel::fanout_scale`], so a
-    /// model that was systematically off by a constant factor is corrected
-    /// after a single round of feedback (the derivation charge is linear
-    /// in the scale). Pairs with a non-positive side are ignored; the
-    /// scale is clamped to `[1e-3, 1e3]` so one wild outlier cannot wreck
-    /// the model.
-    pub fn calibrate(&mut self, feedback: &[(f64, u64)]) {
-        let (mut sum_log, mut n) = (0.0f64, 0usize);
-        for &(estimate, actual) in feedback {
-            if estimate > 0.0 && actual > 0 {
-                sum_log += (actual as f64 / estimate).ln();
-                n += 1;
-            }
-        }
-        if n > 0 {
-            let ratio = (sum_log / n as f64).exp();
-            self.fanout_scale = (self.fanout_scale * ratio).clamp(1e-3, 1e3);
-        }
-    }
-
     /// The smallest per-round delta for which `threads`-way sharding is
     /// predicted to pay: the fixed round price (`per_shard_setup` per
     /// shard) must be recouped by the work the extra threads take over
@@ -130,7 +101,7 @@ impl CostModel {
             return usize::MAX;
         }
         let saved_share = 1.0 - 1.0 / threads as f64;
-        let per_tuple = (self.per_derivation * self.fanout_scale).max(f64::MIN_POSITIVE);
+        let per_tuple = self.per_derivation.max(f64::MIN_POSITIVE);
         ((self.per_shard_setup * threads as f64) / (per_tuple * saved_share)).ceil() as usize
     }
 
@@ -147,12 +118,9 @@ impl CostModel {
             return 0.0;
         }
         let mut est = Estimator::new(self, db, init);
-        // Raw fanout, deliberately NOT multiplied by `fanout_scale`: the
-        // learned scale is a *linear* correction to the derivation charge
-        // (see `Estimator::per_deriv`), and compounding it per round here
-        // would let calibration distort the delta trajectory geometrically.
-        // It still reaches this decision through `parallel_cutover`'s
-        // per-tuple charge.
+        // Raw fanout: the delta trajectory counts tuples, not charge; the
+        // per-derivation charge reaches this decision through
+        // `parallel_cutover`.
         let f: f64 = rules.iter().map(|r| est.fanout(r)).sum();
         let seed_doms = est.init_doms.clone();
         let doms = est.col_doms(rules, &seed_doms);
@@ -247,12 +215,6 @@ impl<'a> Estimator<'a> {
             self.stats.insert(key, entry);
         }
         &self.stats[&key]
-    }
-
-    /// The calibrated derivation charge: `per_derivation` corrected by the
-    /// feedback-learned fanout scale ([`CostModel::calibrate`]).
-    fn per_deriv(&self) -> f64 {
-        self.model.per_derivation * self.model.fanout_scale
     }
 
     /// Expected matches produced per delta tuple by one application of
@@ -361,7 +323,7 @@ impl<'a> Estimator<'a> {
         let f: f64 = rules.iter().map(|r| self.fanout(r)).sum();
         let doms = self.col_doms(rules, seed_doms);
         let (derivs, total) = self.unroll(f, seed, Self::cap(&doms));
-        (self.per_deriv() * derivs, total, doms)
+        (self.model.per_derivation * derivs, total, doms)
     }
 
     /// `count` exact applications of `rule`: derivation charge and final
@@ -382,7 +344,7 @@ impl<'a> Estimator<'a> {
             derivs += cur * f;
             cur = (cur * f).min(cap);
         }
-        (self.per_deriv() * derivs, cur)
+        (self.model.per_derivation * derivs, cur)
     }
 
     /// The dense gate for a composition-shaped `rule`: `Chosen` with the
@@ -437,7 +399,8 @@ impl<'a> Estimator<'a> {
             edge: shape.edge,
             domain: d,
             density,
-            cost: self.per_deriv() * derivs + self.phase_charge(std::slice::from_ref(rule), seed),
+            cost: self.model.per_derivation * derivs
+                + self.phase_charge(std::slice::from_ref(rule), seed),
         }
     }
 
@@ -503,9 +466,10 @@ impl<'a> Estimator<'a> {
 }
 
 impl CostModel {
-    /// Estimate the execution cost of `plan` over `db` seeded with `init`
-    /// (unit-free; meaningful only relative to other estimates from the
-    /// same model and database).
+    /// Estimate the execution cost of `plan` over `db` seeded with `init`:
+    /// the derivation charge plus the per-phase setup charge, so not a
+    /// derivation count. Meaningful only relative to other estimates from
+    /// the same model and database.
     pub fn estimate(&self, plan: &Plan, db: &Database, init: &Relation) -> f64 {
         let mut est = Estimator::new(self, db, init);
         let doms = est.init_doms.clone();
@@ -555,61 +519,7 @@ mod tests {
     }
 
     #[test]
-    fn calibrate_rescales_the_fanout_constant() {
-        let mut model = CostModel::default();
-        assert_eq!(model.fanout_scale, 1.0);
-        // The model overestimated 10x on two runs: scale shrinks to 0.1.
-        model.calibrate(&[(1000.0, 100), (5000.0, 500)]);
-        assert!(
-            (model.fanout_scale - 0.1).abs() < 1e-9,
-            "{}",
-            model.fanout_scale
-        );
-        // Feedback folds in multiplicatively…
-        model.calibrate(&[(10.0, 100)]);
-        assert!((model.fanout_scale - 1.0).abs() < 1e-9);
-        // …degenerate pairs are ignored, and the scale stays clamped.
-        model.calibrate(&[(0.0, 5), (3.0, 0)]);
-        assert!((model.fanout_scale - 1.0).abs() < 1e-9);
-        model.calibrate(&[(1.0, u64::MAX)]);
-        assert!(model.fanout_scale <= 1e3);
-    }
-
-    #[test]
-    fn miscalibrated_model_corrects_after_one_round_of_feedback() {
-        // A model whose fanout constant is off by 12x: one round of
-        // estimate/actual feedback must bring its estimate to within a
-        // small factor of the measured derivation count (the derivation
-        // charge is linear in the scale; only the small per-phase setup
-        // term resists the correction).
-        let rules = vec![rules::tc_right()];
-        let edges = workload::chain(60);
-        let db = workload::graph_db("q", edges.clone());
-        let plan = Plan::direct(rules);
-        let actual = plan.execute(&db, &edges).unwrap().stats.derivations;
-
-        let mut model = CostModel {
-            fanout_scale: 12.0,
-            ..CostModel::default()
-        };
-        let before = model.estimate(&plan, &db, &edges);
-        let off_before = (before / actual as f64).ln().abs();
-        model.calibrate(&[(before, actual)]);
-        let after = model.estimate(&plan, &db, &edges);
-        let off_after = (after / actual as f64).ln().abs();
-        assert!(
-            off_after < off_before,
-            "calibration must reduce the error: {before:.3e} -> {after:.3e} vs {actual}"
-        );
-        assert!(
-            (0.25..4.0).contains(&(after / actual as f64)),
-            "one feedback round should land within a small factor: \
-             {after:.3e} vs actual {actual}"
-        );
-    }
-
-    #[test]
-    fn parallel_cutover_scales_with_threads_and_calibration() {
+    fn parallel_cutover_scales_with_threads_and_the_derivation_charge() {
         let model = CostModel::default();
         assert_eq!(model.parallel_cutover(1), usize::MAX);
         let c4 = model.parallel_cutover(4);
@@ -619,26 +529,11 @@ mod tests {
             c2 < c4,
             "more threads, more setup to amortize: {c2} vs {c4}"
         );
-        // A calibrated-down model (cheaper derivations) needs bigger deltas.
-        let mut cheap = CostModel::default();
-        cheap.calibrate(&[(10.0, 1)]);
-        assert!(cheap.parallel_cutover(4) > c4);
-    }
-
-    #[test]
-    fn calibration_does_not_compound_into_the_peak_delta_estimate() {
-        // fanout_scale is a linear charge correction; the delta trajectory
-        // itself must be scale-invariant, or calibration would distort the
-        // parallel decision geometrically.
-        let rules = vec![rules::tc_right()];
-        let edges = workload::chain(100);
-        let db = workload::graph_db("q", edges.clone());
-        let base = CostModel::default().estimated_peak_delta(&rules, &db, &edges);
-        let scaled = CostModel {
-            fanout_scale: 12.0,
+        // Cheaper derivations need bigger deltas to recoup the setup.
+        let cheap = CostModel {
+            per_derivation: 0.1,
             ..CostModel::default()
-        }
-        .estimated_peak_delta(&rules, &db, &edges);
-        assert_eq!(base, scaled);
+        };
+        assert!(cheap.parallel_cutover(4) > c4);
     }
 }

@@ -80,10 +80,10 @@ impl Plan {
     ) -> Result<ExecOutcome, StrategyError> {
         let outcome = self.execute(db, init)?;
         self.decision_mut().actual = Some(outcome.stats);
-        // Calibration drift: estimated over actual derivations, ×1000
-        // (1000 = perfect). Observed whenever feedback execution closes
-        // the loop, so the histogram tracks drift across the fleet of
-        // plans, not one.
+        // Estimate over actual derivations, ×1000 (1000 = the estimate
+        // matched the derivation count). Observed on every feedback run,
+        // so the histogram shows how far estimates sit from derivations
+        // across all plans, not one; nothing feeds it back into the model.
         if linrec_obs::enabled() {
             let dec = self.decision();
             if let Some(ratio) = dec.ratio() {

@@ -5,15 +5,14 @@
 //! what each was estimated to cost, which won, and (after execution) what
 //! it actually cost. This module keeps the last few hundred of those
 //! records in a ring so operators can ask "what did the planner just
-//! decide, and was it right?" without trawling logs, and so the service's
-//! drift sentinel can hand `CostModel::calibrate` a window of recent
-//! (estimate, actual) pairs.
+//! decide, and was it right?" without trawling logs. The journal is a
+//! record, not an input: nothing reads it back into the cost model.
 //!
 //! The journal is deliberately tiny and std-only: the crate's bounded
 //! ring, with a monotonically increasing sequence number. Entries
 //! carry the full decision JSON (opaque to this crate) plus a few typed
-//! fields that the sentinel and the `decisions` protocol command need
-//! without re-parsing JSON.
+//! fields that the `decisions` protocol command needs without re-parsing
+//! JSON.
 
 use std::sync::OnceLock;
 use std::time::{SystemTime, UNIX_EPOCH};
@@ -29,8 +28,8 @@ pub struct JournalEntry {
     /// Wall-clock milliseconds since the Unix epoch when recorded.
     pub unix_ms: u64,
     /// Event class: `"plan"` (a plan was chosen and executed),
-    /// `"maintain"` (a view maintenance batch), `"drift"` (the sentinel
-    /// tripped) or `"calibrate"` (the cost model was recalibrated).
+    /// `"maintain"` (a view maintenance batch) or `"drift"` (the sentinel
+    /// tripped).
     pub kind: &'static str,
     /// View name the event belongs to; empty for ad-hoc queries.
     pub view: String,
@@ -86,8 +85,7 @@ impl Journal {
         }
     }
 
-    /// Append an entry; the oldest entry is dropped when full. Returns
-    /// the assigned sequence number.
+    /// Append an entry; the oldest entry is dropped when full.
     #[allow(clippy::too_many_arguments)]
     pub fn record(
         &self,
@@ -98,7 +96,7 @@ impl Journal {
         actual: u64,
         nanos: u64,
         json: String,
-    ) -> u64 {
+    ) {
         let unix_ms = SystemTime::now()
             .duration_since(UNIX_EPOCH)
             .map(|d| d.as_millis() as u64)
@@ -114,7 +112,7 @@ impl Journal {
             nanos,
             json,
         };
-        self.ring.push(entry) + 1
+        self.ring.push(entry);
     }
 
     /// The newest `n` entries, oldest first.
@@ -123,27 +121,6 @@ impl Journal {
             let skip = entries.len().saturating_sub(n);
             entries.iter().skip(skip).cloned().collect()
         })
-    }
-
-    /// Recent `(estimate, actual)` pairs suitable for
-    /// `CostModel::calibrate`: entries of kind `"plan"`/`"maintain"` with
-    /// a positive estimate and a nonzero actual, newest `n`, optionally
-    /// restricted to one view and to entries recorded after `since_seq`.
-    pub fn recent_pairs(&self, view: Option<&str>, n: usize, since_seq: u64) -> Vec<(f64, u64)> {
-        let mut pairs: Vec<(f64, u64)> = self.ring.read(|entries, _| {
-            entries
-                .iter()
-                .rev()
-                .filter(|e| e.seq > since_seq)
-                .filter(|e| matches!(e.kind, "plan" | "maintain"))
-                .filter(|e| e.estimate > 0.0 && e.actual > 0)
-                .filter(|e| view.is_none_or(|v| e.view == v))
-                .take(n)
-                .map(|e| (e.estimate, e.actual))
-                .collect()
-        });
-        pairs.reverse();
-        pairs
     }
 
     /// Entries evicted so far to stay within capacity.
@@ -181,24 +158,6 @@ mod tests {
         assert_eq!(recent.len(), 3);
         assert_eq!(recent[0].seq, 3);
         assert_eq!(recent[2].seq, 5);
-    }
-
-    #[test]
-    fn recent_pairs_filters_by_view_kind_and_seq() {
-        let j = Journal::new(16);
-        j.record("plan", "a", "Direct", 10.0, 5, 0, String::new());
-        j.record("maintain", "b", "Direct", 20.0, 10, 0, String::new());
-        j.record("drift", "a", "Direct", 30.0, 15, 0, String::new());
-        j.record("maintain", "a", "Direct", 0.0, 15, 0, String::new());
-        j.record("maintain", "a", "Direct", 40.0, 0, 0, String::new());
-        let seq = j.record("maintain", "a", "Direct", 50.0, 25, 0, String::new());
-        assert_eq!(j.recent_pairs(None, 10, 0).len(), 3);
-        assert_eq!(
-            j.recent_pairs(Some("a"), 10, 0),
-            vec![(10.0, 5), (50.0, 25)]
-        );
-        assert_eq!(j.recent_pairs(Some("a"), 10, seq - 1), vec![(50.0, 25)]);
-        assert!(j.recent_pairs(Some("a"), 10, seq).is_empty());
     }
 
     #[test]

@@ -74,7 +74,7 @@ pub use linrec_engine::WorkerPool;
 pub use linrec_storage::CheckpointPolicy;
 pub use persist::{open_durable, open_durable_with_vfs, RecoveryReport};
 pub use protocol::{explain_json, serve_lines, serve_tcp, Reply, Session};
-pub use sentinel::{DriftTrip, SentinelConfig};
+pub use sentinel::DriftTrip;
 pub use service::{
     spawn_degraded_probe, BatchReport, ExplainReport, HealthInfo, RetryPolicy, ServiceConfig,
     ServiceError, ServiceLimits, ServiceMode, Snapshot, ViewInfo, ViewReport, ViewService,

@@ -1147,12 +1147,12 @@ mod tests {
         assert!(s.handle("commit").text.starts_with("ok epoch 2"));
     }
 
-    /// `explain … json` (with nodes) and the drift and calibrate events are
-    /// each one valid object whose top-level members read back as written.
+    /// `explain … json` (with nodes) and the drift event are each one
+    /// valid object whose top-level members read back as written.
     #[test]
     fn every_json_shape_reads_back() {
         use crate::sentinel::DriftTrip;
-        use crate::service::{calibrate_event, drift_event, ExplainReport};
+        use crate::service::{drift_event, ExplainReport};
         use linrec_engine::{EvalStats, TraceStep};
 
         let decision = tc_service().explain("tc", false).unwrap().decision;
@@ -1207,15 +1207,6 @@ mod tests {
                     ("kind", "\"ratio\""),
                     ("detail", "\"estimate/actual EWMA drifted to 600.000\""),
                     ("trace", "\"t-00000001\""),
-                ],
-            ),
-            (
-                calibrate_event("tc", 12, 0.25),
-                vec![
-                    ("event", "\"calibrate\""),
-                    ("view", "\"tc\""),
-                    ("pairs", "12"),
-                    ("fanout_scale", "0.25"),
                 ],
             ),
         ];

@@ -3,55 +3,39 @@
 //! A plan is chosen from *estimates*; the data it serves keeps changing.
 //! This module watches every maintenance batch and keeps, per view, an
 //! EWMA of the log estimate/actual-derivations ratio and an EWMA of
-//! maintain latency. When the ratio EWMA drifts beyond
-//! [`SentinelConfig::ratio_tolerance`] (in either direction — systematic
-//! over- *and* under-estimation both mean the cost model no longer
-//! describes the data), or a batch's latency spikes past
-//! [`SentinelConfig::latency_tolerance`] × its EWMA baseline, the service
-//! emits a typed `plan-drift` event and, on ratio drift, recalibrates
-//! its shared `CostModel` from the journal's recent (estimate, actual)
-//! pairs, closing the feedback loop that `CostModel::calibrate` opened.
+//! maintain latency. When the ratio EWMA leaves the band
+//! `[1/RATIO_TOLERANCE, RATIO_TOLERANCE]` (in either direction —
+//! systematic over- *and* under-estimation both mean the cost model no
+//! longer describes the data), or a batch's latency spikes past
+//! `LATENCY_TOLERANCE` × its EWMA baseline, the service emits a typed
+//! `plan-drift` event. The sentinel only reports: the cost model is a
+//! constant, and nothing here changes a plan or an estimate.
+//!
+//! The ratio test latches: a view reports ratio drift once when its EWMA
+//! leaves the band and re-arms only after the EWMA has come back inside,
+//! so a persistent drift is one event, not one per batch. Latency trips
+//! are per spike.
 //!
 //! The log-domain EWMA makes the ratio test symmetric: estimate/actual
-//! of 100× and 1/100× are equally far from calibrated.
+//! of 100× and 1/100× are equally far from the band's centre.
 
 use linrec_datalog::hash::FastMap;
 
 /// EWMA weight of the newest sample.
 const EWMA_ALPHA: f64 = 0.5;
-/// Maximum journal pairs fed to one recalibration.
-pub(crate) const CALIBRATION_WINDOW: usize = 64;
-
-/// Knobs for the drift sentinel (see
-/// [`ServiceConfig::sentinel`](crate::ServiceConfig::sentinel)).
-#[derive(Debug, Clone)]
-pub struct SentinelConfig {
-    /// Trip when the EWMA of estimate/actual derivations leaves
-    /// `[1/ratio_tolerance, ratio_tolerance]`. The default is generous —
-    /// per-batch maintenance estimates are coarse — so only genuine
-    /// miscalibration trips it.
-    pub ratio_tolerance: f64,
-    /// Trip when one batch's maintain latency exceeds this multiple of
-    /// the view's latency EWMA.
-    pub latency_tolerance: f64,
-    /// Ignore latency drift while batches run faster than this (ns):
-    /// microsecond-scale maintenance jitters by ×10 on scheduler noise
-    /// alone and is not worth an alert.
-    pub latency_floor_nanos: u64,
-    /// Batches observed per view before the sentinel may trip (warm-up).
-    pub min_batches: u64,
-}
-
-impl Default for SentinelConfig {
-    fn default() -> SentinelConfig {
-        SentinelConfig {
-            ratio_tolerance: 512.0,
-            latency_tolerance: 16.0,
-            latency_floor_nanos: 5_000_000,
-            min_batches: 3,
-        }
-    }
-}
+/// Ratio drift trips when the estimate/actual EWMA leaves
+/// `[1/RATIO_TOLERANCE, RATIO_TOLERANCE]`. Generous — per-batch
+/// maintenance estimates are coarse — so only a gross mismatch trips it.
+const RATIO_TOLERANCE: f64 = 512.0;
+/// Latency drift trips when one batch's maintain time exceeds this
+/// multiple of the view's latency EWMA.
+const LATENCY_TOLERANCE: f64 = 16.0;
+/// Latency drift is ignored while batches run faster than this (ns):
+/// microsecond-scale maintenance jitters by ×10 on scheduler noise alone
+/// and is not worth an alert.
+const LATENCY_FLOOR_NANOS: u64 = 5_000_000;
+/// Batches observed per view before the sentinel may trip (warm-up).
+const MIN_BATCHES: u64 = 3;
 
 /// Why the sentinel tripped.
 #[derive(Debug, Clone)]
@@ -102,28 +86,20 @@ struct ViewDrift {
     ewma_log_ratio: Option<f64>,
     ewma_nanos: Option<f64>,
     batches: u64,
-    /// Journal sequence number at the last recalibration, so the next one
-    /// only feeds on pairs produced by the *current* model.
-    last_calibrate_seq: u64,
+    /// The ratio EWMA is outside the band and that drift was reported.
+    ratio_reported: bool,
 }
 
-/// Per-view drift state plus the config; part of the service's writer state.
+/// Per-view drift state; part of the service's writer state.
+#[derive(Default)]
 pub(crate) struct Sentinel {
-    cfg: SentinelConfig,
     views: FastMap<String, ViewDrift>,
 }
 
 impl Sentinel {
-    pub(crate) fn new(cfg: SentinelConfig) -> Sentinel {
-        Sentinel {
-            cfg,
-            views: FastMap::default(),
-        }
-    }
-
-    /// Feed one maintenance sample; `Some` when drift trips. The ratio
-    /// test has priority over the latency test (miscalibration explains
-    /// latency surprises, not vice versa).
+    /// Feed one maintenance sample; `Some` when drift trips. An unreported
+    /// ratio drift has priority over the latency test (a mismatched
+    /// estimate explains latency surprises, not vice versa).
     pub(crate) fn observe(
         &mut self,
         view: &str,
@@ -154,20 +130,23 @@ impl Sentinel {
             None => sample,
         });
 
-        if state.batches < self.cfg.min_batches {
+        if state.batches < MIN_BATCHES {
             return None;
         }
         if let Some(ewma) = state.ewma_log_ratio {
-            if ewma.abs() > self.cfg.ratio_tolerance.max(1.0).ln() {
+            let drifted = ewma.abs() > RATIO_TOLERANCE.ln();
+            let report = drifted && !state.ratio_reported;
+            state.ratio_reported = drifted;
+            if report {
                 return Some(DriftTrip::Ratio {
                     ewma_ratio: ewma.exp(),
                 });
             }
         }
         if let Some(baseline) = prev_nanos {
-            if nanos >= self.cfg.latency_floor_nanos
+            if nanos >= LATENCY_FLOOR_NANOS
                 && baseline > 0.0
-                && sample > self.cfg.latency_tolerance.max(1.0) * baseline
+                && sample > LATENCY_TOLERANCE * baseline
             {
                 return Some(DriftTrip::Latency {
                     nanos,
@@ -177,92 +156,101 @@ impl Sentinel {
         }
         None
     }
-
-    /// Journal sequence of the view's last recalibration (0 = never).
-    pub(crate) fn last_calibrate_seq(&self, view: &str) -> u64 {
-        self.views
-            .get(view)
-            .map(|s| s.last_calibrate_seq)
-            .unwrap_or(0)
-    }
-
-    /// Record a recalibration: the EWMA restarts (it measured the *old*
-    /// model) and future calibrations only read journal entries after
-    /// `seq`.
-    pub(crate) fn note_calibrated(&mut self, view: &str, seq: u64) {
-        let state = self.views.entry(view.to_owned()).or_default();
-        state.ewma_log_ratio = None;
-        state.batches = 0;
-        state.last_calibrate_seq = seq;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn cfg(ratio: f64, min_batches: u64) -> SentinelConfig {
-        SentinelConfig {
-            ratio_tolerance: ratio,
-            min_batches,
-            ..SentinelConfig::default()
-        }
+    /// A sub-floor maintain time: only the ratio test can trip.
+    const QUIET: u64 = 100;
+
+    fn ratio_trips(s: &mut Sentinel, estimate: f64, actual: u64, batches: usize) -> usize {
+        (0..batches)
+            .filter(|_| {
+                matches!(
+                    s.observe("v", Some(estimate), actual, QUIET),
+                    Some(DriftTrip::Ratio { .. })
+                )
+            })
+            .count()
     }
 
     #[test]
-    fn warm_up_then_trips_on_overestimate() {
-        let mut s = Sentinel::new(cfg(4.0, 3));
-        assert!(s.observe("v", Some(1000.0), 2, 100).is_none());
-        assert!(s.observe("v", Some(1000.0), 2, 100).is_none());
-        let trip = s.observe("v", Some(1000.0), 2, 100);
+    fn a_persistent_overestimate_trips_once_in_twenty_batches() {
+        let mut s = Sentinel::default();
+        assert!(s.observe("v", Some(1e6), 2, QUIET).is_none());
+        assert!(s.observe("v", Some(1e6), 2, QUIET).is_none());
+        let trip = s.observe("v", Some(1e6), 2, QUIET);
         assert!(
-            matches!(trip, Some(DriftTrip::Ratio { ewma_ratio }) if ewma_ratio > 4.0),
+            matches!(trip, Some(DriftTrip::Ratio { ewma_ratio }) if ewma_ratio > RATIO_TOLERANCE),
             "{trip:?}"
         );
+        assert_eq!(ratio_trips(&mut s, 1e6, 2, 17), 0, "the drift is latched");
+    }
+
+    #[test]
+    fn returning_to_the_band_re_arms_the_ratio_test() {
+        let mut s = Sentinel::default();
+        assert_eq!(ratio_trips(&mut s, 1e6, 2, 10), 1);
+        // Matched estimates pull the EWMA back inside the band: no trip.
+        assert_eq!(ratio_trips(&mut s, 100.0, 90, 10), 0);
+        // A fresh drift is a fresh report, once.
+        assert_eq!(ratio_trips(&mut s, 1e6, 2, 10), 1);
     }
 
     #[test]
     fn underestimates_trip_symmetrically() {
-        let mut s = Sentinel::new(cfg(4.0, 1));
-        let trip = s.observe("v", Some(2.0), 1000, 100);
+        let mut s = Sentinel::default();
+        assert!(s.observe("v", Some(2.0), 1_000_000, QUIET).is_none());
+        assert!(s.observe("v", Some(2.0), 1_000_000, QUIET).is_none());
+        let trip = s.observe("v", Some(2.0), 1_000_000, QUIET);
         assert!(
-            matches!(trip, Some(DriftTrip::Ratio { ewma_ratio }) if ewma_ratio < 0.25),
+            matches!(trip, Some(DriftTrip::Ratio { ewma_ratio }) if ewma_ratio < 1.0 / RATIO_TOLERANCE),
             "{trip:?}"
         );
+        assert_eq!(ratio_trips(&mut s, 2.0, 1_000_000, 17), 0);
+        assert_eq!(ratio_trips(&mut s, 100.0, 90, 10), 0);
+        assert_eq!(ratio_trips(&mut s, 2.0, 1_000_000, 10), 1);
     }
 
     #[test]
-    fn calibrated_estimates_never_trip() {
-        let mut s = Sentinel::new(cfg(4.0, 1));
+    fn matched_estimates_never_trip() {
+        let mut s = Sentinel::default();
         for _ in 0..50 {
-            assert!(s.observe("v", Some(100.0), 90, 100).is_none());
+            assert!(s.observe("v", Some(100.0), 90, QUIET).is_none());
         }
     }
 
     #[test]
-    fn note_calibrated_restarts_the_warm_up() {
-        let mut s = Sentinel::new(cfg(4.0, 2));
-        assert!(s.observe("v", Some(1000.0), 1, 100).is_none());
-        assert!(s.observe("v", Some(1000.0), 1, 100).is_some());
-        s.note_calibrated("v", 17);
-        assert_eq!(s.last_calibrate_seq("v"), 17);
-        // One post-calibration batch is below min_batches again.
-        assert!(s.observe("v", Some(10.0), 9, 100).is_none());
+    fn views_latch_independently() {
+        let mut s = Sentinel::default();
+        assert_eq!(ratio_trips(&mut s, 1e6, 2, 5), 1);
+        let other = (0..5)
+            .filter(|_| s.observe("w", Some(1e6), 2, QUIET).is_some())
+            .count();
+        assert_eq!(other, 1);
     }
 
     #[test]
-    fn latency_spike_trips_only_above_the_floor() {
-        let mut s = Sentinel::new(SentinelConfig {
-            ratio_tolerance: 1e9,
-            latency_tolerance: 8.0,
-            latency_floor_nanos: 1_000_000,
-            min_batches: 2,
-        });
+    fn every_latency_spike_above_the_floor_trips() {
+        let mut s = Sentinel::default();
+        let ms = 1_000_000;
         // Sub-floor spikes are ignored no matter the multiple.
-        assert!(s.observe("v", None, 10, 1_000).is_none());
-        assert!(s.observe("v", None, 10, 900_000).is_none());
-        // Above the floor and past tolerance × baseline: trips.
-        let trip = s.observe("v", None, 10, 400_000_000);
-        assert!(matches!(trip, Some(DriftTrip::Latency { .. })), "{trip:?}");
+        for nanos in [1_000, 1_000, 4 * ms] {
+            assert!(s.observe("v", None, 10, nanos).is_none());
+        }
+        // A latched ratio drift does not mute the latency test.
+        let trip = s.observe("v", Some(1e6), 2, ms);
+        assert!(matches!(trip, Some(DriftTrip::Ratio { .. })), "{trip:?}");
+        for _ in 0..3 {
+            // Quiet batches bring the baseline back near 1 ms…
+            for _ in 0..8 {
+                assert!(s.observe("v", Some(1e6), 2, ms).is_none());
+            }
+            // …and each spike past tolerance × baseline trips.
+            let trip = s.observe("v", Some(1e6), 2, 400 * ms);
+            assert!(matches!(trip, Some(DriftTrip::Latency { .. })), "{trip:?}");
+        }
     }
 }

@@ -16,8 +16,9 @@
 //!   like; a snapshot is immutable once published.
 //! * **`writer`** — one mutex over *everything the write path mutates*:
 //!   the master database, the epoch, each registered view with the state
-//!   it serves, the store and its checkpoint policy, the shared cost
-//!   model, the drift sentinel and the decision log.
+//!   it serves, the store and its checkpoint policy, the drift sentinel
+//!   and the decision log. The sentinel only reports: a `plan-drift`
+//!   event is journaled and logged, and no plan or estimate changes.
 //!   [`ViewService::apply_batch`] and [`ViewService::register_view`] run
 //!   under it: clone the master database (cheap COW), apply the insert
 //!   batch (copying only the touched relations), maintain every view
@@ -54,7 +55,7 @@
 //! (arena snapshot + rotated WAL) while still holding the writer lock —
 //! readers keep serving throughout.
 
-use crate::sentinel::{DriftTrip, Sentinel, SentinelConfig, CALIBRATION_WINDOW};
+use crate::sentinel::{DriftTrip, Sentinel};
 use crate::view::{MaintainedView, ViewDef, DELTA_MARKER};
 use linrec_datalog::hash::FastMap;
 use linrec_datalog::{Database, Relation, Symbol, Value};
@@ -497,11 +498,6 @@ pub struct ServiceConfig {
     /// Off is an experiment escape hatch — an unsafe rule can still fail
     /// (or loop) at materialization time.
     pub registration_checks: bool,
-    /// The drift sentinel's knobs.
-    pub sentinel: SentinelConfig,
-    /// The cost model the service starts with; the drift sentinel
-    /// recalibrates the service's own copy ([`ViewService::cost_model`]).
-    pub cost_model: CostModel,
 }
 
 impl Default for ServiceConfig {
@@ -511,8 +507,6 @@ impl Default for ServiceConfig {
             limits: ServiceLimits::default(),
             retry: RetryPolicy::default(),
             registration_checks: true,
-            sentinel: SentinelConfig::default(),
-            cost_model: CostModel::default(),
         }
     }
 }
@@ -542,9 +536,6 @@ struct Writer {
     views: Vec<Registered>,
     epoch: u64,
     durability: Option<Durability>,
-    /// The shared cost model every registration plans with; the drift
-    /// sentinel recalibrates it from journal feedback.
-    cost_model: CostModel,
     /// Per-view drift state.
     sentinel: Sentinel,
     /// Optional on-disk decision log (`decisions.log` next to the WAL).
@@ -644,8 +635,8 @@ impl ViewService {
     /// A service whose first snapshot is published at `epoch` — the
     /// recovery path: a database loaded from a checkpoint resumes at the
     /// epoch the checkpoint captured, so epochs stay strictly increasing
-    /// across restarts. Registration decisions, drift events and
-    /// recalibrations append to `decision_log` when one is given
+    /// across restarts. Registration decisions and drift events append to
+    /// `decision_log` when one is given
     /// (CRC-framed, best-effort — see [`linrec_storage::DecisionLog`]).
     pub(crate) fn assemble(
         db: Database,
@@ -665,8 +656,7 @@ impl ViewService {
                 views: Vec::new(),
                 epoch,
                 durability: None,
-                cost_model: config.cost_model.clone(),
-                sentinel: Sentinel::new(config.sentinel.clone()),
+                sentinel: Sentinel::default(),
                 decision_log,
             }),
             status: Mutex::new(Status::default()),
@@ -703,14 +693,6 @@ impl ViewService {
     /// The fixed overload-control knobs.
     pub fn limits(&self) -> ServiceLimits {
         self.config.limits
-    }
-
-    /// A copy of the shared [`CostModel`] views are planned with. The
-    /// drift sentinel mutates the shared model in place
-    /// ([`CostModel::calibrate`]), so two calls can observe different
-    /// `fanout_scale`s.
-    pub fn cost_model(&self) -> Result<CostModel, ServiceError> {
-        Ok(self.lock_writer()?.cost_model.clone())
     }
 
     /// The live on-disk snapshot generation, when durable (and not
@@ -1025,12 +1007,8 @@ impl ViewService {
             let arity = rule.arity();
             writer.db.set_relation(def.seed, Relation::new(arity));
         }
-        let mut view = MaintainedView::register_with(
-            def,
-            &writer.db,
-            self.config.par.clone(),
-            &writer.cost_model,
-        )?;
+        let mut view =
+            MaintainedView::register_with_parallelism(def, &writer.db, self.config.par.clone())?;
         let (relation, mode, stats, nanos) = match recovered {
             Some(relation) => {
                 let arity = view.def().rules[0].arity();
@@ -1242,8 +1220,8 @@ impl ViewService {
             );
         }
         // The group is committed and acked from here on; feed the drift
-        // sentinel (estimate each maintained view's pass against the
-        // shared model, journal the pair, trip + recalibrate on drift).
+        // sentinel (estimate each maintained view's pass, journal the
+        // pair, report a drift).
         if linrec_obs::enabled() {
             writer.observe_maintenance(&deltas, &reports);
             linrec_obs::counter!("linrec_service_batches_total").inc_by(logged.len() as u64);
@@ -1398,14 +1376,6 @@ impl Writer {
         }
     }
 
-    /// Journal a drift or calibration event and append the same record to
-    /// the decision log. Returns the journal sequence number.
-    fn record_event(&mut self, kind: &'static str, view: &str, shape: &str, json: String) -> u64 {
-        let seq = linrec_obs::journal::journal().record(kind, view, shape, 0.0, 0, 0, json.clone());
-        self.log_decision(&json);
-        seq
-    }
-
     /// Maintain every registered view against the post-batch database,
     /// returning one [`Maintained`] per view in registration order. Each
     /// view's fixpoint rounds shard on the engine pool under its own knob.
@@ -1422,17 +1392,15 @@ impl Writer {
     }
 
     /// Per-view drift observation for one committed batch: estimate the
-    /// maintenance work the shared model predicts for this delta, journal
+    /// maintenance work the cost model predicts for this delta, journal
     /// the (estimate, actual) pair, and let the sentinel decide whether
-    /// the model has drifted.
+    /// the estimates have drifted.
     fn observe_maintenance(
         &mut self,
         deltas: &FastMap<Symbol, Arc<Relation>>,
         reports: &[ViewReport],
     ) {
-        // One model for the whole batch: a recalibration tripped by one
-        // view must not move the estimates of the views after it.
-        let model = self.cost_model.clone();
+        let model = CostModel::default();
         let journal = linrec_obs::journal::journal();
         for (i, report) in reports.iter().enumerate() {
             if report.mode == "unchanged" {
@@ -1466,11 +1434,9 @@ impl Writer {
 
     /// A drift trip: emit the typed `plan-drift` event (counter +
     /// flight-recorder span + stderr line with the trace id + journal and
-    /// decision-log records), then — for ratio drift — recalibrate the
-    /// shared cost model from the journal's recent (estimate, actual)
-    /// pairs and restart the view's drift window.
+    /// decision-log records). Nothing else changes: the plan and the cost
+    /// model stay as they are.
     fn handle_drift(&mut self, view: &str, shape: &'static str, trip: &DriftTrip) {
-        let journal = linrec_obs::journal::journal();
         linrec_obs::counter!(
             "linrec_service_plan_drift_total",
             "Plan-drift events raised by the regression sentinel"
@@ -1486,25 +1452,9 @@ impl Writer {
             "linrec: plan-drift on view '{view}' ({}) trace={trace}",
             trip.describe()
         );
-        self.record_event("drift", view, shape, drift_event(view, trip, &trace));
-        if !matches!(trip, DriftTrip::Ratio { .. }) {
-            return;
-        }
-        let since = self.sentinel.last_calibrate_seq(view);
-        let pairs = journal.recent_pairs(Some(view), CALIBRATION_WINDOW, since);
-        if pairs.is_empty() {
-            return;
-        }
-        self.cost_model.calibrate(&pairs);
-        let scale = self.cost_model.fanout_scale;
-        let event = calibrate_event(view, pairs.len(), scale);
-        let seq = self.record_event("calibrate", view, shape, event);
-        self.sentinel.note_calibrated(view, seq);
-        eprintln!(
-            "linrec: recalibrated cost model from {} journal pairs for view '{view}' \
-             (fanout_scale → {scale:.4}) trace={trace}",
-            pairs.len()
-        );
+        let event = drift_event(view, trip, &trace);
+        linrec_obs::journal::journal().record("drift", view, shape, 0.0, 0, 0, event.clone());
+        self.log_decision(&event);
     }
 }
 
@@ -1516,17 +1466,6 @@ pub(crate) fn drift_event(view: &str, trip: &DriftTrip, trace: &str) -> String {
         o.str("kind", trip.kind());
         o.str("detail", &trip.describe());
         o.str("trace", trace);
-    })
-}
-
-/// The `calibrate` record a recalibration from `pairs` journal pairs
-/// journals and logs.
-pub(crate) fn calibrate_event(view: &str, pairs: usize, fanout_scale: f64) -> String {
-    linrec_obs::json::object(|o| {
-        o.str("event", "calibrate");
-        o.str("view", view);
-        o.u64("pairs", pairs as u64);
-        o.f64("fanout_scale", fanout_scale);
     })
 }
 

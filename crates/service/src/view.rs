@@ -38,6 +38,11 @@
 //! the decision record. A plan with no incremental form (`Separable`,
 //! `SelectAfter`) **falls back to a full recompute** through the plan,
 //! which is always safe.
+//!
+//! The plan is picked once, at registration, by [`CostModel::default`].
+//! Nothing re-plans a view or rescales the model afterwards: the
+//! service's drift sentinel only reports when estimates and actual
+//! derivations part ways.
 
 use linrec_datalog::hash::FastMap;
 use linrec_datalog::{Atom, Database, LinearRule, Relation, Rule, Symbol};
@@ -129,26 +134,13 @@ impl MaintainedView {
     /// [`MaintainedView::register`] with a [`Parallelism`] knob: the
     /// materialization/recompute plan is offered parallel rounds (cost
     /// model gated, verdict recorded in the plan's decision), and every
-    /// incremental resume runs through the same knob.
+    /// incremental resume runs through the same knob. The plan is picked
+    /// by [`CostModel::default`], and its decision record is stamped with
+    /// the view's name and derived maintenance mode.
     pub fn register_with_parallelism(
         def: ViewDef,
         db: &Database,
         par: Parallelism,
-    ) -> Result<MaintainedView, StrategyError> {
-        MaintainedView::register_with(def, db, par, &CostModel::default())
-    }
-
-    /// [`MaintainedView::register_with_parallelism`] with an explicit
-    /// [`CostModel`] — the service passes its shared (possibly
-    /// drift-recalibrated) model so a view registered after a
-    /// recalibration plans with the corrected constants. The plan's
-    /// decision record is stamped with the view's name and derived
-    /// maintenance mode.
-    pub fn register_with(
-        def: ViewDef,
-        db: &Database,
-        par: Parallelism,
-        model: &CostModel,
     ) -> Result<MaintainedView, StrategyError> {
         let arity = def
             .rules
@@ -165,10 +157,9 @@ impl MaintainedView {
             }
         }
         let seed = db.relation_or_empty(def.seed, arity);
-        let analysis = Analysis::of(&def.rules, None);
-        let mut plan = analysis
-            .plan_with(db, &seed, model)
-            .parallelize(&par, model, db, &seed);
+        let mut plan = Analysis::of(&def.rules, None)
+            .plan_for(db, &seed)
+            .parallelize(&par, &CostModel::default(), db, &seed);
         let mode = MaintenanceMode::of(&plan);
         let dec = plan.decision_mut();
         dec.view = def.name.clone();

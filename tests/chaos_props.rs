@@ -23,6 +23,11 @@
 //! set equality, and the view check recomputes from whatever EDB
 //! recovery actually produced.
 //!
+//! Every schedule runs twice: once committing each batch with
+//! `apply_batch`, once through the multi-member `apply_batches` with one
+//! member per tuple (the grouped path WAL replay takes). Both draw the
+//! same random numbers, so they cover the same schedules.
+//!
 //! Runs 100 iterations by default (seeds are fixed, so every run covers
 //! the same schedules); set `LINREC_CHAOS_ITERS` for longer soak runs
 //! and `LINREC_CHAOS_SEED` to shift the whole seed sequence.
@@ -117,8 +122,13 @@ fn assert_view_is_fixpoint(service: &ViewService, context: &str) {
 
 /// One randomized schedule: clean traffic, then a faulty segment under a
 /// seeded plan, then clearance, restore, and a cold production reopen.
-fn chaos_iteration(seed: u64) {
-    let dir = tmpdir(&format!("seed{seed}"));
+/// `grouped` commits each batch as one `apply_batches` group with one
+/// member per tuple instead of one `apply_batch`.
+fn chaos_iteration(seed: u64, grouped: bool) {
+    let dir = tmpdir(&format!(
+        "{}seed{seed}",
+        if grouped { "group-" } else { "" }
+    ));
     let mut rng = Rng::new(seed);
     let fault = FaultVfs::new(FaultPlan::none());
     let vfs: Arc<dyn Vfs> = fault.clone();
@@ -184,7 +194,12 @@ fn chaos_iteration(seed: u64) {
             .collect();
 
         let before = service.snapshot();
-        match service.apply_batch(batch.clone()) {
+        let committed = if grouped {
+            service.apply_batches(batch.iter().map(|insert| [insert.clone()]))
+        } else {
+            service.apply_batch(batch.clone())
+        };
+        match committed {
             Ok(_) => {
                 for (_, t) in &batch {
                     if let [Value::Int(a), Value::Int(z)] = t.as_slice() {
@@ -272,7 +287,16 @@ fn randomized_fault_schedules_never_lose_acked_batches() {
     let iters = env_u64("LINREC_CHAOS_ITERS", 100);
     let base = env_u64("LINREC_CHAOS_SEED", 0xC0FF_EE00);
     for i in 0..iters {
-        chaos_iteration(base + i);
+        chaos_iteration(base + i, false);
+    }
+}
+
+#[test]
+fn grouped_fault_schedules_never_lose_acked_batches() {
+    let iters = env_u64("LINREC_CHAOS_ITERS", 100);
+    let base = env_u64("LINREC_CHAOS_SEED", 0xC0FF_EE00);
+    for i in 0..iters {
+        chaos_iteration(base + i, true);
     }
 }
 

@@ -4,17 +4,17 @@
 //! * a dense-planned transitive-closure query explained with `analyze`
 //!   carries the dense-vs-sparse decision record (candidates, estimates,
 //!   certificates) and per-node wall time;
-//! * a deliberately miscalibrated cost model trips the sentinel within a
-//!   few maintenance batches and auto-recalibrates from the journal's
-//!   recent (estimate, actual) pairs;
+//! * a view whose estimates sit far above its derivations batch after
+//!   batch is reported once, in the journal and in `decisions.log`, and
+//!   keeps its plan;
 //! * the on-disk `decisions.log` rides the service's `Vfs` and survives
 //!   fault-injection chaos without ever losing an acknowledged batch.
 
 use linrec::engine::{CertKind, DenseVerdict, MaintenanceMode, PickedBy};
 use linrec::prelude::*;
 use linrec::service::{
-    explain_json, open_durable_with_vfs, MaintainedView, SentinelConfig, ServiceConfig, Session,
-    ViewDef, ViewService,
+    explain_json, open_durable, open_durable_with_vfs, MaintainedView, Session, ViewDef,
+    ViewService,
 };
 use linrec::storage::{
     read_decision_log, CheckpointPolicy, FaultOp, FaultPlan, FaultVfs, StdVfs, Vfs,
@@ -141,69 +141,80 @@ fn every_surface_prints_the_same_rendered_decision() {
     );
 }
 
+/// The wide up/down program: 800 `up` chains of 8 nodes, a 60-node
+/// `down` graph with edges i → i+1..=16 (mod 60), and one seed. Its
+/// maintenance estimates sit about 700× above the derivations performed.
+fn wide_updown_db() -> Database {
+    let mut db = Database::new();
+    let up =
+        (0..800i64).flat_map(|c| (1..8).map(move |l| (1000 + c * 8 + l, 1000 + c * 8 + l - 1)));
+    db.set_relation("up", Relation::from_pairs(up));
+    let down = (0..60i64).flat_map(|i| (1..=16).map(move |k| (i, (i + k) % 60)));
+    db.set_relation("down", Relation::from_pairs(down));
+    db.set_relation("p", Relation::from_pairs([(1000, 0)]));
+    db
+}
+
 #[test]
-fn forced_miscalibration_trips_the_sentinel_and_recalibrates_from_the_journal() {
-    // Scale the fanout charge 500×: every maintenance estimate is now
-    // wildly above the actual derivations, which is exactly the drift the
-    // sentinel exists to catch.
-    let service = ViewService::with_config(
-        chain_db(50),
-        ServiceConfig {
-            cost_model: CostModel {
-                fanout_scale: 500.0,
-                ..CostModel::default()
-            },
-            sentinel: SentinelConfig {
-                ratio_tolerance: 4.0,
-                min_batches: 2,
-                ..SentinelConfig::default()
-            },
-            ..ServiceConfig::default()
-        },
+fn persistent_drift_is_reported_once_and_never_replans() {
+    let name = "updown_drift_once";
+    let def = ViewDef {
+        name: name.into(),
+        rules: vec![
+            parse_linear_rule("p(x,y) :- p(x,z), down(z,y).").unwrap(),
+            parse_linear_rule("p(x,y) :- p(w,y), up(x,w).").unwrap(),
+        ],
+        seed: Symbol::new("p"),
+    };
+    let dir = tmpdir("drift-once");
+    let (service, _) = open_durable(
+        &dir,
+        wide_updown_db(),
+        vec![def],
+        linrec::engine::Parallelism::sequential(),
+        CheckpointPolicy::default(),
+    )
+    .unwrap();
+    let decision = service.explain(name, false).unwrap().decision;
+    assert!(
+        matches!(decision.winner, PlanShape::Decomposed { .. }),
+        "{decision}"
     );
-    service.register_view(tc_def()).unwrap();
+    let rendered = decision.to_string();
 
-    let drift_before = linrec::obs::metrics::registry()
-        .counter("linrec_service_plan_drift_total")
-        .get();
-
-    // Chain-extending edges: each batch derives real tuples (every prefix
-    // path reaches the new node), so the sentinel gets a genuine
-    // (estimate, actual) pair — and the 500× overestimate dominates it.
-    for i in 0..5i64 {
-        let (a, b) = (50 + i, 51 + i);
+    // Twelve commits of two root seeds each: every batch derives real
+    // tuples, and every estimate is far outside the sentinel's band.
+    let p = Symbol::new("p");
+    for j in 1..=12i64 {
+        let seeds = [(1000 + 8 * j, j % 60), (5000 + 8 * j, (j + 7) % 60)];
         service
-            .apply_batch([(Symbol::new("e"), vec![Value::Int(a), Value::Int(b)])])
+            .apply_batch(seeds.map(|(a, b)| (p, vec![Value::Int(a), Value::Int(b)])))
             .unwrap();
     }
 
-    let drift_after = linrec::obs::metrics::registry()
-        .counter("linrec_service_plan_drift_total")
-        .get();
-    assert!(
-        drift_after > drift_before,
-        "sentinel never tripped within 5 batches ({drift_before} → {drift_after})"
+    // One drift, reported once; nothing recalibrated or re-planned.
+    let recent = linrec::obs::journal::journal().recent(256);
+    let count = |kind: &str| {
+        recent
+            .iter()
+            .filter(|e| e.view == name && e.kind == kind)
+            .count()
+    };
+    assert_eq!(count("drift"), 1);
+    assert_eq!(count("calibrate"), 0);
+    assert_eq!(
+        service.explain(name, false).unwrap().decision.to_string(),
+        rendered
     );
+    drop(service);
 
-    // Auto-recalibration pulled the scale back toward reality from the
-    // journal's (estimate, actual) pairs — at the very least out of the
-    // tripping band.
-    let scale = service.cost_model().unwrap().fanout_scale;
-    assert!(
-        scale < 500.0 / 4.0,
-        "fanout_scale {scale} was not recalibrated down from 500"
-    );
-
-    // The journal recorded the whole story: maintenance samples, the
-    // drift event, and the calibration.
-    let journal = linrec::obs::journal::journal();
-    let recent = journal.recent(256);
-    for kind in ["maintain", "drift", "calibrate"] {
-        assert!(
-            recent.iter().any(|e| e.kind == kind && e.view == "tc"),
-            "no {kind:?} entry for tc in the journal"
-        );
-    }
+    let records = read_decision_log(&StdVfs, &dir).unwrap();
+    let drifts = records
+        .iter()
+        .filter(|r| r.contains("\"event\":\"plan-drift\""))
+        .count();
+    assert_eq!(drifts, 1, "{records:?}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
